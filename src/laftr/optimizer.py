@@ -11,6 +11,14 @@ Coordinate moves are evaluated without touching the full N x N logit matrix:
 flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n by
 +-right_cache[:, k], so the objective delta is a sum of O(N)
 softplus-difference terms over the observed entries of row/column n.
+
+The W step never touches the N x N matrices either. A logit depends only on
+the membership rows of its two nodes, so for fixed Z the observed entries
+collapse into pattern pairs: with P distinct rows of Z, the W-subproblem is
+a logistic fit over P x P pairs weighted by their observed and positive
+counts, gathered in one pass over the observed entries. Each descent step
+then costs O(P^2 K) instead of O(N^2 K), with the same iterates up to
+floating-point summation order.
 """
 
 from __future__ import annotations
@@ -61,8 +69,6 @@ class FitConfig:
     seed: int = 0
     births_per_iter: int = 1
     include_diagonal: bool = False
-    # when False, the grown model's coordinate sweep visits only the new column
-    birth_sweep_full: bool = True
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -280,16 +286,40 @@ def _sweep_to_fixed_point(idx: _MaskIndex, state: ModelState) -> bool:
     return improved_any
 
 
-def _sweep_column_to_fixed_point(idx: _MaskIndex, state: ModelState, k: int) -> None:
-    """Fixed point of flips restricted to column k (the cheap birth sweep)."""
-    n_nodes = state.n
-    improved = True
-    while improved:
-        improved = False
-        for n in range(n_nodes):
-            if _flip_delta(idx, state, n, k) < -FLIP_TOLERANCE:
-                _apply_flip(state, n, k)
-                improved = True
+class _PairStats:
+    """Sufficient statistics of the W-subproblem over membership patterns.
+
+    A logit a_ij = z_i^T W z_j depends only on the rows z_i and z_j, so the
+    nodes are grouped by their P distinct rows, stacked in ``patterns``
+    (P x K). ``count[p, q]`` is the number of observed entries (i, j) with
+    z_i = patterns[p] and z_j = patterns[q], and ``positives[p, q]`` the
+    number of those with y_ij = 1; both are 0 on unobserved pattern pairs.
+    The cross-entropy of the observed entries is then exactly
+    sum(count * softplus(a) - positives * a) over the P x P pair logits a.
+    """
+
+    def __init__(self, y: AdjacencyMatrix, mask: ObservationMask, z: np.ndarray):
+        self.patterns, inverse = np.unique(z, axis=0, return_inverse=True)
+        n_pat = self.patterns.shape[0]
+        obs_i, obs_j = np.nonzero(mask.observed)
+        # one bincount splits each pattern pair's entries by their y value
+        code = 2 * (inverse[obs_i] * n_pat + inverse[obs_j]) + y.entries[obs_i, obs_j]
+        by_label = np.bincount(code, minlength=2 * n_pat * n_pat).reshape(n_pat, n_pat, 2)
+        self.count = by_label.sum(axis=2).astype(float)
+        self.positives = by_label[:, :, 1].astype(float)
+
+    def logits(self, w: np.ndarray) -> np.ndarray:
+        """P x P pair logits patterns @ w @ patterns^T."""
+        return (self.patterns @ w) @ self.patterns.T
+
+    def loss(self, a: np.ndarray) -> float:
+        """Cross-entropy of the observed entries, given the pair logits a."""
+        return float(np.vdot(self.count, softplus(a)) - np.vdot(self.positives, a))
+
+    def gradient(self, a: np.ndarray) -> np.ndarray:
+        """W-gradient of the loss: patterns^T R patterns, R = count * sigma(a) - positives."""
+        residual = self.count * sigmoid(a) - self.positives
+        return self.patterns.T @ residual @ self.patterns
 
 
 def optimize_w(
@@ -304,38 +334,36 @@ def optimize_w(
     after w_max_steps, or when a step can no longer make measurable
     progress. Caches are rebuilt from scratch on exit.
 
-    The hot path works on flat per-observed-entry logit vectors: a trial
-    step shifts them by -t * (gradient's logit image), so each Armijo trial
-    costs one softplus pass over the observed entries and no matrix product.
+    The descent runs on pattern-pair sufficient statistics (see _PairStats),
+    built with one pass over the observed entries. The iterates are those of
+    descent over the individual entries, up to summation order, but a step
+    costs O(P^2 K) for P distinct membership rows instead of O(N^2 K): a
+    trial step shifts the pair logits by -t * (the gradient's logit image),
+    so each Armijo trial is one softplus pass over the P x P pattern pairs.
     """
     if state.k_plus == 0:
         return state
-    z = state.z
-    obs_i, obs_j = np.nonzero(mask.observed)
-    y_obs = y.entries[obs_i, obs_j].astype(float)
+    stats = _PairStats(y, mask, state.z)
     w = state.w.copy()
 
-    a_obs = ((z @ w) @ z.T)[obs_i, obs_j]
-    f = float(softplus(a_obs).sum() - y_obs @ a_obs)
+    a = stats.logits(w)
+    f = stats.loss(a)
     if not np.isfinite(f):
         raise NumericalError("non-finite objective entering W descent", state)
 
     step_start = 1.0
-    n = state.n
-    residual_full = np.zeros((n, n))
     for _ in range(config.w_max_steps):
-        residual_full[obs_i, obs_j] = sigmoid(a_obs) - y_obs
-        grad = z.T @ residual_full @ z
+        grad = stats.gradient(a)
         if np.abs(grad).max() < config.w_grad_tol:
             break
         grad_sq = float((grad * grad).sum())
-        g_obs = ((z @ grad) @ z.T)[obs_i, obs_j]
+        g = stats.logits(grad)
 
         step = step_start
         accepted = False
         while step > 1e-20:
-            a_new = a_obs - step * g_obs
-            f_new = float(softplus(a_new).sum() - y_obs @ a_new)
+            a_new = a - step * g
+            f_new = stats.loss(a_new)
             if np.isfinite(f_new) and f_new <= f - 1e-4 * step * grad_sq:
                 accepted = True
                 break
@@ -343,7 +371,7 @@ def optimize_w(
         if not accepted or f_new >= f:
             break  # line search exhausted; no strict descent available
         w -= step * grad
-        a_obs = a_new
+        a = a_new
         step_start = min(1.0, 2.0 * step)
         # stall guard: once per-step progress is below measurement noise,
         # further steps cannot change the outer loop's decisions
@@ -370,6 +398,18 @@ def propose_feature(
     the new column); then descends on the full W and sweeps the candidate's
     coordinates to a fixed point. The input state is not mutated.
     """
+    return _propose_feature(_MaskIndex(y, mask), y, mask, state, config, rng)
+
+
+def _propose_feature(
+    idx: _MaskIndex,
+    y: AdjacencyMatrix,
+    mask: ObservationMask,
+    state: ModelState,
+    config: FitConfig,
+    rng: np.random.Generator,
+) -> ModelState:
+    """propose_feature with the caller's prebuilt index of (y, mask)."""
     n_nodes = state.n
     k = state.k_plus
     node = int(rng.integers(n_nodes))
@@ -386,11 +426,7 @@ def propose_feature(
 
     candidate = ModelState.from_factors(z_new, w_new, state.lam)
     optimize_w(y, mask, candidate, config)
-    idx = _MaskIndex(y, mask)
-    if config.birth_sweep_full:
-        _sweep_to_fixed_point(idx, candidate)
-    else:
-        _sweep_column_to_fixed_point(idx, candidate, k)
+    _sweep_to_fixed_point(idx, candidate)
     return candidate
 
 
@@ -425,7 +461,8 @@ def fit(
     when an iteration's relative improvement falls below rel_tol, the last
     proposal was rejected, and no single coordinate flip can improve the
     final state (so the returned state is a one-flip local minimum), or at
-    max_outer_iters.
+    max_outer_iters. A non-finite objective at the end of an outer
+    iteration raises NumericalError.
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
     after each outer iteration with the cumulative wall-clock time.
@@ -452,7 +489,7 @@ def fit(
 
         last_birth_accepted = False
         for _ in range(config.births_per_iter):
-            candidate = propose_feature(y, mask, state, config, rng)
+            candidate = _propose_feature(idx, y, mask, state, config, rng)
             q_current = objective(y, mask, state)
             q_candidate = objective(y, mask, candidate)
             accepted = q_candidate < q_current - FLIP_TOLERANCE
@@ -462,6 +499,8 @@ def fit(
             last_birth_accepted = accepted
 
         q = objective(y, mask, state)
+        if not math.isfinite(q):
+            raise NumericalError(f"non-finite objective {q} after outer iteration {iteration}", state)
         report.objective_trace.append(q)
         report.k_trace.append(state.k_plus)
         report.elapsed.append(time.perf_counter() - t_iter)

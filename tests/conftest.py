@@ -3,13 +3,16 @@
 The oracles here deliberately avoid the implementation's computation paths:
 the objective oracle uses direct -y log p - (1-y) log(1-p) sums instead of
 the softplus form, the AUC oracle enumerates positive/negative pairs, and
-gradient checks use central finite differences.
+gradient checks use central finite differences. The W-step oracle is the
+descent over the individual observed entries that the pattern-pair W step
+must reproduce.
 """
 
 import numpy as np
 import pytest
 
-from laftr import AdjacencyMatrix, ModelState, ObservationMask
+from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask
+from laftr.model import sigmoid, softplus
 
 
 def oracle_nll(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
@@ -39,6 +42,59 @@ def exhaustive_flip_improvements(y, mask, state) -> np.ndarray:
         for k in range(state.z.shape[1]):
             deltas[n, k] = oracle_flip_delta(y, mask, state, n, k)
     return deltas
+
+
+def oracle_optimize_w(y, mask, state, config):
+    """optimize_w's backtracking descent, run over the individual observed entries.
+
+    Same step rule, Armijo constant, stall guard and stopping rules as the
+    library's W step, but on flat per-observed-entry logit vectors with the
+    gradient formed as Z^T R Z from the N x N residual matrix R.
+    """
+    if state.k_plus == 0:
+        return state
+    z = state.z
+    obs_i, obs_j = np.nonzero(mask.observed)
+    y_obs = y.entries[obs_i, obs_j].astype(float)
+    w = state.w.copy()
+
+    a_obs = ((z @ w) @ z.T)[obs_i, obs_j]
+    f = float(softplus(a_obs).sum() - y_obs @ a_obs)
+    if not np.isfinite(f):
+        raise NumericalError("non-finite objective entering W descent", state)
+
+    step_start = 1.0
+    n = state.n
+    residual_full = np.zeros((n, n))
+    for _ in range(config.w_max_steps):
+        residual_full[obs_i, obs_j] = sigmoid(a_obs) - y_obs
+        grad = z.T @ residual_full @ z
+        if np.abs(grad).max() < config.w_grad_tol:
+            break
+        grad_sq = float((grad * grad).sum())
+        g_obs = ((z @ grad) @ z.T)[obs_i, obs_j]
+
+        step = step_start
+        accepted = False
+        while step > 1e-20:
+            a_new = a_obs - step * g_obs
+            f_new = float(softplus(a_new).sum() - y_obs @ a_new)
+            if np.isfinite(f_new) and f_new <= f - 1e-4 * step * grad_sq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted or f_new >= f:
+            break
+        w -= step * grad
+        a_obs = a_new
+        step_start = min(1.0, 2.0 * step)
+        if (f - f_new) < 1e-12 * max(1.0, abs(f)):
+            f = f_new
+            break
+        f = f_new
+    state.w = w
+    state.rebuild_caches()
+    return state
 
 
 def oracle_auc(scores, labels) -> float:

@@ -243,6 +243,15 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_objective_is_numerical_error(self, tmp_path, planted_file, capsys):
+        # an infinite penalty makes every objective infinite: the fit must
+        # stop with exit 3, not run to the iteration cap on a NaN improvement
+        code = run_cli("fit", "--input", str(planted_file),
+                       "--out", str(tmp_path / "m.json"), "--lambda", "inf")
+        assert code == 3
+        assert "numerical error" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_config_value_is_data_error(self, tmp_path, planted_file):
         code = run_cli("fit", "--input", str(planted_file),
                        "--out", str(tmp_path / "m.json"), "--lambda", "-1")

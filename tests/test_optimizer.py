@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
 
 from laftr import (
@@ -14,18 +17,24 @@ from laftr import (
     fit,
     init_state,
     negative_log_likelihood,
+    nll_gradient_w,
     objective,
     optimize_w,
     planted_blocks,
     propose_feature,
     prune_empty_features,
     sample_edges,
+    sample_lfrm,
+    split_observations,
     sweep_z,
 )
+from laftr import optimizer
+from laftr.optimizer import _PairStats
 from conftest import (
     assert_monotone_trace,
     exhaustive_flip_improvements,
     oracle_flip_delta,
+    oracle_optimize_w,
     random_instance,
 )
 
@@ -215,6 +224,77 @@ class TestOptimizeW:
         assert state.max_cache_error() < 1e-9
 
 
+def _w_subproblem(patterns, rows, w, entries, observed):
+    z = np.asarray(patterns, dtype=float)[rows]
+    n = len(rows)
+    return AdjacencyMatrix(n, entries), ObservationMask(n, observed), ModelState.from_factors(z, w, 0.5)
+
+
+@st.composite
+def w_subproblems(draw):
+    """(y, mask, state) with few distinct membership rows, so rows repeat.
+
+    The mask is random over all N x N entries, diagonal included, and
+    sometimes empty; K ranges down to 0.
+    """
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(0, 4))
+    patterns = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                             min_size=1, max_size=3))
+    rows = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=n, max_size=n))
+    w = draw(arrays(float, (k, k), elements=st.floats(-8.0, 8.0)))
+    entries = draw(arrays(bool, (n, n)))
+    observed = draw(st.one_of(st.just(np.zeros((n, n), dtype=bool)), arrays(bool, (n, n))))
+    return _w_subproblem(patterns, rows, w, entries, observed)
+
+
+DIAG_OBSERVED = _w_subproblem([[1, 0], [1, 1]], [0, 1, 0, 1, 1], np.array([[2.0, -1.0], [0.5, 3.0]]),
+                              np.eye(5, dtype=bool) | np.eye(5, k=1, dtype=bool),
+                              np.ones((5, 5), dtype=bool))
+EMPTY_MASK = _w_subproblem([[1, 1]], [0, 0, 0], np.array([[1.0, 2.0], [-3.0, 4.0]]),
+                           np.ones((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool))
+ZERO_FEATURES = _w_subproblem([[]], [0, 0, 0, 0], np.zeros((0, 0)),
+                              np.eye(4, k=1, dtype=bool), ~np.eye(4, dtype=bool))
+
+
+class TestPairStats:
+    """The pattern-pair W-subproblem equals the per-entry one."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(w_subproblems())
+    @example(DIAG_OBSERVED)
+    @example(EMPTY_MASK)
+    @example(ZERO_FEATURES)
+    def test_objective_and_gradient_match_dense(self, problem):
+        y, mask, state = problem
+        stats = _PairStats(y, mask, state.z)
+        a = stats.logits(state.w)
+        # relative to the sum of the absolute per-entry terms: each loss term
+        # is at most 1 + |a|, each gradient term at most 1
+        loss_scale = max(1.0, mask.count * (1.0 + np.abs(a).max(initial=0.0)))
+        nll = negative_log_likelihood(y, mask, state)
+        assert abs(stats.loss(a) - nll) <= 1e-9 * loss_scale
+        np.testing.assert_allclose(stats.gradient(a), nll_gradient_w(y, mask, state),
+                                   rtol=0, atol=1e-9 * max(1, mask.count))
+        assert stats.count.sum() == mask.count
+        assert stats.positives.sum() == y.entries[mask.observed].sum()
+        assert len(stats.patterns) == len(np.unique(state.z, axis=0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_optimize_w_matches_entrywise_descent(self, seed):
+        rng = np.random.default_rng(seed)
+        y, mask, state = random_instance(rng, 9, 3)
+        state.z[5:] = state.z[0]  # repeated membership rows
+        if seed % 2:
+            observed = rng.random((9, 9)) < 0.7  # diagonal entries included
+            mask = ObservationMask(9, observed)
+        state.rebuild_caches()
+        config = FitConfig(w_max_steps=25)
+        expected = oracle_optimize_w(y, mask, state.copy(), config)
+        got = optimize_w(y, mask, state.copy(), config)
+        np.testing.assert_allclose(got.w, expected.w, rtol=0, atol=1e-8)
+
+
 class TestProposeFeature:
     def test_candidate_has_one_more_feature(self, rng):
         y, mask, state = random_instance(rng, 5, 2)
@@ -365,3 +445,33 @@ class TestFit:
         y, _, _ = random_instance(rng, 5, 2)
         with pytest.raises(ValueError):
             fit(y, ObservationMask.full(6), FitConfig())
+
+
+def _planted_problem(seed):
+    z = planted_blocks(30, 3)
+    y = sample_edges(z, block_weights(3), seed)
+    train, _ = split_observations(y, 0.8, seed)
+    return y, train, FitConfig(seed=seed, lam=2.0, rel_tol=1e-4, max_outer_iters=15)
+
+
+def _ibp_problem(seed):
+    _, _, y = sample_lfrm(40, 1.0, 1.0, seed)
+    train, _ = split_observations(y, 0.8, seed)
+    return y, train, FitConfig(seed=seed, max_outer_iters=8)
+
+
+class TestTrajectory:
+    """Whole fits take the same path with the entrywise W step patched in."""
+
+    @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_path_as_entrywise_w_step(self, monkeypatch, problem, seed):
+        y, mask, config = problem(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "optimize_w", oracle_optimize_w)
+            expected = fit(y, mask, config)
+        got = fit(y, mask, config)
+        assert got.k_trace == expected.k_trace
+        assert len(got.objective_trace) == len(expected.objective_trace)
+        assert got.accepted_births == expected.accepted_births
+        np.testing.assert_allclose(got.objective_trace, expected.objective_trace, rtol=1e-9)
