@@ -243,11 +243,11 @@ def _cmd_fit(args) -> int:
     trace_rows: list[tuple[float, float]] = []
     on_iteration = None
     if args.auc_trace:
-        test_entries = np.argwhere(test_mask.observed)
-        test_labels = y.entries[test_entries[:, 0], test_entries[:, 1]]
+        test_rows, test_cols = np.nonzero(test_mask.observed)
+        test_labels = y.entries[test_rows, test_cols]
 
         def on_iteration(_iteration, state, seconds):
-            scores = np.array([link_probability(state, i, j) for i, j in test_entries])
+            scores = link_probability(state, test_rows, test_cols)
             trace_rows.append((seconds, auc_from_scores(scores, test_labels)))
 
     report = fit(y, train_mask, config, on_iteration=on_iteration)
@@ -272,14 +272,6 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _max_workers() -> int:
-    value = os.environ.get("LAFTR_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ParseError(f"LAFTR_THREADS must be an integer, got {value!r}") from None
-
-
 def _cmd_eval(args) -> int:
     y = _load_matrix(args.input, args.format)
     config = _fit_config_from_args(args)
@@ -289,7 +281,6 @@ def _cmd_eval(args) -> int:
         train_fraction=args.train_fraction,
         config=config,
         tie_symmetric=_tie_symmetric_arg(args.tie_symmetric),
-        max_workers=_max_workers(),
     )
     lines = ["split_seed,lambda,k_final,auc,seconds"]
     lines += [f"{r.seed},{r.lam:.17g},{r.k_final},{r.auc:.6f},{r.seconds:.3f}" for r in results]

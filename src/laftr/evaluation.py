@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +70,10 @@ class ScoredPairs:
 
 def predict_links(state: ModelState, pairs) -> list[float]:
     """Link probability for each (i, j) pair, in order."""
-    return [link_probability(state, i, j) for i, j in pairs]
+    pairs = np.asarray(pairs)
+    if pairs.size == 0:
+        return []
+    return link_probability(state, pairs[:, 0], pairs[:, 1]).tolist()
 
 
 def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -93,10 +95,6 @@ def auc_roc(scored: ScoredPairs) -> float:
     return auc_from_scores(scored.scores, scored.labels)
 
 
-def _test_entries(test_mask: ObservationMask) -> np.ndarray:
-    return np.argwhere(test_mask.observed)
-
-
 def evaluate_split(
     y: AdjacencyMatrix,
     train_mask: ObservationMask,
@@ -111,10 +109,9 @@ def evaluate_split(
     if (train_mask.observed & test_mask.observed).any():
         raise ValueError("train and test masks overlap")
     report = fit(y, train_mask, config)
-    entries = _test_entries(test_mask)
-    scores = np.array([link_probability(report.final_state, i, j) for i, j in entries])
-    labels = y.entries[entries[:, 0], entries[:, 1]] if entries.size else np.array([])
-    return auc_from_scores(scores, labels), report
+    rows, cols = np.nonzero(test_mask.observed)
+    scores = link_probability(report.final_state, rows, cols)
+    return auc_from_scores(scores, y.entries[rows, cols]), report
 
 
 def cross_validate_lambda(
@@ -128,9 +125,11 @@ def cross_validate_lambda(
     """k-fold cross-validation of the penalty weight over the observed train entries.
 
     Entries are permuted with the given seed and dealt into ``folds`` nearly
-    equal folds; each grid value is scored by mean validation AUC over the
-    usable folds (folds whose validation labels are single-class are skipped
-    with a warning). Returns the best value (ties go to the smaller lambda)
+    equal folds. A symmetric mask is dealt by unordered pairs {i, j}
+    instead, so no fold trains on the mirror of an entry it validates on.
+    Each grid value is scored by mean validation AUC over the usable folds
+    (folds whose validation labels are single-class are skipped with a
+    warning). Returns the best value (ties go to the smaller lambda)
     and the full (lambda, mean_auc) table in grid order.
     """
     grid = [float(g) for g in grid]
@@ -139,22 +138,24 @@ def cross_validate_lambda(
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
 
-    entries = np.argwhere(train_mask.observed)
+    observed = train_mask.observed
+    symmetric = np.array_equal(observed, observed.T)
+    units = np.argwhere(np.triu(observed) if symmetric else observed)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(entries))
-    fold_chunks = np.array_split(order, folds)
+    fold_chunks = np.array_split(rng.permutation(len(units)), folds)
 
     # fold usability depends only on the labels, not on lambda
     usable: list[tuple[ObservationMask, ObservationMask]] = []
     for f, chunk in enumerate(fold_chunks):
-        val_entries = entries[chunk]
-        labels = y.entries[val_entries[:, 0], val_entries[:, 1]]
-        if chunk.size == 0 or len(np.unique(labels)) < 2:
+        rows, cols = units[chunk, 0], units[chunk, 1]
+        val = np.zeros((y.n, y.n), dtype=bool)
+        val[rows, cols] = True
+        if symmetric:
+            val[cols, rows] = True
+        if chunk.size == 0 or len(np.unique(y.entries[val])) < 2:
             warnings.warn(f"fold {f} skipped: single-class validation labels")
             continue
-        val = np.zeros((y.n, y.n), dtype=bool)
-        val[val_entries[:, 0], val_entries[:, 1]] = True
-        tr = train_mask.observed & ~val
+        tr = observed & ~val
         usable.append((ObservationMask(y.n, tr), ObservationMask(y.n, val)))
     if not usable:
         raise UndefinedMetricError("every cross-validation fold was single-class")
@@ -182,51 +183,31 @@ class SplitResult:
     test_mask: ObservationMask
 
 
-def _run_one_split(
-    y: AdjacencyMatrix,
-    split_seed: int,
-    train_fraction: float,
-    tie_symmetric: bool | None,
-    config: FitConfig,
-) -> SplitResult:
-    t0 = time.perf_counter()
-    train, test = split_observations(y, train_fraction, split_seed, tie_symmetric)
-    split_config = replace(config, seed=split_seed)
-    auc, report = evaluate_split(y, train, test, split_config)
-    return SplitResult(
-        seed=split_seed,
-        lam=config.lam,
-        k_final=report.final_state.k_plus,
-        auc=auc,
-        seconds=time.perf_counter() - t0,
-        train_mask=train,
-        test_mask=test,
-    )
-
-
 def run_splits(
     y: AdjacencyMatrix,
     n_splits: int,
     train_fraction: float,
     config: FitConfig,
     tie_symmetric: bool | None = None,
-    max_workers: int = 1,
 ) -> list[SplitResult]:
     """Repeat the split/fit/score protocol for seeds config.seed .. config.seed+n_splits-1.
 
-    Splits are independent, so they may run on a worker pool; results come
-    back ordered by seed regardless of completion order.
+    Splits run one after another; results are ordered by seed.
     """
     if n_splits < 1:
         raise ValueError(f"n_splits must be >= 1, got {n_splits}")
-    seeds = [config.seed + s for s in range(n_splits)]
-    if max_workers <= 1:
-        return [
-            _run_one_split(y, s, train_fraction, tie_symmetric, config) for s in seeds
-        ]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_run_one_split, y, s, train_fraction, tie_symmetric, config)
-            for s in seeds
-        ]
-        return [f.result() for f in futures]
+    results = []
+    for split_seed in range(config.seed, config.seed + n_splits):
+        t0 = time.perf_counter()
+        train, test = split_observations(y, train_fraction, split_seed, tie_symmetric)
+        auc, report = evaluate_split(y, train, test, replace(config, seed=split_seed))
+        results.append(SplitResult(
+            seed=split_seed,
+            lam=config.lam,
+            k_final=report.final_state.k_plus,
+            auc=auc,
+            seconds=time.perf_counter() - t0,
+            train_mask=train,
+            test_mask=test,
+        ))
+    return results

@@ -103,10 +103,11 @@ def load_edge_list(stream: Iterable[str] | TextIO, n: int | None = None) -> Adja
 
     Node ids are non-negative integers; the optional third token must be 0
     or 1 (default 1). If ``n`` is omitted it is inferred as 1 + max id.
-    Duplicate lines are idempotent. The result carries symmetric_hint=False:
+    Repeating a line is idempotent; giving one pair two different values is
+    a ParseError at the second line. The result carries symmetric_hint=False:
     an edge list is read as a directed relation.
     """
-    edges: list[tuple[int, int, int]] = []
+    edges: dict[tuple[int, int], int] = {}
     max_id = -1
     for lineno, line in _iter_data_lines(stream):
         parts = line.split()
@@ -128,14 +129,15 @@ def load_edge_list(stream: Iterable[str] | TextIO, n: int | None = None) -> Adja
                 raise ParseError(f"non-integer edge value in {line!r}", lineno) from None
             if value not in (0, 1):
                 raise ParseError(f"edge value must be 0 or 1, got {value}", lineno)
-        edges.append((src, dst, value))
+        if edges.setdefault((src, dst), value) != value:
+            raise ParseError(f"conflicting value for pair ({src}, {dst}) in {line!r}", lineno)
         max_id = max(max_id, src, dst)
 
     if n is None and max_id < 0:
         raise ParseError("cannot infer node count from an empty edge list; pass n")
     size = n if n is not None else max_id + 1
     entries = np.zeros((size, size), dtype=np.int8)
-    for src, dst, value in edges:
+    for (src, dst), value in edges.items():
         entries[src, dst] = value
     return AdjacencyMatrix(size, entries, symmetric_hint=False)
 
@@ -196,31 +198,35 @@ def split_observations(
     rng = np.random.default_rng(seed)
 
     if tie_symmetric:
-        units = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rows, cols = np.triu_indices(n, 1)
     else:
-        units = [(i, j) for i in range(n) for j in range(n) if i != j]
-    m = len(units)
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    m = rows.size
     # guard against FP sitting a hair below an exact integer product
     n_train = int(math.floor(train_fraction * m + 1e-9))
-    order = rng.permutation(m)
+    # the row-major unit order and the single permutation call fix which
+    # units a seed trains on; changing either changes every saved split
+    is_train = np.zeros(m, dtype=bool)
+    is_train[rng.permutation(m)[:n_train]] = True
 
     train = np.zeros((n, n), dtype=bool)
     test = np.zeros((n, n), dtype=bool)
-    for rank, unit_idx in enumerate(order):
-        i, j = units[unit_idx]
-        target = train if rank < n_train else test
-        target[i, j] = True
-        if tie_symmetric:
-            target[j, i] = True
+    train[rows, cols] = is_train
+    test[rows, cols] = ~is_train
+    if tie_symmetric:
+        train |= train.T
+        test |= test.T
     return ObservationMask(n, train), ObservationMask(n, test)
 
 
 def write_mask(train: ObservationMask, test: ObservationMask) -> str:
     """Serialize a split as "i j {0|1}" lines (1 = train), row-major order."""
-    lines = []
     either = train.observed | test.observed
-    for i, j in np.argwhere(either):
-        lines.append(f"{i} {j} {1 if train.observed[i, j] else 0}")
+    lines = []
+    for i in range(train.n):
+        js = np.flatnonzero(either[i])
+        flags = train.observed[i, js].astype(np.int8)
+        lines.extend(f"{i} {j} {f}" for j, f in zip(js.tolist(), flags.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -139,12 +139,19 @@ def _check_dims(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) ->
         )
 
 
-def link_probability(state: ModelState, i: int, j: int) -> float:
-    """sigma(z_i^T W z_j), read from the logit cache."""
+def link_probability(state: ModelState, i, j):
+    """sigma(z_i^T W z_j), read from the logit cache.
+
+    ``i`` and ``j`` are node indices or integer index arrays (broadcast
+    together); an int pair gives a float, arrays give an array of
+    probabilities. Negative indices are rejected, not wrapped.
+    """
+    i, j = np.asarray(i), np.asarray(j)
     n = state.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"pair ({i}, {j}) out of range for n={n}")
-    return float(sigmoid(state.logits[i, j]))
+    if not ((i >= 0) & (i < n) & (j >= 0) & (j < n)).all():
+        raise IndexError(f"pair index out of range for n={n}")
+    p = sigmoid(state.logits[i, j])
+    return float(p) if p.ndim == 0 else p
 
 
 def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:

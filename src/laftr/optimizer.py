@@ -465,7 +465,10 @@ def fit(
     iteration raises NumericalError.
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
-    after each outer iteration with the cumulative wall-clock time.
+    after each outer iteration with the cumulative wall-clock time of the
+    fit, not counting the time spent in earlier on_iteration calls. The
+    returned state's caches are rebuilt from (Z, W), so its logits do not
+    depend on the order of the incremental patches that produced them.
 
     Deterministic for a fixed config: one RNG stream seeded with config.seed
     drives initialization and every birth proposal.
@@ -477,6 +480,7 @@ def fit(
     idx = _MaskIndex(y, mask)
     report = FitReport()
     t_start = time.perf_counter()
+    callback_s = 0.0
     q = objective(y, mask, state)
 
     for iteration in range(config.max_outer_iters):
@@ -505,7 +509,9 @@ def fit(
         report.k_trace.append(state.k_plus)
         report.elapsed.append(time.perf_counter() - t_iter)
         if on_iteration is not None:
-            on_iteration(iteration, state, time.perf_counter() - t_start)
+            t_callback = time.perf_counter()
+            on_iteration(iteration, state, t_callback - t_start - callback_s)
+            callback_s += time.perf_counter() - t_callback
 
         rel_improvement = (q_start - q) / max(abs(q_start), 1e-12)
         if rel_improvement < config.rel_tol and not last_birth_accepted:
@@ -515,5 +521,6 @@ def fit(
                 report.converged = True
                 break
 
+    state.rebuild_caches()
     report.final_state = state
     return report

@@ -5,8 +5,12 @@ the objective oracle uses direct -y log p - (1-y) log(1-p) sums instead of
 the softplus form, the AUC oracle enumerates positive/negative pairs, and
 gradient checks use central finite differences. The W-step oracle is the
 descent over the individual observed entries that the pattern-pair W step
-must reproduce.
+must reproduce. The split, mask-writing and scoring oracles are the
+one-entry-at-a-time loops whose output the array versions must reproduce
+bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +99,43 @@ def oracle_optimize_w(y, mask, state, config):
     state.w = w
     state.rebuild_caches()
     return state
+
+
+def oracle_split_observations(adj: AdjacencyMatrix, train_fraction, seed, tie_symmetric):
+    """split_observations over a list of (i, j) unit tuples, dealt one by one."""
+    n = adj.n
+    rng = np.random.default_rng(seed)
+    if tie_symmetric:
+        units = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        units = [(i, j) for i in range(n) for j in range(n) if i != j]
+    m = len(units)
+    n_train = int(math.floor(train_fraction * m + 1e-9))
+    order = rng.permutation(m)
+
+    train = np.zeros((n, n), dtype=bool)
+    test = np.zeros((n, n), dtype=bool)
+    for rank, unit_idx in enumerate(order):
+        i, j = units[unit_idx]
+        target = train if rank < n_train else test
+        target[i, j] = True
+        if tie_symmetric:
+            target[j, i] = True
+    return ObservationMask(n, train), ObservationMask(n, test)
+
+
+def oracle_write_mask(train: ObservationMask, test: ObservationMask) -> str:
+    """write_mask formatted one entry at a time."""
+    lines = []
+    either = train.observed | test.observed
+    for i, j in np.argwhere(either):
+        lines.append(f"{i} {j} {1 if train.observed[i, j] else 0}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_link_probabilities(state: ModelState, pairs) -> list[float]:
+    """Per-pair scalar sigmoid of the cached logits, in input order."""
+    return [float(sigmoid(state.logits[i, j])) for i, j in pairs]
 
 
 def oracle_auc(scores, labels) -> float:

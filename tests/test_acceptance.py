@@ -331,14 +331,13 @@ def test_auc_trace_improves_on_synthetic_instance():
     w = block_weights(3)
     y = sample_edges(z, w, 0)
     train, test = split_observations(y, 0.8, seed=0, tie_symmetric=False)
-    test_entries = np.argwhere(test.observed)
-    labels = y.entries[test_entries[:, 0], test_entries[:, 1]]
+    rows, cols = np.nonzero(test.observed)
+    labels = y.entries[rows, cols]
 
     auc_trace = []
 
     def record(_iteration, state, _seconds):
-        scores = np.array([link_probability(state, i, j) for i, j in test_entries])
-        auc_trace.append(auc_from_scores(scores, labels))
+        auc_trace.append(auc_from_scores(link_probability(state, rows, cols), labels))
 
     fit(y, train, FitConfig(seed=0, **RECOVERY_CONFIG), on_iteration=record)
     assert len(auc_trace) >= 2

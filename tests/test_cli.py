@@ -5,8 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from laftr import ModelState, link_probability, load_dense_matrix
+from laftr import (
+    FitConfig,
+    ModelState,
+    auc_from_scores,
+    evaluate_split,
+    link_probability,
+    load_dense_matrix,
+    sample_lfrm,
+    split_observations,
+    write_dense,
+    write_mask,
+)
 from laftr.cli import dump_communities, load_model, main
+from conftest import oracle_link_probabilities, oracle_split_observations, oracle_write_mask
 
 
 def run_cli(*argv):
@@ -66,6 +78,30 @@ class TestFitPredict:
             assert (int(i_out), int(j_out)) == (i, j)
             # probabilities recomputed from the dumped factors must agree
             assert float(prob) == pytest.approx(link_probability(state, i, j), abs=1e-9)
+
+    def test_saved_model_reproduces_evaluate_split_auc(self, tmp_path):
+        _, _, y = sample_lfrm(60, 1.0, 1.0, 0)
+        train, test = split_observations(y, 0.8, seed=0)
+        auc, _ = evaluate_split(y, train, test, FitConfig(seed=0, max_outer_iters=3))
+
+        graph_path, mask_path = tmp_path / "g.txt", tmp_path / "g.mask"
+        graph_path.write_text(write_dense(y))
+        mask_path.write_text(write_mask(train, test))
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--input", str(graph_path), "--mask", str(mask_path),
+                       "--out", str(model_path), "--seed", "0", "--max-iters", "3") == 0
+        rows, cols = np.nonzero(test.observed)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        pairs_path, preds_path = tmp_path / "pairs.txt", tmp_path / "preds.csv"
+        pairs_path.write_text("".join(f"{i} {j}\n" for i, j in pairs))
+        assert run_cli("predict", "--model", str(model_path), "--input", str(pairs_path),
+                       "--out", str(preds_path)) == 0
+
+        state, _ = load_model(str(model_path))
+        expected = oracle_link_probabilities(state, pairs)
+        lines = ["i,j,probability"] + [f"{i},{j},{p:.17g}" for (i, j), p in zip(pairs, expected)]
+        assert preds_path.read_text() == "\n".join(lines) + "\n"
+        assert auc_from_scores(expected, y.entries[rows, cols]) == auc
 
     def test_model_json_schema(self, tmp_path, planted_file):
         model_path = tmp_path / "model.json"
@@ -127,6 +163,14 @@ class TestEval:
         for seed in (0, 1, 2):
             assert (tmp_path / f"ev.split{seed}.mask").exists()
 
+    def test_mask_file_matches_oracle_split(self, tmp_path, planted_file):
+        assert run_cli("eval", "--input", str(planted_file), "--out", str(tmp_path / "ev"),
+                       "--splits", "1", "--seed", "4", "--max-iters", "1") == 0
+        with open(planted_file) as handle:
+            y = load_dense_matrix(handle)
+        expected = oracle_write_mask(*oracle_split_observations(y, 0.8, 4, y.symmetric_hint))
+        assert (tmp_path / "ev.split4.mask").read_text() == expected
+
     def test_identical_auc_across_reruns(self, tmp_path, planted_file):
         p1, p2 = tmp_path / "a", tmp_path / "b"
         argv = ["eval", "--input", str(planted_file), "--splits", "2", "--seed", "1",
@@ -137,21 +181,6 @@ class TestEval:
         agg2 = json.loads((tmp_path / "b.json").read_text())
         assert agg1["mean_auc"] == agg2["mean_auc"]
         assert [r["auc"] for r in agg1["runs"]] == [r["auc"] for r in agg2["runs"]]
-
-    def test_thread_pool_env_var_matches_sequential(self, tmp_path, planted_file, monkeypatch):
-        argv = ["eval", "--input", str(planted_file), "--splits", "2", "--seed", "1",
-                "--rel-tol", "1e-3", "--max-iters", "10"]
-        run_cli(*argv, "--out", str(tmp_path / "seq"))
-        monkeypatch.setenv("LAFTR_THREADS", "2")
-        assert run_cli(*argv, "--out", str(tmp_path / "par")) == 0
-        seq = json.loads((tmp_path / "seq.json").read_text())
-        par = json.loads((tmp_path / "par.json").read_text())
-        assert seq["mean_auc"] == par["mean_auc"]
-
-    def test_bad_thread_env_var_is_data_error(self, tmp_path, planted_file, monkeypatch):
-        monkeypatch.setenv("LAFTR_THREADS", "many")
-        assert run_cli("eval", "--input", str(planted_file),
-                       "--out", str(tmp_path / "x")) == 2
 
 
 class TestCv:

@@ -22,7 +22,7 @@ from laftr import (
     sample_edges,
     split_observations,
 )
-from conftest import oracle_auc, random_instance
+from conftest import oracle_auc, oracle_link_probabilities, random_instance
 
 
 def planted_graph(n=30, blocks=2, seed=0):
@@ -43,10 +43,22 @@ class TestPredictLinks:
         _, _, state = random_instance(rng, 5, 2)
         assert predict_links(state, [(1, 3)]) == [link_probability(state, 1, 3)]
 
+    def test_many_pairs_match_oracle_in_input_order(self, rng):
+        _, _, state = random_instance(rng, 9, 3)
+        pairs = [tuple(p) for p in rng.integers(0, 9, size=(50, 2)).tolist()]
+        probs = predict_links(state, pairs)
+        assert all(type(p) is float for p in probs)
+        assert probs == oracle_link_probabilities(state, pairs)
+
     def test_bad_index(self, rng):
         _, _, state = random_instance(rng, 4, 2)
         with pytest.raises(IndexError):
             predict_links(state, [(0, 9)])
+
+    def test_negative_index_is_not_wrapped(self, rng):
+        _, _, state = random_instance(rng, 4, 2)
+        with pytest.raises(IndexError):
+            predict_links(state, [(1, 2), (-1, 0)])
 
 
 class TestScoredPairs:
@@ -233,6 +245,25 @@ class TestCrossValidateLambda:
             with pytest.raises(UndefinedMetricError):
                 cross_validate_lambda(y, train, [0.5], folds=2, seed=0, config=FitConfig())
 
+    def test_symmetric_mask_never_trains_on_a_validation_mirror(self, monkeypatch):
+        import laftr.evaluation as evaluation
+
+        y = planted_graph(n=40, seed=3)
+        train, _ = split_observations(y, 0.8, seed=3, tie_symmetric=True)
+        folds = []
+
+        def record(_y, tr, val, _config):
+            folds.append((tr.observed, val.observed))
+            return 0.5, None
+
+        monkeypatch.setattr(evaluation, "evaluate_split", record)
+        evaluation.cross_validate_lambda(y, train, [0.5], folds=5, seed=0, config=FitConfig())
+        assert len(folds) == 5
+        for tr, val in folds:
+            assert not (val & tr.T).any()
+            assert np.array_equal(tr | val, train.observed)
+        assert sum(val.sum() for _, val in folds) == train.count
+
     def test_empty_grid_rejected(self):
         y = planted_graph(n=10, seed=9)
         train, _ = split_observations(y, 0.8, seed=9, tie_symmetric=False)
@@ -250,13 +281,3 @@ class TestRunSplits:
         again = run_splits(y, n_splits=3, train_fraction=0.8, config=config,
                            tie_symmetric=False)
         assert [r.auc for r in results] == [r.auc for r in again]
-
-    def test_worker_pool_matches_sequential(self):
-        y = planted_graph(n=16, seed=11)
-        config = FitConfig(seed=0, rel_tol=1e-3, w_max_steps=20, max_outer_iters=8)
-        seq = run_splits(y, n_splits=3, train_fraction=0.8, config=config,
-                         tie_symmetric=False, max_workers=1)
-        par = run_splits(y, n_splits=3, train_fraction=0.8, config=config,
-                         tie_symmetric=False, max_workers=3)
-        assert [r.auc for r in seq] == [r.auc for r in par]
-        assert [r.k_final for r in seq] == [r.k_final for r in par]

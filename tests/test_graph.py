@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laftr import (
     AdjacencyMatrix,
@@ -16,6 +18,7 @@ from laftr import (
     write_dense,
     write_mask,
 )
+from conftest import oracle_split_observations, oracle_write_mask
 
 
 class TestEdgeList:
@@ -47,6 +50,11 @@ class TestEdgeList:
         adj = load_edge_list(io.StringIO("0 1 1\n0 1 1\n1 0 0\n"), n=2)
         assert adj.entries[0, 1] == 1
         assert adj.entries[1, 0] == 0
+
+    @pytest.mark.parametrize("text", ["0 1 1\n1 0\n0 1 0\n", "0 1 0\n\n0 1\n"])
+    def test_conflicting_values_name_the_second_line(self, text):
+        with pytest.raises(ParseError, match="line 3: conflicting"):
+            load_edge_list(io.StringIO(text), n=2)
 
     def test_comments_and_blanks_skipped(self):
         adj = load_edge_list(io.StringIO("# header\n\n0 1\n"), n=2)
@@ -158,6 +166,39 @@ class TestSplit:
         adj = AdjacencyMatrix(3, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             split_observations(adj, fraction, seed=0)
+
+
+class TestArrayPathsMatchOracles:
+    """The array split and mask writer against the one-entry-at-a-time loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        fraction=st.sampled_from([0.05, 0.3, 0.5, 0.8, 0.95, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        tie_symmetric=st.booleans(),
+    )
+    def test_split_and_mask_text_match(self, n, fraction, seed, tie_symmetric):
+        adj = AdjacencyMatrix(n, np.zeros((n, n)))
+        train, test = split_observations(adj, fraction, seed, tie_symmetric)
+        want_train, want_test = oracle_split_observations(adj, fraction, seed, tie_symmetric)
+        assert np.array_equal(train.observed, want_train.observed)
+        assert np.array_equal(test.observed, want_test.observed)
+        assert write_mask(train, test) == oracle_write_mask(want_train, want_test)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        train_density=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+        test_density=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mask_text_matches_on_arbitrary_masks(self, n, train_density, test_density, seed):
+        rng = np.random.default_rng(seed)
+        train = rng.random((n, n)) < train_density
+        test = ~train & (rng.random((n, n)) < test_density)
+        train_mask, test_mask = ObservationMask(n, train), ObservationMask(n, test)
+        assert write_mask(train_mask, test_mask) == oracle_write_mask(train_mask, test_mask)
 
 
 class TestMaskFile:

@@ -18,7 +18,7 @@ from laftr import (
     sigmoid,
     softplus,
 )
-from conftest import oracle_nll, random_instance
+from conftest import oracle_link_probabilities, oracle_nll, random_instance
 
 
 def make_state(z, w, lam=0.5):
@@ -61,6 +61,34 @@ class TestLinkProbability:
             link_probability(state, 0, 3)
         with pytest.raises(IndexError):
             link_probability(state, -1, 0)
+
+    def test_scalar_input_returns_float(self, rng):
+        _, _, state = random_instance(rng, 4, 2)
+        assert type(link_probability(state, 0, 1)) is float
+        assert type(link_probability(state, np.int64(2), np.int64(3))) is float
+
+    def test_index_arrays_match_scalar_calls(self, rng):
+        _, _, state = random_instance(rng, 7, 3)
+        i, j = np.nonzero(np.ones((7, 7), dtype=bool))
+        probs = link_probability(state, i, j)
+        assert probs.shape == i.shape
+        assert probs.tolist() == oracle_link_probabilities(state, zip(i.tolist(), j.tolist()))
+
+    def test_empty_index_arrays(self, rng):
+        _, _, state = random_instance(rng, 4, 2)
+        empty = np.array([], dtype=np.int64)
+        assert link_probability(state, empty, empty).shape == (0,)
+
+    @pytest.mark.parametrize("i, j", [
+        ([0, -1], [1, 2]),
+        ([0, 1], [2, -3]),
+        ([0, 3], [1, 2]),
+        ([0, 1], [7, 2]),
+    ])
+    def test_array_index_out_of_range(self, i, j):
+        state = make_state(np.zeros((3, 1)), np.zeros((1, 1)))
+        with pytest.raises(IndexError):
+            link_probability(state, np.array(i), np.array(j))
 
 
 class TestNegativeLogLikelihood:

@@ -1,5 +1,7 @@
 """Greedy optimizer: flip deltas, sweeps, W descent, births, pruning, full fits."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -440,6 +442,19 @@ class TestFit:
         )
         assert [row[0] for row in seen] == list(range(len(seen)))
         assert all(sec >= 0 for _, _, sec in seen)
+
+    def test_on_iteration_seconds_exclude_callback_time(self, rng):
+        y, mask, _ = random_instance(rng, 6, 2)
+        seen = []
+
+        def slow(_iteration, _state, seconds):
+            seen.append(seconds)
+            time.sleep(0.3)
+
+        report = fit(y, mask, FitConfig(seed=0, rel_tol=1e-12, max_outer_iters=3),
+                     on_iteration=slow)
+        assert len(seen) == 3
+        assert sum(report.elapsed) <= seen[-1] < 0.3
 
     def test_dimension_mismatch(self, rng):
         y, _, _ = random_instance(rng, 5, 2)
