@@ -73,13 +73,22 @@ def _model_to_json(state: ModelState, objective_trace, seed: int) -> str:
 
 
 def load_model(path: str) -> tuple[ModelState, dict]:
-    """Read a model JSON file back into a ModelState (caches rebuilt)."""
+    """Read a model JSON file back into a ModelState (caches rebuilt).
+
+    ``k`` must equal the column count of ``z`` and ``w`` must be a K x K
+    nested list; otherwise a ParseError names the offending field.
+    """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     z = np.asarray(payload["z"], dtype=float)
-    if z.ndim == 1:  # k = 0 serializes as a flat empty list per row
-        z = z.reshape(len(payload["z"]), 0)
-    w = np.asarray(payload["w"], dtype=float).reshape(payload["k"], payload["k"])
+    k = payload["k"]
+    if z.ndim != 2 or k != z.shape[1]:
+        raise ParseError(f"model field 'k' is {k!r} but 'z' has shape {z.shape}")
+    w = payload["w"]
+    if not (isinstance(w, list) and len(w) == k
+            and all(isinstance(row, list) and len(row) == k for row in w)):
+        raise ParseError(f"model field 'w' must be a {k}x{k} nested list")
+    w = np.asarray(w, dtype=float).reshape(k, k)  # k = 0: [] becomes 0 x 0
     state = ModelState.from_factors(z, w, payload["lambda"])
     return state, payload
 

@@ -10,7 +10,10 @@ minimum in finitely many iterations.
 Coordinate moves are evaluated without touching the full N x N logit matrix:
 flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n by
 +-right_cache[:, k], so the objective delta is a sum of O(N)
-softplus-difference terms over the observed entries of row/column n.
+softplus-difference terms over the M observed entries of row/column n. The
+sweep scores all K flips of node n in one softplus pass over a K x M block
+of those shifts, takes the first improving k and re-scores only the
+features after it, so it accepts exactly the flips of a one-at-a-time scan.
 
 The W step never touches the N x N matrices either. A logit depends only on
 the membership rows of its two nodes, so for fixed Z the observed entries
@@ -117,58 +120,66 @@ def init_state(n: int, config: FitConfig, rng: np.random.Generator | None = None
 
 
 class _MaskIndex:
-    """Precomputed per-node views of the observed entries.
+    """Precomputed per-node gather indices of the observed entries.
 
-    For each node n: the observed partners j != n in row n with their y
-    values, the observed partners i != n in column n with theirs, and
-    whether (n, n) itself is observed. Built once per fit; the mask and y
-    never change during a run.
+    Node n's working vector is the observed entries (n, j), j != n, of row n
+    followed by the observed entries (i, n), i != n, of column n.
+    ``logit_idx[n]`` holds their flat positions in the N x N logit matrix,
+    ``shift_idx[n]`` their columns in the K x 2N shift table
+    [left_cache; right_cache]^T (column j moves logit (n, j), column N + i
+    logit (i, n)), and ``rowcol_y[n]`` their y values. ``diag_observed``
+    and ``diag_y`` describe (n, n) itself. Built once per fit; the mask and
+    y never change during a run.
     """
 
     def __init__(self, y: AdjacencyMatrix, mask: ObservationMask):
-        obs = mask.observed
+        obs = mask.observed.copy()
+        np.fill_diagonal(obs, False)
         yv = y.entries
         n = mask.n
-        self.row_js: list[np.ndarray] = []
-        self.row_y: list[np.ndarray] = []
-        self.col_is: list[np.ndarray] = []
-        self.col_y: list[np.ndarray] = []
+        self.logit_idx: list[np.ndarray] = []
+        self.shift_idx: list[np.ndarray] = []
         self.rowcol_y: list[np.ndarray] = []
-        self.diag_observed = np.diagonal(obs).copy()
+        self.diag_observed = np.diagonal(mask.observed).copy()
         self.diag_y = np.diagonal(yv).astype(float)
         for node in range(n):
             js = np.flatnonzero(obs[node])
-            js = js[js != node]
-            self.row_js.append(js)
-            self.row_y.append(yv[node, js].astype(float))
             is_ = np.flatnonzero(obs[:, node])
-            is_ = is_[is_ != node]
-            self.col_is.append(is_)
-            self.col_y.append(yv[is_, node].astype(float))
-            self.rowcol_y.append(np.concatenate([self.row_y[-1], self.col_y[-1]]))
+            self.logit_idx.append(np.concatenate([node * n + js, is_ * n + node]))
+            self.shift_idx.append(np.concatenate([js, n + is_]))
+            self.rowcol_y.append(np.concatenate([yv[node, js], yv[is_, node]]).astype(float))
 
 
-def _flip_delta(idx: _MaskIndex, state: ModelState, n: int, k: int) -> float:
-    """Objective change from flipping z[n, k], in O(N) using the caches."""
-    d = 1.0 - 2.0 * state.z[n, k]
+def _gather(idx: _MaskIndex, table: np.ndarray, state: ModelState, n: int):
+    """Node n's logits a, shift block, y . block rows, softplus(a).sum(), logit (n, n).
 
-    js = idx.row_js[n]
-    da_row = d * state.left_cache[js, k]
-    a_row = state.logits[n, js]
-    delta = float((-idx.row_y[n] * da_row + softplus(a_row + da_row) - softplus(a_row)).sum())
+    Row k of the C-order K x M block is the shift that flipping z[n, k]
+    adds to a.
+    """
+    a = state.logits.take(idx.logit_idx[n])
+    shifts = table.take(idx.shift_idx[n], axis=1)
+    shifts *= (1.0 - 2.0 * state.z[n])[:, None]
+    return a, shifts, np.vecdot(shifts, idx.rowcol_y[n]), softplus(a).sum(), state.logits[n, n]
 
-    is_ = idx.col_is[n]
-    da_col = d * state.right_cache[is_, k]
-    a_col = state.logits[is_, n]
-    delta += float((-idx.col_y[n] * da_col + softplus(a_col + da_col) - softplus(a_col)).sum())
 
+def _flip_deltas(idx, state, n, a, shifts, ydot, sp_a, a_nn, start):
+    """Objective deltas of flipping z[n, k] for each k >= start.
+
+    One softplus pass over the block rows, summed per row, so each delta
+    keeps numpy's 1-D pairwise summation. Also returns each row's softplus
+    sum and the diagonal logit's shifts (None if (n, n) is unobserved).
+    """
+    sp_rows = softplus(a + shifts[start:]).sum(axis=1)
+    delta = sp_rows - sp_a - ydot[start:]
+    da_nn = None
     if idx.diag_observed[n]:
         # the diagonal logit is quadratic in z[n, k]: both caches shift it,
         # plus the d^2 = 1 self-term w[k, k]
-        da = d * (state.left_cache[n, k] + state.right_cache[n, k]) + state.w[k, k]
-        a = state.logits[n, n]
-        delta += float(-idx.diag_y[n] * da + softplus(a + da) - softplus(a))
-    return delta
+        d = 1.0 - 2.0 * state.z[n, start:]
+        da_nn = d * (state.left_cache[n, start:] + state.right_cache[n, start:])
+        da_nn += np.diagonal(state.w)[start:]
+        delta += -idx.diag_y[n] * da_nn + softplus(a_nn + da_nn) - softplus(a_nn)
+    return delta, sp_rows, da_nn
 
 
 def _apply_flip(state: ModelState, n: int, k: int) -> None:
@@ -189,7 +200,8 @@ def delta_objective_flip(
     """Q(state with z[n,k] flipped) - Q(state), without materializing the flip.
 
     The community-count penalty is unchanged by a flip, so this is purely a
-    likelihood delta over the observed entries of row and column n.
+    likelihood delta over the observed entries of row and column n. It is
+    entry k of the delta row the sweep computes for node n.
     """
     if not (0 <= n < state.n):
         raise IndexError(f"node index {n} out of range for n={state.n}")
@@ -197,11 +209,10 @@ def delta_objective_flip(
         raise IndexError(f"feature index {k} out of range for k={state.k_plus}")
     if y.n != state.n or mask.n != state.n:
         raise ValueError("adjacency/mask/state dimensions disagree")
-    return _flip_delta(_MaskIndex(y, mask), state, n, k)
-
-
-def _softplus_scalar(a: float) -> float:
-    return max(a, 0.0) + math.log1p(math.exp(max(-abs(a), -500.0)))
+    idx = _MaskIndex(y, mask)
+    table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
+    delta, _, _ = _flip_deltas(idx, state, n, *_gather(idx, table, state, n), 0)
+    return float(delta[k])
 
 
 def _sweep_pass(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
@@ -211,60 +222,42 @@ def _sweep_pass(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     taken and the pass reports whether any happened. With apply=False it is
     a read-only scan that stops at the first improving flip.
 
-    Row/column slices for node n are gathered once and patched incrementally
-    after accepted flips (the patches replay exactly the arithmetic
-    _apply_flip performs on the full matrices, so local and global views
-    stay bitwise identical).
+    Node n's K flips are scored at once on its K x M shift block. The first
+    k with delta < -FLIP_TOLERANCE is flipped and only the features after it
+    are re-scored, against the patched logits: the acceptance sequence of
+    flipping one (n, k) at a time. Row-n flips never move node n's partner
+    columns of the shift table, so the block stays valid for the node;
+    columns n and N + n are patched for the nodes that follow. The local
+    logits replay exactly the arithmetic _apply_flip performs on the full
+    matrices, so local and global views stay bitwise identical.
     """
-    improved = False
     n_nodes, k_plus = state.z.shape
     if k_plus == 0:
         return False
-    w = state.w
+    table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
+    improved = False
     for n in range(n_nodes):
-        js = idx.row_js[n]
-        is_ = idx.col_is[n]
-        y_all = idx.rowcol_y[n]
-        # row-side entries first, then column-side, in one working vector
-        a_all = np.concatenate([state.logits[n, js], state.logits[is_, n]])
-        shifts = np.concatenate([state.left_cache[js, :], state.right_cache[is_, :]])
-        sp_all = float(softplus(a_all).sum())
-        diag_obs = bool(idx.diag_observed[n])
-        if diag_obs:
-            a_nn = float(state.logits[n, n])
-            y_nn = float(idx.diag_y[n])
-            left_n = state.left_cache[n, :].copy()
-            right_n = state.right_cache[n, :].copy()
-
-        for k in range(k_plus):
-            d = 1.0 - 2.0 * state.z[n, k]
-            da = d * shifts[:, k]
-            a_new = a_all + da
-            sp_new = float(softplus(a_new).sum())
-            delta = sp_new - sp_all - float(y_all @ da)
-            if diag_obs:
-                da_nn = d * (left_n[k] + right_n[k]) + w[k, k]
-                delta += -y_nn * da_nn + _softplus_scalar(a_nn + da_nn) - _softplus_scalar(a_nn)
-            if delta < -FLIP_TOLERANCE:
-                if not apply:
-                    return True
-                _apply_flip(state, n, k)
-                improved = True
-                a_all, sp_all = a_new, sp_new
-                if diag_obs:
-                    a_nn += da_nn
-                    left_n += d * w[:, k]
-                    right_n += d * w[k, :]
+        a, shifts, ydot, sp_a, a_nn = _gather(idx, table, state, n)
+        start = 0
+        while start < k_plus:
+            delta, sp_rows, da_nn = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a, a_nn, start)
+            hits = np.flatnonzero(delta < -FLIP_TOLERANCE)
+            if hits.size == 0:
+                break
+            if not apply:
+                return True
+            j = hits[0]
+            k = start + j
+            a = a + shifts[k]
+            sp_a = sp_rows[j]
+            if da_nn is not None:
+                a_nn = a_nn + da_nn[j]
+            _apply_flip(state, n, k)
+            table[:, n] = state.left_cache[n]
+            table[:, n_nodes + n] = state.right_cache[n]
+            improved = True
+            start = k + 1
     return improved
-
-
-def _sweep_once(idx: _MaskIndex, state: ModelState) -> bool:
-    """One row-major pass over all (n, k); returns whether any flip happened."""
-    return _sweep_pass(idx, state, apply=True)
-
-
-def _any_improving_flip(idx: _MaskIndex, state: ModelState) -> bool:
-    return _sweep_pass(idx, state, apply=False)
 
 
 def sweep_z(
@@ -275,15 +268,13 @@ def sweep_z(
     Mutates ``state`` in place and returns it along with whether any
     coordinate moved. The objective never increases.
     """
-    improved = _sweep_once(_MaskIndex(y, mask), state)
+    improved = _sweep_pass(_MaskIndex(y, mask), state, apply=True)
     return state, improved
 
 
-def _sweep_to_fixed_point(idx: _MaskIndex, state: ModelState) -> bool:
-    improved_any = False
-    while _sweep_once(idx, state):
-        improved_any = True
-    return improved_any
+def _sweep_to_fixed_point(idx: _MaskIndex, state: ModelState) -> None:
+    while _sweep_pass(idx, state, apply=True):
+        pass
 
 
 class _PairStats:
@@ -491,18 +482,17 @@ def fit(
         optimize_w(y, mask, state, config)
         state = prune_empty_features(state)
 
+        q = objective(y, mask, state)
         last_birth_accepted = False
         for _ in range(config.births_per_iter):
             candidate = _propose_feature(idx, y, mask, state, config, rng)
-            q_current = objective(y, mask, state)
             q_candidate = objective(y, mask, candidate)
-            accepted = q_candidate < q_current - FLIP_TOLERANCE
+            accepted = q_candidate < q - FLIP_TOLERANCE
             if accepted:
-                state = candidate
+                state, q = candidate, q_candidate
             report.accepted_births.append(accepted)
             last_birth_accepted = accepted
 
-        q = objective(y, mask, state)
         if not math.isfinite(q):
             raise NumericalError(f"non-finite objective {q} after outer iteration {iteration}", state)
         report.objective_trace.append(q)
@@ -517,7 +507,7 @@ def fit(
         if rel_improvement < config.rel_tol and not last_birth_accepted:
             # declare convergence only from a genuine one-flip local minimum:
             # the W update may have shifted some coordinate's best value
-            if not _any_improving_flip(idx, state):
+            if not _sweep_pass(idx, state, apply=False):
                 report.converged = True
                 break
 

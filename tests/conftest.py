@@ -5,7 +5,9 @@ the objective oracle uses direct -y log p - (1-y) log(1-p) sums instead of
 the softplus form, the AUC oracle enumerates positive/negative pairs, and
 gradient checks use central finite differences. The W-step oracle is the
 descent over the individual observed entries that the pattern-pair W step
-must reproduce. The split, mask-writing and scoring oracles are the
+must reproduce, and the sweep oracle scores one (n, k) flip at a time in
+the order the batched sweep kernel must reproduce flip for flip. The split,
+mask-writing and scoring oracles are the
 one-entry-at-a-time loops whose output the array versions must reproduce
 bit for bit.
 """
@@ -17,13 +19,15 @@ import pytest
 
 from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask
 from laftr.model import sigmoid, softplus
+from laftr.optimizer import FLIP_TOLERANCE, _apply_flip
 
 
 def oracle_nll(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
     """Direct log-form cross-entropy over observed entries (no softplus)."""
     logits = (state.z @ state.w) @ state.z.T
     p = 1.0 / (1.0 + np.exp(-logits))
-    terms = -y.entries * np.log(p) - (1 - y.entries) * np.log1p(-p)
+    q = 1.0 / (1.0 + np.exp(logits))  # 1 - p, finite in log for saturated logits
+    terms = -y.entries * np.log(p) - (1 - y.entries) * np.log(q)
     return float(terms[mask.observed].sum())
 
 
@@ -46,6 +50,61 @@ def exhaustive_flip_improvements(y, mask, state) -> np.ndarray:
         for k in range(state.z.shape[1]):
             deltas[n, k] = oracle_flip_delta(y, mask, state, n, k)
     return deltas
+
+
+def _softplus_scalar(a: float) -> float:
+    return max(a, 0.0) + math.log1p(math.exp(max(-abs(a), -500.0)))
+
+
+def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
+    """The sweep pass scoring one (n, k) at a time, with scalar diagonal terms.
+
+    Same row-major order, strict-improvement margin and incremental patches
+    as the library's batched pass: with apply=True every improving flip is
+    taken; with apply=False the scan stops at the first improving flip.
+    """
+    improved = False
+    n_nodes, k_plus = state.z.shape
+    if k_plus == 0:
+        return False
+    obs, yv, w = mask.observed, y.entries, state.w
+    for n in range(n_nodes):
+        js = np.flatnonzero(obs[n])
+        js = js[js != n]
+        is_ = np.flatnonzero(obs[:, n])
+        is_ = is_[is_ != n]
+        y_all = np.concatenate([yv[n, js], yv[is_, n]]).astype(float)
+        # row-side entries first, then column-side, in one working vector
+        a_all = np.concatenate([state.logits[n, js], state.logits[is_, n]])
+        shifts = np.concatenate([state.left_cache[js, :], state.right_cache[is_, :]])
+        sp_all = float(softplus(a_all).sum())
+        diag_obs = bool(obs[n, n])
+        if diag_obs:
+            a_nn = float(state.logits[n, n])
+            y_nn = float(yv[n, n])
+            left_n = state.left_cache[n, :].copy()
+            right_n = state.right_cache[n, :].copy()
+
+        for k in range(k_plus):
+            d = 1.0 - 2.0 * state.z[n, k]
+            da = d * shifts[:, k]
+            a_new = a_all + da
+            sp_new = float(softplus(a_new).sum())
+            delta = sp_new - sp_all - float(y_all @ da)
+            if diag_obs:
+                da_nn = d * (left_n[k] + right_n[k]) + w[k, k]
+                delta += -y_nn * da_nn + _softplus_scalar(a_nn + da_nn) - _softplus_scalar(a_nn)
+            if delta < -FLIP_TOLERANCE:
+                if not apply:
+                    return True
+                _apply_flip(state, n, k)
+                improved = True
+                a_all, sp_all = a_new, sp_new
+                if diag_obs:
+                    a_nn += da_nn
+                    left_n += d * w[:, k]
+                    right_n += d * w[k, :]
+    return improved
 
 
 def oracle_optimize_w(y, mask, state, config):

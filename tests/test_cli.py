@@ -249,6 +249,34 @@ class TestCommunities:
         assert out_path.read_text().startswith(("community", "no communities"))
 
 
+class TestModelFile:
+    GOOD = {"k": 2, "lambda": 0.5, "z": [[1, 0], [0, 1]], "w": [[1.0, 2.0], [3.0, 4.0]],
+            "objective_trace": [], "seed": 0}
+
+    @pytest.mark.parametrize("command", ["predict", "communities"])
+    @pytest.mark.parametrize("field, change", [
+        ("w", {"w": [[1.0, 2.0, 3.0, 4.0]]}),         # right size, wrong shape
+        ("w", {"w": [[1.0, 2.0], [3.0]]}),
+        ("k", {"k": 1, "w": [[1.0]]}),                 # z has 2 columns
+        ("k", {"k": 3, "w": np.zeros((3, 3)).tolist()}),
+    ])
+    def test_malformed_model_is_data_error(self, tmp_path, capsys, command, field, change):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps({**self.GOOD, **change}))
+        pairs_path = tmp_path / "pairs.txt"
+        pairs_path.write_text("0 1\n")
+        argv = {"predict": ["--input", str(pairs_path), "--out", str(tmp_path / "p.csv")],
+                "communities": []}[command]
+        assert run_cli(command, "--model", str(model_path), *argv) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_well_formed_model_loads(self, tmp_path):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(self.GOOD))
+        state, _ = load_model(str(model_path))
+        assert np.array_equal(state.w, [[1.0, 2.0], [3.0, 4.0]])
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

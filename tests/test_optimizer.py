@@ -37,6 +37,7 @@ from conftest import (
     exhaustive_flip_improvements,
     oracle_flip_delta,
     oracle_optimize_w,
+    oracle_sweep_pass,
     random_instance,
 )
 
@@ -178,6 +179,58 @@ class TestSweep:
         while sweep_z(y, mask, state)[1]:
             pass
         assert state.max_cache_error() < 1e-9
+
+
+@st.composite
+def sweep_instances(draw):
+    """(y, mask, state) with a random mask, the diagonal all observed or none.
+
+    W entries reach +-8, so logits saturate; near 0 (where hypothesis
+    shrinks to) flip deltas tie at exactly 0. K ranges down to 0.
+    """
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 5))
+    z = draw(arrays(bool, (n, k)))
+    w = draw(arrays(float, (k, k), elements=st.floats(-8.0, 8.0)))
+    entries = draw(arrays(bool, (n, n)))
+    observed = draw(arrays(bool, (n, n)))
+    np.fill_diagonal(observed, draw(st.booleans()))
+    return (AdjacencyMatrix(n, entries), ObservationMask(n, observed),
+            ModelState.from_factors(z, w, 0.5))
+
+
+class TestSweepKernel:
+    """The batched K x M kernel against the one-flip-at-a-time oracle."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_apply_pass_takes_the_oracle_flips(self, problem):
+        y, mask, state = problem
+        expected = state.copy()
+        expected_flag = oracle_sweep_pass(y, mask, expected, apply=True)
+        flag = optimizer._sweep_pass(optimizer._MaskIndex(y, mask), state, apply=True)
+        assert flag == expected_flag
+        assert np.array_equal(state.z, expected.z)
+        assert state.max_cache_error() < 1e-9
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_scan_matches_oracle_without_mutating(self, problem):
+        y, mask, state = problem
+        before = state.copy()
+        expected = oracle_sweep_pass(y, mask, state.copy(), apply=False)
+        assert optimizer._sweep_pass(optimizer._MaskIndex(y, mask), state, apply=False) == expected
+        for name in ("z", "w", "logits", "left_cache", "right_cache"):
+            assert np.array_equal(getattr(state, name), getattr(before, name)), name
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_public_delta_matches_recompute(self, problem):
+        y, mask, state = problem
+        for n in range(state.n):
+            for k in range(state.k_plus):
+                assert delta_objective_flip(y, mask, state, n, k) == pytest.approx(
+                    oracle_flip_delta(y, mask, state, n, k), abs=1e-8)
 
 
 class TestOptimizeW:
@@ -456,6 +509,21 @@ class TestFit:
         assert len(seen) == 3
         assert sum(report.elapsed) <= seen[-1] < 0.3
 
+    def test_one_objective_per_iteration_and_birth(self, monkeypatch):
+        # the post-prune objective is carried across births and becomes the
+        # iteration's trace entry, so each iteration evaluates it once plus
+        # once per proposed candidate
+        y, mask, config = _ibp_problem(0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(optimizer, "objective", counted)
+        report = fit(y, mask, config)
+        assert len(calls) == 1 + 2 * len(report.objective_trace)
+
     def test_dimension_mismatch(self, rng):
         y, _, _ = random_instance(rng, 5, 2)
         with pytest.raises(ValueError):
@@ -476,7 +544,7 @@ def _ibp_problem(seed):
 
 
 class TestTrajectory:
-    """Whole fits take the same path with the entrywise W step patched in."""
+    """Whole fits take the same path with a reference W step or sweep patched in."""
 
     @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -490,3 +558,16 @@ class TestTrajectory:
         assert len(got.objective_trace) == len(expected.objective_trace)
         assert got.accepted_births == expected.accepted_births
         np.testing.assert_allclose(got.objective_trace, expected.objective_trace, rtol=1e-9)
+
+    @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
+    def test_same_path_as_one_flip_at_a_time_sweep(self, monkeypatch, problem):
+        y, mask, config = problem(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_sweep_pass",
+                          lambda _idx, state, apply: oracle_sweep_pass(y, mask, state, apply))
+            expected = fit(y, mask, config)
+        got = fit(y, mask, config)
+        assert got.objective_trace == expected.objective_trace
+        assert got.k_trace == expected.k_trace
+        assert got.accepted_births == expected.accepted_births
+        assert np.array_equal(got.final_state.z, expected.final_state.z)
