@@ -10,19 +10,15 @@ not fixed in advance.
 
 from .errors import LaftrError, NumericalError, ParseError, UndefinedMetricError
 from .evaluation import (
-    ScoredPairs,
     SplitResult,
     auc_from_scores,
-    auc_roc,
     cross_validate_lambda,
     evaluate_split,
     predict_links,
     run_splits,
 )
 from .generator import (
-    IbpStats,
     block_weights,
-    ibp_log_prior,
     planted_blocks,
     sample_edges,
     sample_ibp,
@@ -40,12 +36,9 @@ from .graph import (
 )
 from .model import (
     ModelState,
-    bernoulli_bregman,
     link_probability,
     negative_log_likelihood,
-    nll_gradient_w,
     objective,
-    scaled_log_partition,
     sigmoid,
     softplus,
 )
@@ -56,7 +49,6 @@ from .optimizer import (
     fit,
     init_state,
     optimize_w,
-    propose_feature,
     prune_empty_features,
     sweep_z,
 )
@@ -67,42 +59,34 @@ __all__ = [
     "AdjacencyMatrix",
     "FitConfig",
     "FitReport",
-    "IbpStats",
     "LaftrError",
     "ModelState",
     "NumericalError",
     "ObservationMask",
     "ParseError",
-    "ScoredPairs",
     "SplitResult",
     "UndefinedMetricError",
     "auc_from_scores",
-    "auc_roc",
-    "bernoulli_bregman",
     "block_weights",
     "cross_validate_lambda",
     "delta_objective_flip",
     "evaluate_split",
     "fit",
-    "ibp_log_prior",
     "init_state",
     "link_probability",
     "load_dense_matrix",
     "load_edge_list",
     "load_mask",
     "negative_log_likelihood",
-    "nll_gradient_w",
     "objective",
     "optimize_w",
     "planted_blocks",
     "predict_links",
-    "propose_feature",
     "prune_empty_features",
     "run_splits",
     "sample_edges",
     "sample_ibp",
     "sample_lfrm",
-    "scaled_log_partition",
     "sigmoid",
     "softplus",
     "split_observations",

@@ -15,12 +15,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
 from . import generator, graph
-from .errors import LaftrError, NumericalError, ParseError, UndefinedMetricError
+from .errors import LaftrError, NumericalError, ParseError
 from .evaluation import auc_from_scores, cross_validate_lambda, predict_links, run_splits
 from .graph import AdjacencyMatrix, ObservationMask
 from .model import ModelState, link_probability
@@ -101,7 +100,6 @@ def _fit_config_from_args(args) -> FitConfig:
         max_outer_iters=args.max_iters,
         rel_tol=args.rel_tol,
         seed=args.seed,
-        include_diagonal=args.include_diagonal,
     )
 
 
@@ -117,8 +115,6 @@ def _add_fit_flags(parser) -> None:
                         help="outer iteration cap (default 100)")
     parser.add_argument("--rel-tol", type=float, default=1e-6,
                         help="relative objective improvement stop (default 1e-6)")
-    parser.add_argument("--include-diagonal", action="store_true",
-                        help="treat self-links as observable entries")
 
 
 def _add_input_flags(parser) -> None:
@@ -138,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.add_argument("--auc-trace", action="store_true",
                        help="also write <out>.trace.csv of (seconds, heldout_auc) per iteration")
+    p_fit.add_argument("--include-diagonal", action="store_true",
+                       help="without --mask, also observe self-links")
     _add_fit_flags(p_fit)
 
     p_pred = sub.add_parser("predict", help="score node pairs with a fitted model")
@@ -219,10 +217,7 @@ def dump_communities(model_payload: dict, labels: list[str] | None = None) -> st
 def _load_pairs(path: str) -> list[tuple[int, int]]:
     pairs = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in graph._iter_data_lines(handle):
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise ParseError(f"expected 'i j', got {line!r}", lineno)
@@ -382,8 +377,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"laftr: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ParseError, UndefinedMetricError, LaftrError, OSError, ValueError,
-            IndexError, KeyError, json.JSONDecodeError) as exc:
+    except (LaftrError, OSError, ValueError, IndexError, KeyError) as exc:
         print(f"laftr: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,57 +15,13 @@ from .model import ModelState, link_probability
 from .optimizer import FitConfig, FitReport, fit
 
 __all__ = [
-    "ScoredPairs",
     "SplitResult",
     "predict_links",
-    "auc_roc",
     "auc_from_scores",
     "evaluate_split",
     "cross_validate_lambda",
     "run_splits",
 ]
-
-
-@dataclass(frozen=True)
-class ScoredPairs:
-    """Scored node pairs with binary ground-truth labels.
-
-    Stored as parallel arrays; every (i, j) pair may appear at most once and
-    all scores must be finite.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    scores: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        i = np.asarray(self.i, dtype=np.int64)
-        j = np.asarray(self.j, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int8)
-        if not (i.shape == j.shape == scores.shape == labels.shape):
-            raise ValueError("i, j, scores, labels must have identical shapes")
-        if not np.isfinite(scores).all():
-            raise ValueError("scores must be finite")
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
-        pairs = set(zip(i.tolist(), j.tolist()))
-        if len(pairs) != i.size:
-            raise ValueError("duplicate (i, j) pair")
-        for name, arr in (("i", i), ("j", j), ("scores", scores), ("labels", labels)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_lists(cls, pairs, scores, labels) -> "ScoredPairs":
-        pairs = list(pairs)
-        return cls(
-            i=np.array([p[0] for p in pairs], dtype=np.int64),
-            j=np.array([p[1] for p in pairs], dtype=np.int64),
-            scores=np.asarray(scores, dtype=float),
-            labels=np.asarray(labels, dtype=np.int8),
-        )
 
 
 def predict_links(state: ModelState, pairs) -> list[float]:
@@ -89,10 +45,6 @@ def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     ranks = rankdata(scores)  # average ranks give tied pairs half credit
     u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
-
-
-def auc_roc(scored: ScoredPairs) -> float:
-    return auc_from_scores(scored.scores, scored.labels)
 
 
 def evaluate_split(

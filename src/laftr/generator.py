@@ -5,26 +5,9 @@ already-tasted dish k with probability (count so far)/i, then tries
 Poisson(alpha/i) brand-new dishes. The total dish count is therefore a sum
 of independent Poisson(alpha/i) draws, i.e. Poisson(alpha * H_n) exactly,
 which the tests use as an oracle.
-
-``ibp_log_prior`` evaluates the closed-form density of a binary matrix under
-this process using the binomial-coefficient form
-
-    log P(Z) = K log(alpha) - sum_h log(m_h!) - alpha * H_n
-               - sum_k [ log(c_k) + log C(n, c_k) ]
-
-where c_k counts the ones in column k and m_h counts duplicate columns.
-Note the standard exchangeable IBP density is usually written with
-factorials of c_k and n - c_k instead of the c_k * C(n, c_k) product; the
-two disagree in general. This function deliberately implements the binomial
-form (see the n=1 test, where both agree). It is a verification utility
-only and plays no role in fitting.
 """
 
 from __future__ import annotations
-
-import math
-from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,37 +15,12 @@ from .graph import AdjacencyMatrix
 from .model import sigmoid
 
 __all__ = [
-    "IbpStats",
     "sample_ibp",
-    "ibp_log_prior",
     "sample_edges",
     "sample_lfrm",
     "planted_blocks",
     "block_weights",
 ]
-
-
-@dataclass(frozen=True)
-class IbpStats:
-    """Column occupancy counts and duplicate-column multiplicities of a binary matrix."""
-
-    column_counts: tuple[int, ...]
-    history_multiplicities: tuple[int, ...]
-    n: int
-    k_plus: int
-
-    @classmethod
-    def from_matrix(cls, z: np.ndarray) -> "IbpStats":
-        z = np.asarray(z)
-        n, k = z.shape
-        counts = tuple(int(c) for c in z.sum(axis=0))
-        histories = Counter(z[:, col].astype(np.int8).tobytes() for col in range(k))
-        return cls(
-            column_counts=counts,
-            history_multiplicities=tuple(sorted(histories.values())),
-            n=n,
-            k_plus=k,
-        )
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -99,29 +57,6 @@ def sample_ibp(n: int, alpha: float, seed) -> np.ndarray:
     for i, row in enumerate(rows):
         z[i, : row.size] = row
     return z
-
-
-def ibp_log_prior(z: np.ndarray, alpha: float) -> float:
-    """Log-density of a binary matrix under the buffet prior (binomial form)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    z = np.asarray(z)
-    if z.ndim != 2:
-        raise ValueError("z must be 2-d")
-    if z.shape[1] and (z.sum(axis=0) == 0).any():
-        raise ValueError("z must not contain all-zero columns; prune them first")
-
-    stats = IbpStats.from_matrix(z)
-    n = stats.n
-    harmonic = sum(1.0 / i for i in range(1, n + 1))
-
-    logp = stats.k_plus * math.log(alpha) - alpha * harmonic
-    for mult in stats.history_multiplicities:
-        logp -= math.lgamma(mult + 1)
-    for c in stats.column_counts:
-        log_binom = math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-        logp -= math.log(c) + log_binom
-    return logp
 
 
 def sample_edges(z: np.ndarray, w: np.ndarray, seed) -> AdjacencyMatrix:

@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Dense binary relation over ``n`` nodes, with optional node labels.
+    """Dense binary relation over ``n`` nodes.
 
     ``symmetric_hint`` records whether the source data looked symmetric at
     load time; split routines use it to decide whether mirrored entries
@@ -40,7 +40,6 @@ class AdjacencyMatrix:
 
     n: int
     entries: np.ndarray
-    labels: list[str] | None = None
     symmetric_hint: bool = False
 
     def __post_init__(self):
@@ -51,11 +50,6 @@ class AdjacencyMatrix:
             raise ValueError("adjacency entries must be 0 or 1")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError(f"expected {self.n} labels, got {len(self.labels)}")
-            if len(set(self.labels)) != self.n:
-                raise ValueError("node labels must be distinct")
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,8 @@ def _iter_data_lines(stream: Iterable[str]):
     """Yield (line_number, stripped_line) skipping blanks and '#' comments."""
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and line[0] != "#":
+            yield lineno, line
 
 
 def load_edge_list(stream: Iterable[str] | TextIO, n: int | None = None) -> AdjacencyMatrix:

@@ -1,4 +1,4 @@
-"""Link probabilities, masked cross-entropy objective, and its W-gradient.
+"""Link probabilities and the masked cross-entropy objective.
 
 The model scores a directed pair (i, j) with a bilinear logit z_i^T W z_j,
 where z_i is node i's binary community-membership row and W is a real
@@ -10,11 +10,6 @@ community-interaction matrix. The fitting objective is
 with a_ij the logit and K the current number of communities. The
 penalty charges lambda^2 per community, which is what stops the trivial
 one-community-per-node solution.
-
-Also here: the Bernoulli Bregman divergence and the scaled log-partition
-function. Neither is used in the hot path; they exist so the test suite can
-verify that the objective really is the divergence form of the Bernoulli
-likelihood and that the scaled family has mean q and variance q(1-q)/beta.
 """
 
 from __future__ import annotations
@@ -32,9 +27,6 @@ __all__ = [
     "link_probability",
     "negative_log_likelihood",
     "objective",
-    "nll_gradient_w",
-    "bernoulli_bregman",
-    "scaled_log_partition",
 ]
 
 # Clamp applied to exp() arguments only. Both stable forms below feed exp a
@@ -124,13 +116,6 @@ class ModelState:
             right_cache=self.right_cache.copy(),
         )
 
-    def max_cache_error(self) -> float:
-        """Largest absolute deviation of any cache entry from its definition."""
-        errs = [np.abs((self.z @ self.w) @ self.z.T - self.logits).max(initial=0.0),
-                np.abs(self.z @ self.w.T - self.left_cache).max(initial=0.0),
-                np.abs(self.z @ self.w - self.right_cache).max(initial=0.0)]
-        return float(max(errs))
-
 
 def _check_dims(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> None:
     if not (y.n == mask.n == state.n):
@@ -170,53 +155,3 @@ def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: Mo
 def objective(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
     """negative_log_likelihood plus the community-count penalty K * lambda^2."""
     return negative_log_likelihood(y, mask, state) + state.k_plus * state.lam**2
-
-
-def nll_gradient_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> np.ndarray:
-    """Exact gradient of the masked cross-entropy w.r.t. W.
-
-    G[k, k'] = sum over observed (i,j) of (p_ij - y_ij) * z[i,k] * z[j,k'],
-    computed as Z^T R Z with R the masked residual matrix.
-    """
-    _check_dims(y, mask, state)
-    residual = (sigmoid(state.logits) - y.entries) * mask.observed
-    return state.z.T @ residual @ state.z
-
-
-def bernoulli_bregman(x, q):
-    """Bregman divergence of x from a Bernoulli mean q, for phi(x) = x log x + (1-x) log(1-x).
-
-    d(x, q) = x log(x/q) + (1-x) log((1-x)/(1-q)), with the 0 log 0 = 0
-    convention at the endpoints. For binary x this is exactly the
-    cross-entropy -x log q - (1-x) log(1-q): the divergence and the
-    likelihood agree with no leftover carrier term because phi(0) = phi(1) = 0.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
-        raise ValueError("q must lie strictly inside (0, 1)")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("x must lie in [0, 1]")
-
-    # evaluate x*log(x) style terms with the endpoint convention, no warnings
-    safe_x = np.where(x > 0.0, x, 1.0)
-    term_x = np.where(x > 0.0, x * (np.log(safe_x) - np.log(q)), 0.0)
-    safe_1x = np.where(x < 1.0, 1.0 - x, 1.0)
-    term_1x = np.where(x < 1.0, (1.0 - x) * (np.log(safe_1x) - np.log1p(-q)), 0.0)
-    out = term_x + term_1x
-    return float(out) if out.ndim == 0 else out
-
-
-def scaled_log_partition(eta_tilde, beta: float):
-    """Log-partition of the Bernoulli scaled by beta: beta * log(1 + exp(eta/beta)).
-
-    Its first derivative in eta_tilde is sigma(eta_tilde/beta) (the mean q,
-    independent of beta); its second is q(1-q)/beta (variance shrinking as
-    beta grows). beta never enters the fitted model: the objective is the
-    beta -> infinity limit taken analytically.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    eta_tilde = np.asarray(eta_tilde, dtype=float)
-    out = beta * softplus(eta_tilde / beta)
-    return float(out) if out.ndim == 0 else out

@@ -43,7 +43,6 @@ __all__ = [
     "delta_objective_flip",
     "sweep_z",
     "optimize_w",
-    "propose_feature",
     "prune_empty_features",
     "fit",
 ]
@@ -70,8 +69,6 @@ class FitConfig:
     w_max_steps: int = 200
     w_grad_tol: float = 1e-6
     seed: int = 0
-    births_per_iter: int = 1
-    include_diagonal: bool = False
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -88,8 +85,6 @@ class FitConfig:
             raise ValueError(f"w_max_steps must be >= 1, got {self.w_max_steps}")
         if self.w_grad_tol <= 0:
             raise ValueError(f"w_grad_tol must be positive, got {self.w_grad_tol}")
-        if self.births_per_iter < 0:
-            raise ValueError(f"births_per_iter must be >= 0, got {self.births_per_iter}")
 
 
 @dataclass
@@ -376,6 +371,7 @@ def optimize_w(
 
 
 def propose_feature(
+    idx: _MaskIndex,
     y: AdjacencyMatrix,
     mask: ObservationMask,
     state: ModelState,
@@ -387,20 +383,9 @@ def propose_feature(
     Appends a zero membership column and turns it on for one uniformly drawn
     node; borders W with Gaussian(0, sigma_w^2) entries (new row first, then
     the new column); then descends on the full W and sweeps the candidate's
-    coordinates to a fixed point. The input state is not mutated.
+    coordinates to a fixed point, using fit's index ``idx`` of (y, mask).
+    The input state is not mutated.
     """
-    return _propose_feature(_MaskIndex(y, mask), y, mask, state, config, rng)
-
-
-def _propose_feature(
-    idx: _MaskIndex,
-    y: AdjacencyMatrix,
-    mask: ObservationMask,
-    state: ModelState,
-    config: FitConfig,
-    rng: np.random.Generator,
-) -> ModelState:
-    """propose_feature with the caller's prebuilt index of (y, mask)."""
     n_nodes = state.n
     k = state.k_plus
     node = int(rng.integers(n_nodes))
@@ -447,12 +432,11 @@ def fit(
     """Run the full greedy loop and return its report.
 
     Each outer iteration: sweep Z to a one-flip fixed point, descend on W,
-    prune empty communities, then births_per_iter grow-by-one proposals,
-    each accepted only if it strictly lowers the objective. The run stops
-    when an iteration's relative improvement falls below rel_tol, the last
-    proposal was rejected, and no single coordinate flip can improve the
-    final state (so the returned state is a one-flip local minimum), or at
-    max_outer_iters. A non-finite objective at the end of an outer
+    prune empty communities, then one grow-by-one proposal, accepted only if
+    it strictly lowers the objective. The run stops when an iteration's
+    relative improvement falls below rel_tol, the proposal was rejected,
+    and no single coordinate flip can improve the final state (so the
+    returned state is a one-flip local minimum), or at max_outer_iters. A non-finite objective at the end of an outer
     iteration raises NumericalError.
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
@@ -483,15 +467,12 @@ def fit(
         state = prune_empty_features(state)
 
         q = objective(y, mask, state)
-        last_birth_accepted = False
-        for _ in range(config.births_per_iter):
-            candidate = _propose_feature(idx, y, mask, state, config, rng)
-            q_candidate = objective(y, mask, candidate)
-            accepted = q_candidate < q - FLIP_TOLERANCE
-            if accepted:
-                state, q = candidate, q_candidate
-            report.accepted_births.append(accepted)
-            last_birth_accepted = accepted
+        candidate = propose_feature(idx, y, mask, state, config, rng)
+        q_candidate = objective(y, mask, candidate)
+        birth_accepted = q_candidate < q - FLIP_TOLERANCE
+        if birth_accepted:
+            state, q = candidate, q_candidate
+        report.accepted_births.append(birth_accepted)
 
         if not math.isfinite(q):
             raise NumericalError(f"non-finite objective {q} after outer iteration {iteration}", state)
@@ -504,7 +485,7 @@ def fit(
             callback_s += time.perf_counter() - t_callback
 
         rel_improvement = (q_start - q) / max(abs(q_start), 1e-12)
-        if rel_improvement < config.rel_tol and not last_birth_accepted:
+        if rel_improvement < config.rel_tol and not birth_accepted:
             # declare convergence only from a genuine one-flip local minimum:
             # the W update may have shifted some coordinate's best value
             if not _sweep_pass(idx, state, apply=False):

@@ -10,6 +10,12 @@ the order the batched sweep kernel must reproduce flip for flip. The split,
 mask-writing and scoring oracles are the
 one-entry-at-a-time loops whose output the array versions must reproduce
 bit for bit.
+
+The math helpers below them serve only as references for package code:
+the exact W-gradient, the cache-coherence check, the Bernoulli Bregman
+divergence (whose sum over observed entries the objective must equal) and
+the scaled log-partition (whose derivatives the package's softplus must
+give). Fitting uses none of them.
 """
 
 import math
@@ -105,6 +111,63 @@ def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
                     left_n += d * w[:, k]
                     right_n += d * w[k, :]
     return improved
+
+
+def nll_gradient_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> np.ndarray:
+    """Exact gradient of the masked cross-entropy w.r.t. W.
+
+    G[k, k'] = sum over observed (i,j) of (p_ij - y_ij) * z[i,k] * z[j,k'],
+    computed as Z^T R Z with R the masked residual matrix.
+    """
+    residual = (sigmoid(state.logits) - y.entries) * mask.observed
+    return state.z.T @ residual @ state.z
+
+
+def max_cache_error(state: ModelState) -> float:
+    """Largest absolute deviation of any cache entry of ``state`` from its definition."""
+    errs = [np.abs((state.z @ state.w) @ state.z.T - state.logits).max(initial=0.0),
+            np.abs(state.z @ state.w.T - state.left_cache).max(initial=0.0),
+            np.abs(state.z @ state.w - state.right_cache).max(initial=0.0)]
+    return float(max(errs))
+
+
+def bernoulli_bregman(x, q):
+    """Bregman divergence of x from a Bernoulli mean q, for phi(x) = x log x + (1-x) log(1-x).
+
+    d(x, q) = x log(x/q) + (1-x) log((1-x)/(1-q)), with the 0 log 0 = 0
+    convention at the endpoints. For binary x this is exactly the
+    cross-entropy -x log q - (1-x) log(1-q): the divergence and the
+    likelihood agree with no leftover carrier term because phi(0) = phi(1) = 0.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.any(q <= 0.0) or np.any(q >= 1.0):
+        raise ValueError("q must lie strictly inside (0, 1)")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError("x must lie in [0, 1]")
+
+    # evaluate x*log(x) style terms with the endpoint convention, no warnings
+    safe_x = np.where(x > 0.0, x, 1.0)
+    term_x = np.where(x > 0.0, x * (np.log(safe_x) - np.log(q)), 0.0)
+    safe_1x = np.where(x < 1.0, 1.0 - x, 1.0)
+    term_1x = np.where(x < 1.0, (1.0 - x) * (np.log(safe_1x) - np.log1p(-q)), 0.0)
+    out = term_x + term_1x
+    return float(out) if out.ndim == 0 else out
+
+
+def scaled_log_partition(eta_tilde, beta: float):
+    """Log-partition of the Bernoulli scaled by beta: beta * log(1 + exp(eta/beta)).
+
+    Its first derivative in eta_tilde is sigma(eta_tilde/beta) (the mean q,
+    independent of beta); its second is q(1-q)/beta (variance shrinking as
+    beta grows). beta never enters the fitted model: the objective is the
+    beta -> infinity limit taken analytically.
+    """
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    eta_tilde = np.asarray(eta_tilde, dtype=float)
+    out = beta * softplus(eta_tilde / beta)
+    return float(out) if out.ndim == 0 else out
 
 
 def oracle_optimize_w(y, mask, state, config):

@@ -22,22 +22,27 @@ from laftr import (
     ModelState,
     ObservationMask,
     auc_from_scores,
-    bernoulli_bregman,
     block_weights,
     fit,
     link_probability,
     negative_log_likelihood,
-    nll_gradient_w,
     objective,
     planted_blocks,
     sample_edges,
     sample_ibp,
-    scaled_log_partition,
     sigmoid,
     split_observations,
 )
 from laftr.cli import main as cli_main
-from conftest import assert_monotone_trace, oracle_flip_delta, oracle_nll, random_instance
+from conftest import (
+    assert_monotone_trace,
+    bernoulli_bregman,
+    nll_gradient_w,
+    oracle_flip_delta,
+    oracle_nll,
+    random_instance,
+    scaled_log_partition,
+)
 
 
 def _pass(criterion, text):
@@ -143,7 +148,7 @@ def test_criterion_3_monotone_descent(recovery_runs, rng):
         y = AdjacencyMatrix(n, entries)
         mask = ObservationMask.full(n, include_diagonal=include_diag)
         report = fit(y, mask, FitConfig(seed=seed, rel_tol=1e-4, w_max_steps=40,
-                                        max_outer_iters=30, include_diagonal=include_diag))
+                                        max_outer_iters=30))
         assert_monotone_trace(report, slack=1e-9)
         checked += 1
     empty = ObservationMask(6, np.zeros((6, 6), dtype=bool))

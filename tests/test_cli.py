@@ -8,8 +8,10 @@ import pytest
 from laftr import (
     FitConfig,
     ModelState,
+    ObservationMask,
     auc_from_scores,
     evaluate_split,
+    fit,
     link_probability,
     load_dense_matrix,
     sample_lfrm,
@@ -140,6 +142,18 @@ class TestFitPredict:
         assert len(trace_lines) >= 2
         last_auc = float(trace_lines[-1].split(",")[1])
         assert 0.0 <= last_auc <= 1.0
+
+    def test_include_diagonal_fits_the_full_mask(self, tmp_path, planted_file):
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--input", str(planted_file), "--out", str(model_path),
+                       "--include-diagonal", "--seed", "3", "--max-iters", "3") == 0
+        with open(planted_file) as handle:
+            y = load_dense_matrix(handle)
+        config = FitConfig(seed=3, max_outer_iters=3)
+        with_diag = fit(y, ObservationMask.full(y.n, include_diagonal=True), config)
+        without = fit(y, ObservationMask.full(y.n), config)
+        trace = json.loads(model_path.read_text())["objective_trace"]
+        assert trace == with_diag.objective_trace != without.objective_trace
 
     def test_auc_trace_without_mask_is_data_error(self, tmp_path, planted_file, capsys):
         code = run_cli("fit", "--input", str(planted_file),
@@ -308,6 +322,14 @@ class TestExitCodes:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, extra", [("eval", []), ("cv", ["--lambda-grid", "0.5"])])
+    def test_include_diagonal_is_fit_only(self, tmp_path, planted_file, command, extra):
+        # splits never make the diagonal eligible, so only fit takes the flag
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", str(planted_file), "--out", str(tmp_path / "o"),
+                  *extra, "--include-diagonal"])
+        assert excinfo.value.code == 1
 
     def test_bad_config_value_is_data_error(self, tmp_path, planted_file):
         code = run_cli("fit", "--input", str(planted_file),

@@ -8,10 +8,8 @@ from laftr import (
     FitConfig,
     ModelState,
     ObservationMask,
-    ScoredPairs,
     UndefinedMetricError,
     auc_from_scores,
-    auc_roc,
     block_weights,
     cross_validate_lambda,
     evaluate_split,
@@ -61,36 +59,15 @@ class TestPredictLinks:
             predict_links(state, [(1, 2), (-1, 0)])
 
 
-class TestScoredPairs:
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ScoredPairs.from_lists([(0, 1), (0, 1)], [0.5, 0.6], [0, 1])
-
-    def test_rejects_non_finite_scores(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScoredPairs.from_lists([(0, 1)], [np.inf], [1])
-
-    def test_rejects_non_binary_labels(self):
-        with pytest.raises(ValueError):
-            ScoredPairs.from_lists([(0, 1)], [0.5], [2])
-
-
 class TestAucRoc:
     def test_perfect_ranking(self):
-        scored = ScoredPairs.from_lists([(0, 1), (1, 0)], [0.9, 0.1], [1, 0])
-        assert auc_roc(scored) == 1.0
+        assert auc_from_scores([0.9, 0.1], [1, 0]) == 1.0
 
     def test_all_ties_give_half(self):
-        scored = ScoredPairs.from_lists(
-            [(0, 1), (1, 0), (0, 2), (2, 0)], [0.3, 0.3, 0.3, 0.3], [1, 0, 1, 0]
-        )
-        assert auc_roc(scored) == 0.5
+        assert auc_from_scores([0.3, 0.3, 0.3, 0.3], [1, 0, 1, 0]) == 0.5
 
     def test_three_of_four_concordant(self):
-        scored = ScoredPairs.from_lists(
-            [(0, 1), (1, 0), (0, 2), (2, 0)], [0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0]
-        )
-        assert auc_roc(scored) == 0.75
+        assert auc_from_scores([0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0]) == 0.75
 
     def test_single_class_is_an_error(self):
         with pytest.raises(UndefinedMetricError):

@@ -1,15 +1,11 @@
-"""Buffet-process sampler, its closed-form log-density, and model-draw statistics."""
-
-import math
+"""Buffet-process sampler and model-draw statistics."""
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
 from laftr import (
-    IbpStats,
     block_weights,
-    ibp_log_prior,
     planted_blocks,
     sample_edges,
     sample_ibp,
@@ -73,55 +69,6 @@ class TestSampleIbp:
             expected, observed = expected[1:], observed[1:]
         result = chisquare(observed, expected * observed.sum() / expected.sum())
         assert result.pvalue > 0.01
-
-
-class TestIbpStats:
-    def test_counts_and_multiplicities(self):
-        z = np.array([[1, 1, 0], [1, 1, 1], [0, 0, 1]])
-        stats = IbpStats.from_matrix(z)
-        assert stats.column_counts == (2, 2, 2)
-        assert stats.k_plus == 3
-        assert sum(stats.history_multiplicities) == 3
-        assert sorted(stats.history_multiplicities) == [1, 2]  # two identical columns
-
-
-class TestIbpLogPrior:
-    def test_single_customer_single_dish(self):
-        # P(customer 1 samples exactly one dish) = alpha * exp(-alpha)
-        for alpha in (0.3, 1.0, 2.5):
-            value = ibp_log_prior(np.ones((1, 1)), alpha)
-            assert value == pytest.approx(math.log(alpha) - alpha, abs=1e-12)
-
-    def test_duplicate_columns_cost_log_two(self):
-        same = np.array([[1, 1], [1, 1], [0, 0]])
-        distinct = np.array([[1, 1], [1, 0], [0, 1]])  # same counts, different columns
-        diff = ibp_log_prior(same, 1.3) - ibp_log_prior(distinct, 1.3)
-        assert diff == pytest.approx(-math.log(2), abs=1e-12)
-
-    def test_concave_in_log_alpha_with_known_maximizer(self):
-        z = sample_ibp(15, 1.0, seed=4)
-        k = z.shape[1]
-        maximizer = k / harmonic(15)
-        log_alphas = np.linspace(math.log(maximizer) - 2, math.log(maximizer) + 2, 41)
-        values = np.array([ibp_log_prior(z, math.exp(u)) for u in log_alphas])
-        second_diffs = values[:-2] - 2 * values[1:-1] + values[2:]
-        assert (second_diffs < 0).all()
-        best = log_alphas[values.argmax()]
-        assert best == pytest.approx(math.log(maximizer), abs=0.11)  # grid resolution
-
-    def test_row_permutation_invariant(self, rng):
-        z = sample_ibp(12, 1.5, seed=5)
-        permuted = z[rng.permutation(12)]
-        assert ibp_log_prior(permuted, 0.8) == ibp_log_prior(z, 0.8)
-
-    def test_rejects_empty_columns(self):
-        z = np.array([[1, 0], [1, 0]])
-        with pytest.raises(ValueError, match="all-zero"):
-            ibp_log_prior(z, 1.0)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ibp_log_prior(np.ones((2, 1)), 0.0)
 
 
 class TestSampleEdges:

@@ -96,14 +96,6 @@ class TestAdjacencyInvariants:
         with pytest.raises(ValueError):
             AdjacencyMatrix(2, np.array([[0, 2], [0, 0]]))
 
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError, match="distinct"):
-            AdjacencyMatrix(2, np.zeros((2, 2)), labels=["a", "a"])
-
-    def test_rejects_wrong_label_count(self):
-        with pytest.raises(ValueError):
-            AdjacencyMatrix(2, np.zeros((2, 2)), labels=["a"])
-
     def test_entries_frozen(self):
         adj = AdjacencyMatrix(2, np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -166,6 +158,31 @@ class TestSplit:
         adj = AdjacencyMatrix(3, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             split_observations(adj, fraction, seed=0)
+
+
+class TestSplitProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        percent=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+        tie_symmetric=st.sampled_from([None, True, False]),
+        symmetric_hint=st.booleans(),
+    )
+    def test_partition_invariants(self, n, percent, seed, tie_symmetric, symmetric_hint):
+        adj = AdjacencyMatrix(n, np.zeros((n, n)), symmetric_hint=symmetric_hint)
+        train, test = split_observations(adj, percent / 100, seed, tie_symmetric)
+        train, test = train.observed, test.observed
+        assert not (train & test).any()
+        assert np.array_equal(train | test, ~np.eye(n, dtype=bool))
+        tied = symmetric_hint if tie_symmetric is None else tie_symmetric
+        if tied:
+            assert np.array_equal(train, train.T)
+            assert np.array_equal(test, test.T)
+        # a unit is an unordered pair when tied, an ordered one otherwise
+        units = n * (n - 1) // (2 if tied else 1)
+        train_units = int(train.sum()) // (2 if tied else 1)
+        assert train_units == percent * units // 100
 
 
 class TestArrayPathsMatchOracles:

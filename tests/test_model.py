@@ -9,16 +9,21 @@ from laftr import (
     AdjacencyMatrix,
     ModelState,
     ObservationMask,
-    bernoulli_bregman,
     link_probability,
     negative_log_likelihood,
-    nll_gradient_w,
     objective,
-    scaled_log_partition,
     sigmoid,
     softplus,
 )
-from conftest import oracle_link_probabilities, oracle_nll, random_instance
+from conftest import (
+    bernoulli_bregman,
+    max_cache_error,
+    nll_gradient_w,
+    oracle_link_probabilities,
+    oracle_nll,
+    random_instance,
+    scaled_log_partition,
+)
 
 
 def make_state(z, w, lam=0.5):
@@ -280,7 +285,7 @@ class TestStateInvariants:
 
     def test_cache_coherence_on_construction(self, rng):
         _, _, state = random_instance(rng, 8, 3)
-        assert state.max_cache_error() < 1e-9
+        assert max_cache_error(state) < 1e-9
 
     def test_rejects_mismatched_w(self):
         with pytest.raises(ValueError):
