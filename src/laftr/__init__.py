@@ -50,7 +50,6 @@ from .optimizer import (
     init_state,
     optimize_w,
     prune_empty_features,
-    sweep_z,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +89,6 @@ __all__ = [
     "sigmoid",
     "softplus",
     "split_observations",
-    "sweep_z",
     "write_dense",
     "write_mask",
 ]

@@ -130,12 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a model and write model JSON")
     _add_input_flags(p_fit)
-    p_fit.add_argument("--mask", help="mask file; lines 'i j {0|1}', 1 = train")
+    # a mask file decides the observed entries itself, so the two exclude each other
+    observed = p_fit.add_mutually_exclusive_group()
+    observed.add_argument("--mask", help="mask file; lines 'i j {0|1}', 1 = train")
+    observed.add_argument("--include-diagonal", action="store_true",
+                          help="observe self-links too (without --mask)")
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.add_argument("--auc-trace", action="store_true",
                        help="also write <out>.trace.csv of (seconds, heldout_auc) per iteration")
-    p_fit.add_argument("--include-diagonal", action="store_true",
-                       help="without --mask, also observe self-links")
     _add_fit_flags(p_fit)
 
     p_pred = sub.add_parser("predict", help="score node pairs with a fitted model")

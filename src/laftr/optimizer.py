@@ -11,9 +11,19 @@ Coordinate moves are evaluated without touching the full N x N logit matrix:
 flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n by
 +-right_cache[:, k], so the objective delta is a sum of O(N)
 softplus-difference terms over the M observed entries of row/column n. The
-sweep scores all K flips of node n in one softplus pass over a K x M block
+kernel scores all K flips of node n in one softplus pass over a K x M block
 of those shifts, takes the first improving k and re-scores only the
 features after it, so it accepts exactly the flips of a one-at-a-time scan.
+
+Most nodes have no improving flip in most passes, so the sweep screens
+them with an N x K table of every flip delta, maintained across passes.
+It is built once per sweep from the P distinct rows of Z (P x P x K
+softplus terms instead of N x M x K), and each entry carries a bound on
+its distance from the kernel's value. Only nodes whose row minus its
+bound falls below -FLIP_TOLERANCE go through the kernel; the kernel would
+reject every flip of the others. After a node's flips, each other node's
+row changes only in its entries at that node, so the table is updated in
+O(N K) per flipping node. The flips, and so every fit, are unchanged.
 
 The W step never touches the N x N matrices either. A logit depends only on
 the membership rows of its two nodes, so for fixed Z the observed entries
@@ -41,7 +51,6 @@ __all__ = [
     "FitReport",
     "init_state",
     "delta_objective_flip",
-    "sweep_z",
     "optimize_w",
     "prune_empty_features",
     "fit",
@@ -51,6 +60,11 @@ __all__ = [
 # Exact arithmetic would accept any negative delta; the margin prevents
 # cycling on floating-point ties.
 FLIP_TOLERANCE = 1e-12
+
+# Unit roundoff of float64 arithmetic.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Rows per block when the delta table reads the N x N mask and logits.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -123,8 +137,9 @@ class _MaskIndex:
     ``shift_idx[n]`` their columns in the K x 2N shift table
     [left_cache; right_cache]^T (column j moves logit (n, j), column N + i
     logit (i, n)), and ``rowcol_y[n]`` their y values. ``diag_observed``
-    and ``diag_y`` describe (n, n) itself. Built once per fit; the mask and
-    y never change during a run.
+    and ``diag_y`` describe (n, n) itself. ``offdiag`` is the N x N mask
+    without its diagonal and ``positive`` its entries with y = 1. Built
+    once per fit; the mask and y never change during a run.
     """
 
     def __init__(self, y: AdjacencyMatrix, mask: ObservationMask):
@@ -132,6 +147,8 @@ class _MaskIndex:
         np.fill_diagonal(obs, False)
         yv = y.entries
         n = mask.n
+        self.offdiag = obs
+        self.positive = obs & (yv == 1)
         self.logit_idx: list[np.ndarray] = []
         self.shift_idx: list[np.ndarray] = []
         self.rowcol_y: list[np.ndarray] = []
@@ -210,66 +227,235 @@ def delta_objective_flip(
     return float(delta[k])
 
 
-def _sweep_pass(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
-    """One row-major pass over all (n, k).
+def _diag_terms(idx: _MaskIndex, state: ModelState, nodes: np.ndarray):
+    """K x len(nodes) diagonal delta terms of the nodes' flips, and their mass.
 
-    With apply=True this is a sweep step: every strictly improving flip is
-    taken and the pass reports whether any happened. With apply=False it is
-    a read-only scan that stops at the first improving flip.
+    The arithmetic of the diagonal term of _flip_deltas, for a batch of
+    nodes with (n, n) observed. The mass adds |left| + |right| + |w[k, k]|,
+    which bounds the diagonal shift and so its rounding and its y term.
+    """
+    left, right = state.left_cache[nodes].T, state.right_cache[nodes].T
+    w_diag = np.diagonal(state.w)[:, None]
+    da = (1.0 - 2.0 * state.z[nodes].T) * (left + right)
+    da += w_diag
+    a = np.diagonal(state.logits)[nodes]
+    sp_x, sp_a = softplus(a + da), softplus(a)
+    terms = -idx.diag_y[nodes] * da + sp_x - sp_a
+    return terms, sp_x + sp_a + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0
 
-    Node n's K flips are scored at once on its K x M shift block. The first
-    k with delta < -FLIP_TOLERANCE is flipped and only the features after it
-    are re-scored, against the patched logits: the acceptance sequence of
-    flipping one (n, k) at a time. Row-n flips never move node n's partner
-    columns of the shift table, so the block stays valid for the node;
-    columns n and N + n are patched for the nodes that follow. The local
-    logits replay exactly the arithmetic _apply_flip performs on the full
-    matrices, so local and global views stay bitwise identical.
+
+class _DeltaTable:
+    """The sweep's screen: every node's flip deltas, each with a bound.
+
+    ``delta[k, n]`` approximates the delta _flip_deltas computes for
+    flipping z[n, k] in the current state and is within
+    ``error + beta * mass`` of it; _sweep derives the bound. ``open``
+    marks the nodes the sweep must still visit, and ``sign`` holds
+    1 - 2 z^T.
+    """
+
+    def __init__(self, idx: _MaskIndex, state: ModelState):
+        n_nodes, k_plus = state.z.shape
+        # Every sum in the kernel or in this table adds at most 2N terms, each
+        # rounded a few times; twice that first-order bound leaves headroom.
+        self.beta = _UNIT_ROUNDOFF * (4 * n_nodes + 64)
+        self.idx = idx
+        self.sign = 1.0 - 2.0 * state.z.T
+        patterns, first, inv = np.unique(state.z, axis=0, return_index=True, return_inverse=True)
+        n_pat = len(first)
+        onehot = (inv[:, None] == np.arange(n_pat)).astype(float)
+        # pattern-level logits and cache rows, read at each pattern's first node;
+        # the drift of the other nodes from them is measured and bounded below
+        pat_logits = state.logits[np.ix_(first, first)]
+        side = np.concatenate([state.left_cache[first], state.right_cache[first]])
+        left_gap = np.abs(state.left_cache - state.left_cache[first][inv]).max(initial=0.0)
+        right_gap = np.abs(state.right_cache - state.right_cache[first][inv]).max(initial=0.0)
+
+        # counts[n] = observed partners of n by pattern, row side then column
+        # side; positives counts those with y = 1. Built in row blocks, so no
+        # N x N float array is ever formed.
+        counts = np.empty((n_nodes, 2 * n_pat))
+        positives = np.empty((n_nodes, 2 * n_pat))
+        drift = np.empty(n_nodes)
+        for lo in range(0, n_nodes, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            for out, obs in ((counts, idx.offdiag), (positives, idx.positive)):
+                out[rows, :n_pat] = obs[rows] @ onehot
+                out[rows, n_pat:] = obs[:, rows].T @ onehot
+            row_gap = np.abs(state.logits[rows] - pat_logits[inv[rows]][:, inv]).max(axis=1)
+            col_gap = np.abs(state.logits[:, rows] - pat_logits[:, inv[rows]][inv]).max(axis=0)
+            # each entry's term is 1-Lipschitz in its logit and in its shift,
+            # twice over (x and a); 4 > 2 also covers this arithmetic
+            drift[rows] = 4.0 * (counts[rows, :n_pat].sum(axis=1) * (row_gap + left_gap)
+                                 + counts[rows, n_pat:].sum(axis=1) * (col_gap + right_gap))
+
+        # one softplus pass over 2P x K pattern-pair shifts per pattern group,
+        # contracted with the group's counts
+        self.delta = np.empty((k_plus, n_nodes))
+        self.mass = np.empty((k_plus, n_nodes))
+        abs_side = np.abs(side)
+        groups = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+        for p, members in enumerate(groups):
+            shifts = side * (1.0 - 2.0 * patterns[p])
+            a = np.concatenate([pat_logits[p], pat_logits[:, p]])[:, None]
+            sp_x, sp_a = softplus(a + shifts), softplus(a)
+            c, y = counts[members], positives[members]
+            self.delta[:, members] = (c @ (sp_x - sp_a) - y @ shifts).T
+            self.mass[:, members] = (c @ (sp_x + sp_a + 1.0) + y @ abs_side).T
+        diag = np.flatnonzero(idx.diag_observed)
+        if diag.size:
+            terms, mass = _diag_terms(idx, state, diag)
+            self.delta[:, diag] += terms
+            self.mass[:, diag] += mass
+        self.error = self.beta * self.mass + drift
+        self.open = self._flagged()
+
+    def _flagged(self) -> np.ndarray:
+        bound = self.error + self.beta * self.mass
+        return (self.delta - bound < -FLIP_TOLERANCE).any(axis=0)
+
+    @staticmethod
+    def entries_at(state: ModelState, m: int):
+        """The logits and cache rows that node m's flips change for the other nodes."""
+        a = np.concatenate([state.logits[:, m], state.logits[m, :]])
+        return a, state.left_cache[m].copy(), state.right_cache[m].copy()
+
+    def replace(self, state: ModelState, m: int, old) -> None:
+        """Move the other nodes' rows by node m's flips; ``old`` is entries_at before them.
+
+        Node n's entries at m are (n, m), shifted by +-left_cache[m], and
+        (m, n), shifted by +-right_cache[m]. Their terms before and after
+        the flips are scored in one softplus pass over a stacked
+        K x 2 x 2N block. Node m's own row is left to reset(). A node with
+        an entry at m is reopened if its screen no longer holds.
+        """
+        n_nodes, k_plus = state.z.shape
+        new = self.entries_at(state, m)
+        # axes: feature, before/after, entry (n, m)/(m, n), node n; the extra
+        # feature row has zero shift, so its softplus is sp(a)
+        shifts = np.zeros((k_plus + 1, 2, 2, n_nodes))
+        for t, (_, left, right) in enumerate((old, new)):
+            np.multiply(self.sign, left[:, None], out=shifts[:k_plus, t, 0])
+            np.multiply(self.sign, right[:, None], out=shifts[:k_plus, t, 1])
+        sp = softplus(shifts + np.concatenate([old[0], new[0]]).reshape(2, 2, n_nodes))
+        sp_x, sp_a, shifts = sp[:k_plus], sp[k_plus], shifts[:k_plus]
+        obs, y = np.stack([self.idx.offdiag[:, m], self.idx.offdiag[m, :],
+                           self.idx.positive[:, m], self.idx.positive[m, :]]).reshape(2, 2, n_nodes)
+        ys = shifts * y
+        terms = np.where(obs, sp_x - sp_a - ys, 0.0).sum(axis=2)
+        mass = np.where(obs, sp_x + sp_a + np.abs(ys) + 1.0, 0.0).sum(axis=2)
+        self.delta += terms[:, 1] - terms[:, 0]
+        self.mass += mass[:, 1] - mass[:, 0]
+        self.error += self.beta * (mass[:, 0] + mass[:, 1]) + _UNIT_ROUNDOFF * np.abs(self.delta)
+        self.sign[:, m] = 1.0 - 2.0 * state.z[m]
+        # a node with no observed entry at m sees no change: it keeps its state
+        touched = self.idx.offdiag[:, m] | self.idx.offdiag[m, :]
+        self.open = np.where(touched, self._flagged(), self.open)
+
+    def reset(self, state: ModelState, n: int, delta, sp_rows, sp_a, shifts) -> None:
+        """Take node n's row from the kernel's scores of every k in the current state.
+
+        The row is within beta * mass of kappa, as is the kernel's next
+        visit, so n stays open only if the row could hold an improving flip.
+        """
+        mass = sp_rows + sp_a + np.vecdot(np.abs(shifts), self.idx.rowcol_y[n])
+        mass += len(self.idx.rowcol_y[n])
+        if self.idx.diag_observed[n]:
+            mass += _diag_terms(self.idx, state, np.array([n]))[1][:, 0]
+        self.delta[:, n] = delta
+        self.mass[:, n] = mass
+        self.error[:, n] = self.beta * mass
+        self.open[n] = bool((delta - 2.0 * self.beta * mass < -FLIP_TOLERANCE).any())
+
+
+def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
+    """Row-major passes over all (n, k), screened by a maintained delta table.
+
+    With apply=True this sweeps to a one-flip fixed point: every strictly
+    improving flip is taken, passes repeat until one takes none, and the
+    return value says whether any flip happened. With apply=False it is
+    one read-only pass that stops at the first improving flip.
+
+    The flips are exactly those of visiting every node in every pass with
+    the kernel (_gather/_flip_deltas): node n's K flips are scored at once
+    on its K x M shift block, the first k with delta < -FLIP_TOLERANCE is
+    flipped and only the features after it are re-scored. The kernel's
+    local logits replay the arithmetic of _apply_flip, and the shift
+    table's columns n and N + n are patched after each flip.
+
+    The screen (_DeltaTable) holds every node's K deltas, built on entry
+    from the P distinct rows of Z. Its bound: for entry (n, k) let kappa
+    be the delta in exact arithmetic on the state's floating-point logits
+    and caches, and mass the sum of sp(a + s) + sp(a) + y|s| + 1 over n's
+    observed entries (logit a, shift s; plus the diagonal's terms). The
+    kernel's delta is within beta * mass of kappa, beta = u (4N + 64) for
+    unit roundoff u: each of its sums adds at most 2N terms, and beta is
+    twice that first-order bound. The table's error term bounds
+    |table - kappa|: beta * mass after the build, plus 4 x n's entry count
+    x the measured drift of the state's logits and caches from the pattern
+    values; each update adds beta x the changed entries' mass before and
+    after, plus u |table|; a kernel row resets it to beta * mass. So the
+    table is within error + beta * mass of the kernel, and a pass visits
+    only nodes with an entry below -FLIP_TOLERANCE after subtracting that;
+    the kernel would reject every flip of the others.
+
+    After node m's flips, only the entries (n, m) and (m, n) of the other
+    nodes move: their rows are updated from one softplus pass over those
+    entries before and after the flips, and m's row is re-scored by the
+    kernel. A node the kernel has just visited without flipping stays
+    closed until a flip touches one of its entries.
     """
     n_nodes, k_plus = state.z.shape
     if k_plus == 0:
         return False
     table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
+    screen = _DeltaTable(idx, state)
     improved = False
-    for n in range(n_nodes):
-        a, shifts, ydot, sp_a, a_nn = _gather(idx, table, state, n)
-        start = 0
-        while start < k_plus:
-            delta, sp_rows, da_nn = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a, a_nn, start)
-            hits = np.flatnonzero(delta < -FLIP_TOLERANCE)
-            if hits.size == 0:
-                break
-            if not apply:
-                return True
-            j = hits[0]
-            k = start + j
-            a = a + shifts[k]
-            sp_a = sp_rows[j]
-            if da_nn is not None:
-                a_nn = a_nn + da_nn[j]
-            _apply_flip(state, n, k)
-            table[:, n] = state.left_cache[n]
-            table[:, n_nodes + n] = state.right_cache[n]
-            improved = True
-            start = k + 1
-    return improved
-
-
-def sweep_z(
-    y: AdjacencyMatrix, mask: ObservationMask, state: ModelState
-) -> tuple[ModelState, bool]:
-    """One coordinate pass in fixed row-major order; flips on strict improvement.
-
-    Mutates ``state`` in place and returns it along with whether any
-    coordinate moved. The objective never increases.
-    """
-    improved = _sweep_pass(_MaskIndex(y, mask), state, apply=True)
-    return state, improved
-
-
-def _sweep_to_fixed_point(idx: _MaskIndex, state: ModelState) -> None:
-    while _sweep_pass(idx, state, apply=True):
-        pass
+    while True:
+        flipped = False
+        n = 0
+        while (ahead := np.flatnonzero(screen.open[n:])).size:
+            n += int(ahead[0])
+            a, shifts, ydot, sp_a, a_nn = _gather(idx, table, state, n)
+            flips = []
+            start = 0
+            while start < k_plus:
+                delta, sp_rows, da_nn = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
+                                                     a_nn, start)
+                hits = np.flatnonzero(delta < -FLIP_TOLERANCE)
+                if hits.size == 0:
+                    break
+                if not apply:
+                    return True
+                if not flips:
+                    old = screen.entries_at(state, n)
+                j = hits[0]
+                k = start + j
+                a = a + shifts[k]
+                sp_a = sp_rows[j]
+                if da_nn is not None:
+                    a_nn = a_nn + da_nn[j]
+                _apply_flip(state, n, k)
+                table[:, n] = state.left_cache[n]
+                table[:, n_nodes + n] = state.right_cache[n]
+                flips.append(k)
+                start = k + 1
+            if flips:
+                screen.replace(state, n, old)
+                # score every k again, as the next visit to n would
+                shifts[flips] *= -1.0
+                ydot[flips] *= -1.0
+                delta, sp_rows, _ = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
+                                                 state.logits[n, n], 0)
+                flipped = True
+            screen.reset(state, n, delta, sp_rows, sp_a, shifts)
+            if not flips:
+                # the kernel just rejected every flip of n in this very state
+                screen.open[n] = False
+            n += 1
+        if not flipped or not apply:
+            return improved
+        improved = True
 
 
 class _PairStats:
@@ -402,7 +588,7 @@ def propose_feature(
 
     candidate = ModelState.from_factors(z_new, w_new, state.lam)
     optimize_w(y, mask, candidate, config)
-    _sweep_to_fixed_point(idx, candidate)
+    _sweep(idx, candidate, apply=True)
     return candidate
 
 
@@ -436,7 +622,8 @@ def fit(
     it strictly lowers the objective. The run stops when an iteration's
     relative improvement falls below rel_tol, the proposal was rejected,
     and no single coordinate flip can improve the final state (so the
-    returned state is a one-flip local minimum), or at max_outer_iters. A non-finite objective at the end of an outer
+    returned state is a one-flip local minimum). It also stops at
+    max_outer_iters. A non-finite objective at the end of an outer
     iteration raises NumericalError.
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
@@ -462,7 +649,7 @@ def fit(
         t_iter = time.perf_counter()
         q_start = q
 
-        _sweep_to_fixed_point(idx, state)
+        _sweep(idx, state, apply=True)
         optimize_w(y, mask, state, config)
         state = prune_empty_features(state)
 
@@ -488,7 +675,7 @@ def fit(
         if rel_improvement < config.rel_tol and not birth_accepted:
             # declare convergence only from a genuine one-flip local minimum:
             # the W update may have shifted some coordinate's best value
-            if not _sweep_pass(idx, state, apply=False):
+            if not _sweep(idx, state, apply=False):
                 report.converged = True
                 break
 

@@ -6,7 +6,7 @@ the softplus form, the AUC oracle enumerates positive/negative pairs, and
 gradient checks use central finite differences. The W-step oracle is the
 descent over the individual observed entries that the pattern-pair W step
 must reproduce, and the sweep oracle scores one (n, k) flip at a time in
-the order the batched sweep kernel must reproduce flip for flip. The split,
+the order the screened, batched sweep must reproduce flip for flip. The split,
 mask-writing and scoring oracles are the
 one-entry-at-a-time loops whose output the array versions must reproduce
 bit for bit.
@@ -15,7 +15,9 @@ The math helpers below them serve only as references for package code:
 the exact W-gradient, the cache-coherence check, the Bernoulli Bregman
 divergence (whose sum over observed entries the objective must equal) and
 the scaled log-partition (whose derivatives the package's softplus must
-give). Fitting uses none of them.
+give). Fitting uses none of them. ``sweep_to_fixed_point`` is the one
+helper that runs package code: the screened sweep, for tests that need a
+one-flip fixed point.
 """
 
 import math
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask
+from laftr import optimizer
 from laftr.model import sigmoid, softplus
 from laftr.optimizer import FLIP_TOLERANCE, _apply_flip
 
@@ -111,6 +114,25 @@ def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
                     left_n += d * w[:, k]
                     right_n += d * w[k, :]
     return improved
+
+
+def oracle_sweep(y, mask, state, apply: bool) -> bool:
+    """oracle_sweep_pass to a fixed point (apply=True), or one read-only pass.
+
+    The reference for the package's screened sweep: with apply=True it
+    reports whether any pass flipped anything.
+    """
+    if not apply:
+        return oracle_sweep_pass(y, mask, state, apply=False)
+    improved = False
+    while oracle_sweep_pass(y, mask, state, apply=True):
+        improved = True
+    return improved
+
+
+def sweep_to_fixed_point(y, mask, state) -> bool:
+    """The package's screened sweep run to a one-flip fixed point; True if anything flipped."""
+    return optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
 
 
 def nll_gradient_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> np.ndarray:

@@ -331,6 +331,16 @@ class TestExitCodes:
                   *extra, "--include-diagonal"])
         assert excinfo.value.code == 1
 
+    def test_include_diagonal_excludes_mask(self, tmp_path, planted_file):
+        # the mask file decides the observed entries, so the flag would be ignored
+        mask = tmp_path / "train.mask"
+        mask.write_text("0 1 1\n1 0 0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--input", str(planted_file), "--out", str(tmp_path / "m.json"),
+                  "--mask", str(mask), "--include-diagonal"])
+        assert excinfo.value.code == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_config_value_is_data_error(self, tmp_path, planted_file):
         code = run_cli("fit", "--input", str(planted_file),
                        "--out", str(tmp_path / "m.json"), "--lambda", "-1")

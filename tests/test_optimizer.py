@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
@@ -25,8 +25,8 @@ from laftr import (
     prune_empty_features,
     sample_edges,
     sample_lfrm,
+    softplus,
     split_observations,
-    sweep_z,
 )
 from laftr import optimizer
 from laftr.optimizer import _PairStats
@@ -37,8 +37,10 @@ from conftest import (
     nll_gradient_w,
     oracle_flip_delta,
     oracle_optimize_w,
+    oracle_sweep,
     oracle_sweep_pass,
     random_instance,
+    sweep_to_fixed_point,
 )
 
 
@@ -137,24 +139,22 @@ class TestDeltaObjectiveFlip:
 class TestSweep:
     def test_fixed_point_reports_no_improvement(self, rng):
         y, mask, state = random_instance(rng, 5, 2)
-        while sweep_z(y, mask, state)[1]:
-            pass
+        sweep_to_fixed_point(y, mask, state)
         z_before = state.z.copy()
-        _, improved = sweep_z(y, mask, state)
+        improved = sweep_to_fixed_point(y, mask, state)
         assert improved is False
         assert np.array_equal(state.z, z_before)
 
     def test_fixed_point_passes_exhaustive_oracle(self, rng):
         y, mask, state = random_instance(rng, 4, 2)
-        while sweep_z(y, mask, state)[1]:
-            pass
+        sweep_to_fixed_point(y, mask, state)
         deltas = exhaustive_flip_improvements(y, mask, state)
         assert deltas.min() >= -1e-8
 
     def test_never_increases_objective(self, rng):
         y, mask, state = random_instance(rng, 7, 3)
         before = objective(y, mask, state)
-        state, _ = sweep_z(y, mask, state)
+        sweep_to_fixed_point(y, mask, state)
         assert objective(y, mask, state) <= before + 1e-9
 
     def test_empty_graph_positive_weights_empties_rows(self, rng):
@@ -167,30 +167,31 @@ class TestSweep:
         w = np.full((2, 2), 5.0)
         state = ModelState.from_factors(z, w, 0.5)
         trace = [objective(y, mask, state)]
-        while sweep_z(y, mask, state)[1]:
-            trace.append(objective(y, mask, state))
+        sweep_to_fixed_point(y, mask, state)
+        trace.append(objective(y, mask, state))
         assert (np.diff(trace) <= 1e-9).all()
         rows_with_ones = np.flatnonzero(state.z.sum(axis=1) > 0)
         assert len(rows_with_ones) <= 1
 
     def test_updates_keep_caches_coherent(self, rng):
         y, mask, state = random_instance(rng, 8, 3)
-        while sweep_z(y, mask, state)[1]:
-            pass
+        sweep_to_fixed_point(y, mask, state)
         assert max_cache_error(state) < 1e-9
 
 
 @st.composite
-def sweep_instances(draw):
+def sweep_instances(draw, w_max=400.0):
     """(y, mask, state) with a random mask, the diagonal all observed or none.
 
-    W entries reach +-8, so logits saturate; near 0 (where hypothesis
-    shrinks to) flip deltas tie at exactly 0. K ranges down to 0.
+    W entries reach +-w_max; at the default +-400, as in criterion-2 fits
+    that separate their data, logits saturate far past the softplus
+    clamp's reach. Near 0 (where hypothesis shrinks to) flip deltas tie at
+    exactly 0. K ranges down to 0.
     """
     n = draw(st.integers(1, 12))
     k = draw(st.integers(0, 5))
     z = draw(arrays(bool, (n, k)))
-    w = draw(arrays(float, (k, k), elements=st.floats(-8.0, 8.0)))
+    w = draw(arrays(float, (k, k), elements=st.floats(-w_max, w_max)))
     entries = draw(arrays(bool, (n, n)))
     observed = draw(arrays(bool, (n, n)))
     np.fill_diagonal(observed, draw(st.booleans()))
@@ -198,16 +199,82 @@ def sweep_instances(draw):
             ModelState.from_factors(z, w, 0.5))
 
 
+def _oracle_fixed_point(y, mask, state, max_passes=50):
+    """(whether anything flipped, fixed point) of repeated oracle passes on a copy of state.
+
+    Rejects the example when the passes do not stop within max_passes: on
+    saturated logits a delta's rounding noise can exceed FLIP_TOLERANCE,
+    and a scan may then flip one coordinate back and forth forever, so
+    such a state has no fixed point to compare the sweep with.
+    """
+    fixed = state.copy()
+    for passes in range(max_passes):
+        if not oracle_sweep_pass(y, mask, fixed, apply=True):
+            return passes > 0, fixed
+    reject()
+
+
+def _kernel_rows(idx, state):
+    """K x N flip deltas of every node, scored by the kernel from scratch."""
+    table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
+    rows = [optimizer._flip_deltas(idx, state, n, *optimizer._gather(idx, table, state, n), 0)[0]
+            for n in range(state.n)]
+    return np.array(rows).reshape(state.n, state.k_plus).T
+
+
+def _mass_rows(idx, state):
+    """K x N mass of every node's flips, summed entry by entry from its definition in _sweep."""
+    n_nodes, k_plus = state.z.shape
+    sign = 1.0 - 2.0 * state.z
+    mass = np.zeros((k_plus, n_nodes))
+    for n in range(n_nodes):
+        for j in range(n_nodes):
+            for i, jj, cache in ((n, j, state.left_cache[j]), (j, n, state.right_cache[j])):
+                if idx.offdiag[i, jj]:
+                    a, shift = state.logits[i, jj], sign[n] * cache
+                    mass[:, n] += (softplus(a + shift) + softplus(a)
+                                   + idx.positive[i, jj] * np.abs(shift) + 1.0)
+        if idx.diag_observed[n]:
+            left, right, w_diag = state.left_cache[n], state.right_cache[n], np.diagonal(state.w)
+            a = state.logits[n, n]
+            mass[:, n] += (softplus(a + sign[n] * (left + right) + w_diag) + softplus(a)
+                           + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0)
+    return mass
+
+
+class _CheckedTable(optimizer._DeltaTable):
+    """The sweep's delta table, checked when built and after each kernel visit.
+
+    A visit follows each node's accepted flips, so every state the screen
+    reads is checked: each entry lies within its bound of a fresh kernel
+    row, the table never claims to be closer to the kernel than the
+    kernel's own rounding, and mass follows its definition.
+    """
+
+    def __init__(self, idx, state):
+        super().__init__(idx, state)
+        self.check(state)
+
+    def reset(self, state, *args):
+        super().reset(state, *args)
+        self.check(state)
+
+    def check(self, state):
+        bound = self.error + self.beta * self.mass
+        assert (np.abs(self.delta - _kernel_rows(self.idx, state)) <= bound).all()
+        assert (self.error >= self.beta * self.mass).all()
+        np.testing.assert_allclose(self.mass, _mass_rows(self.idx, state), rtol=1e-9)
+
+
 class TestSweepKernel:
-    """The batched K x M kernel against the one-flip-at-a-time oracle."""
+    """The screened sweep against the one-flip-at-a-time oracle."""
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances())
     def test_apply_pass_takes_the_oracle_flips(self, problem):
         y, mask, state = problem
-        expected = state.copy()
-        expected_flag = oracle_sweep_pass(y, mask, expected, apply=True)
-        flag = optimizer._sweep_pass(optimizer._MaskIndex(y, mask), state, apply=True)
+        expected_flag, expected = _oracle_fixed_point(y, mask, state)
+        flag = optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
         assert flag == expected_flag
         assert np.array_equal(state.z, expected.z)
         assert max_cache_error(state) < 1e-9
@@ -217,13 +284,44 @@ class TestSweepKernel:
     def test_scan_matches_oracle_without_mutating(self, problem):
         y, mask, state = problem
         before = state.copy()
-        expected = oracle_sweep_pass(y, mask, state.copy(), apply=False)
-        assert optimizer._sweep_pass(optimizer._MaskIndex(y, mask), state, apply=False) == expected
+        expected = oracle_sweep(y, mask, state.copy(), apply=False)
+        assert optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=False) == expected
         for name in ("z", "w", "logits", "left_cache", "right_cache"):
             assert np.array_equal(getattr(state, name), getattr(before, name)), name
 
+    @pytest.mark.parametrize("diagonal", [False, True])
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(sweep_instances())
+    @given(problem=sweep_instances(),
+           patches=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 4)), max_size=6))
+    def test_table_entries_within_bound_of_the_kernel(self, diagonal, problem, patches):
+        y, mask, state = problem
+        observed = mask.observed.copy()
+        np.fill_diagonal(observed, diagonal)
+        mask = ObservationMask(state.n, observed)
+        # incremental patches let the caches drift from a from-scratch build
+        for n, k in patches if state.k_plus else ():
+            optimizer._apply_flip(state, n % state.n, k % state.k_plus)
+        _oracle_fixed_point(y, mask, state)
+        tables = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_DeltaTable",
+                          lambda *args: tables.append(_CheckedTable(*args)) or tables[-1])
+            optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+        assert len(tables) == (state.k_plus > 0)
+
+    @pytest.mark.parametrize("bump", [1e-9, 1e-6])
+    def test_bound_covers_drifted_caches(self, rng, bump):
+        # caches that drifted from Z and W (here, one logit moved by hand):
+        # the table builds from pattern values, the kernel reads the caches
+        y, mask, state = random_instance(rng, 10, 3)
+        state.logits[0, 1] += bump
+        table = optimizer._DeltaTable(optimizer._MaskIndex(y, mask), state)
+        kernel = _kernel_rows(table.idx, state)
+        assert (np.abs(table.delta - kernel) <= table.error + table.beta * table.mass).all()
+        assert np.abs(table.delta - kernel).max() > bump / 10
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances(w_max=8.0))
     def test_public_delta_matches_recompute(self, problem):
         y, mask, state = problem
         for n in range(state.n):
@@ -598,10 +696,17 @@ class TestTrajectory:
     @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
     def test_same_path_as_one_flip_at_a_time_sweep(self, monkeypatch, problem):
         y, mask, config = problem(0)
+        calls = []
+
+        def sweep(_idx, state, apply):
+            calls.append(apply)
+            return oracle_sweep(y, mask, state, apply)
+
         with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "_sweep_pass",
-                          lambda _idx, state, apply: oracle_sweep_pass(y, mask, state, apply))
+            patch.setattr(optimizer, "_sweep", sweep)
             expected = fit(y, mask, config)
+        # two sweeps to a fixed point per iteration (fit's and the birth's)
+        assert calls.count(True) == 2 * len(expected.objective_trace)
         got = fit(y, mask, config)
         assert got.objective_trace == expected.objective_trace
         assert got.k_trace == expected.k_trace
