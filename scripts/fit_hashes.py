@@ -1,10 +1,10 @@
 """Print one sha256 per benchmark fit, to compare two versions of the fitter.
 
-    python3 scripts/fit_hashes.py [--seeds FIRST LAST] [--workload NAME ...]
+    python3 scripts/fit_hashes.py
 
-For every fit workload of ``perfbench`` and every seed in FIRST..LAST
-(default 100..109), each instance is generated, split and fitted through
-``evaluate_split`` exactly as the benchmark does.
+For every fit workload of ``perfbench`` and every seed in 100..109, the
+60 fits of the benchmark's baseline seeds, each instance is generated,
+split and fitted through ``evaluate_split`` exactly as the benchmark does.
 One line per fit: workload, seed, instance index and the sha256 of the
 final Z and W, the objective trace, the held-out AUC, ``converged`` and the
 birth flags. Two versions that take the same path print the same lines, so
@@ -16,7 +16,6 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -45,14 +44,13 @@ def fit_hash(workload, inst_seed: int) -> str:
     return digest.hexdigest()
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs=2, default=(100, 109), metavar=("FIRST", "LAST"))
-    parser.add_argument("--workload", nargs="+", choices=FIT_WORKLOADS, default=FIT_WORKLOADS)
-    args = parser.parse_args(argv)
-    for name in args.workload:
+SEEDS = range(100, 110)
+
+
+def main() -> None:
+    for name in FIT_WORKLOADS:
         workload = workloads.WORKLOADS[name]
-        for seed in range(args.seeds[0], args.seeds[1] + 1):
+        for seed in SEEDS:
             for index, inst_seed in enumerate(workloads.instance_seeds(seed, workload.instances)):
                 print(name, seed, index, fit_hash(workload, inst_seed), flush=True)
 

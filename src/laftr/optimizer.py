@@ -179,19 +179,43 @@ def _flip_deltas(idx, state, n, a, shifts, ydot, sp_a, a_nn, start):
 
     One softplus pass over the block rows, summed per row, so each delta
     keeps numpy's 1-D pairwise summation. Also returns each row's softplus
-    sum and the diagonal logit's shifts (None if (n, n) is unobserved).
+    sum and, if (n, n) is observed, the diagonal logit's shifts and
+    softplus values (see _diag_terms); else None.
     """
     sp_rows = softplus(a + shifts[start:]).sum(axis=1)
     delta = sp_rows - sp_a - ydot[start:]
-    da_nn = None
+    diag = None
     if idx.diag_observed[n]:
-        # the diagonal logit is quadratic in z[n, k]: both caches shift it,
-        # plus the d^2 = 1 self-term w[k, k]
-        d = 1.0 - 2.0 * state.z[n, start:]
-        da_nn = d * (state.left_cache[n, start:] + state.right_cache[n, start:])
-        da_nn += np.diagonal(state.w)[start:]
-        delta += -idx.diag_y[n] * da_nn + softplus(a_nn + da_nn) - softplus(a_nn)
-    return delta, sp_rows, da_nn
+        terms, *diag = _diag_terms(state, n, a_nn, idx.diag_y[n], start)
+        delta += terms
+    return delta, sp_rows, diag
+
+
+def _diag_terms(state, n, a_nn, y_nn, start=0):
+    """Diagonal delta terms of flipping z[n, k] for each k >= start.
+
+    n is a node, or an array of nodes with a_nn and y_nn columns of their
+    diagonal logits and y values (then each node's terms are a row).
+    Returns the terms, the shifts da of logit (n, n), sp(a_nn + da) and
+    sp(a_nn).
+    """
+    # the diagonal logit is quadratic in z[n, k]: both caches shift it, plus
+    # the d^2 = 1 self-term w[k, k]
+    da = (1.0 - 2.0 * state.z[n, start:]) * (state.left_cache[n, start:]
+                                             + state.right_cache[n, start:])
+    da += np.diagonal(state.w)[start:]
+    sp_x, sp_a = softplus(a_nn + da), softplus(a_nn)
+    return -y_nn * da + sp_x - sp_a, da, sp_x, sp_a
+
+
+def _diag_mass(state, n, sp_x, sp_a):
+    """Mass of the diagonal terms of node(s) n's flips, from _diag_terms' softplus values.
+
+    Adds |left| + |right| + |w[k, k]|, which bounds the diagonal shift and
+    so its rounding and its y term.
+    """
+    return (sp_x + sp_a + np.abs(state.left_cache[n]) + np.abs(state.right_cache[n])
+            + np.abs(np.diagonal(state.w)) + 1.0)
 
 
 def _apply_flip(state: ModelState, n: int, k: int) -> None:
@@ -225,23 +249,6 @@ def delta_objective_flip(
     table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
     delta, _, _ = _flip_deltas(idx, state, n, *_gather(idx, table, state, n), 0)
     return float(delta[k])
-
-
-def _diag_terms(idx: _MaskIndex, state: ModelState, nodes: np.ndarray):
-    """K x len(nodes) diagonal delta terms of the nodes' flips, and their mass.
-
-    The arithmetic of the diagonal term of _flip_deltas, for a batch of
-    nodes with (n, n) observed. The mass adds |left| + |right| + |w[k, k]|,
-    which bounds the diagonal shift and so its rounding and its y term.
-    """
-    left, right = state.left_cache[nodes].T, state.right_cache[nodes].T
-    w_diag = np.diagonal(state.w)[:, None]
-    da = (1.0 - 2.0 * state.z[nodes].T) * (left + right)
-    da += w_diag
-    a = np.diagonal(state.logits)[nodes]
-    sp_x, sp_a = softplus(a + da), softplus(a)
-    terms = -idx.diag_y[nodes] * da + sp_x - sp_a
-    return terms, sp_x + sp_a + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0
 
 
 class _DeltaTable:
@@ -304,9 +311,10 @@ class _DeltaTable:
             self.mass[:, members] = (c @ (sp_x + sp_a + 1.0) + y @ abs_side).T
         diag = np.flatnonzero(idx.diag_observed)
         if diag.size:
-            terms, mass = _diag_terms(idx, state, diag)
-            self.delta[:, diag] += terms
-            self.mass[:, diag] += mass
+            terms, _, sp_x, sp_a = _diag_terms(state, diag, np.diagonal(state.logits)[diag, None],
+                                               idx.diag_y[diag, None])
+            self.delta[:, diag] += terms.T
+            self.mass[:, diag] += _diag_mass(state, diag, sp_x, sp_a).T
         self.error = self.beta * self.mass + drift
         self.open = self._flagged()
 
@@ -352,7 +360,7 @@ class _DeltaTable:
         touched = self.idx.offdiag[:, m] | self.idx.offdiag[m, :]
         self.open = np.where(touched, self._flagged(), self.open)
 
-    def reset(self, state: ModelState, n: int, delta, sp_rows, sp_a, shifts) -> None:
+    def reset(self, state: ModelState, n: int, delta, sp_rows, sp_a, shifts, diag) -> None:
         """Take node n's row from the kernel's scores of every k in the current state.
 
         The row is within beta * mass of kappa, as is the kernel's next
@@ -360,8 +368,8 @@ class _DeltaTable:
         """
         mass = sp_rows + sp_a + np.vecdot(np.abs(shifts), self.idx.rowcol_y[n])
         mass += len(self.idx.rowcol_y[n])
-        if self.idx.diag_observed[n]:
-            mass += _diag_terms(self.idx, state, np.array([n]))[1][:, 0]
+        if diag is not None:
+            mass += _diag_mass(state, n, *diag[1:])
         self.delta[:, n] = delta
         self.mass[:, n] = mass
         self.error[:, n] = self.beta * mass
@@ -420,8 +428,8 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
             flips = []
             start = 0
             while start < k_plus:
-                delta, sp_rows, da_nn = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
-                                                     a_nn, start)
+                delta, sp_rows, diag = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
+                                                    a_nn, start)
                 hits = np.flatnonzero(delta < -FLIP_TOLERANCE)
                 if hits.size == 0:
                     break
@@ -433,8 +441,8 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
                 k = start + j
                 a = a + shifts[k]
                 sp_a = sp_rows[j]
-                if da_nn is not None:
-                    a_nn = a_nn + da_nn[j]
+                if diag is not None:
+                    a_nn = a_nn + diag[0][j]
                 _apply_flip(state, n, k)
                 table[:, n] = state.left_cache[n]
                 table[:, n_nodes + n] = state.right_cache[n]
@@ -445,10 +453,10 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
                 # score every k again, as the next visit to n would
                 shifts[flips] *= -1.0
                 ydot[flips] *= -1.0
-                delta, sp_rows, _ = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
-                                                 state.logits[n, n], 0)
+                delta, sp_rows, diag = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
+                                                    state.logits[n, n], 0)
                 flipped = True
-            screen.reset(state, n, delta, sp_rows, sp_a, shifts)
+            screen.reset(state, n, delta, sp_rows, sp_a, shifts, diag)
             if not flips:
                 # the kernel just rejected every flip of n in this very state
                 screen.open[n] = False
