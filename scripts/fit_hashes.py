@@ -1,15 +1,21 @@
-"""Print one sha256 per benchmark fit, to compare two versions of the fitter.
+"""Print two sha256 per benchmark fit, to compare two versions of the fitter.
 
     python3 scripts/fit_hashes.py
 
 For every fit workload of ``perfbench`` and every seed in 100..109, the
 60 fits of the benchmark's baseline seeds, each instance is generated,
 split and fitted through ``evaluate_split`` exactly as the benchmark does.
-One line per fit: workload, seed, instance index and the sha256 of the
-final Z and W, the objective trace, the held-out AUC, ``converged`` and the
-birth flags. Two versions that take the same path print the same lines, so
-``diff`` of their outputs is the check. BLAS runs on one thread, as in the
-benchmark, because held-out AUC can depend on the thread count.
+One line per fit: workload, seed, instance index, then two hashes:
+
+- the full hash, of the final Z and W, the objective trace, the held-out
+  AUC, ``converged`` and the birth flags: equal lines mean bit-identical
+  results;
+- the path hash, of the final Z, the K trace, the birth flags and
+  ``converged`` only: equal lines mean the same greedy path, even when a
+  change moves the last bits of W, the objective or the AUC.
+
+``diff`` of two versions' outputs is the check. BLAS runs on one thread,
+as in the benchmark.
 """
 
 import os
@@ -31,17 +37,24 @@ from perfbench import workloads  # noqa: E402
 FIT_WORKLOADS = [name for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
 
 
-def fit_hash(workload, inst_seed: int) -> str:
+def _sha256(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+def fit_hashes(workload, inst_seed: int) -> tuple[str, str]:
+    """The full hash and the path hash of one fit."""
     _, _, y = workload.generate(inst_seed)
     train, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
                                            workload.tie_symmetric)
     auc, report = evaluation.evaluate_split(y, train, test, workload.config(inst_seed))
-    digest = hashlib.sha256()
-    for part in (report.final_state.z, report.final_state.w,
-                 np.asarray(report.objective_trace, dtype=float), np.float64(auc),
-                 np.asarray([report.converged, *report.accepted_births], dtype=bool)):
-        digest.update(np.ascontiguousarray(part).tobytes())
-    return digest.hexdigest()
+    z = report.final_state.z
+    flags = np.asarray([report.converged, *report.accepted_births], dtype=bool)
+    return (_sha256(z, report.final_state.w, np.asarray(report.objective_trace, dtype=float),
+                    np.float64(auc), flags),
+            _sha256(z, np.asarray(report.k_trace, dtype=np.int64), flags))
 
 
 SEEDS = range(100, 110)
@@ -52,7 +65,7 @@ def main() -> None:
         workload = workloads.WORKLOADS[name]
         for seed in SEEDS:
             for index, inst_seed in enumerate(workloads.instance_seeds(seed, workload.instances)):
-                print(name, seed, index, fit_hash(workload, inst_seed), flush=True)
+                print(name, seed, index, *fit_hashes(workload, inst_seed), flush=True)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import AdjacencyMatrix
-from .model import sigmoid
+from .model import ModelState, sigmoid
 
 __all__ = [
     "sample_ibp",
@@ -62,13 +62,12 @@ def sample_ibp(n: int, alpha: float, seed) -> np.ndarray:
 def sample_edges(z: np.ndarray, w: np.ndarray, seed) -> AdjacencyMatrix:
     """Draw a directed graph from fixed factors: y_ij ~ Bernoulli(sigma(z_i W z_j)).
 
-    The diagonal is fixed at 0 to match the no-self-link convention.
+    The diagonal is fixed at 0 to match the no-self-link convention. The
+    logits are those ModelState.from_factors stores for the same factors.
     """
     rng = _as_rng(seed)
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = z.shape[0]
-    probs = sigmoid((z @ w) @ z.T)
+    probs = sigmoid(ModelState.from_factors(z, w, 0.0).logits)
+    n = probs.shape[0]
     y = (rng.random((n, n)) < probs).astype(np.int8)
     np.fill_diagonal(y, 0)
     symmetric = bool((y == y.T).all())

@@ -224,7 +224,11 @@ def write_mask(train: ObservationMask, test: ObservationMask) -> str:
 
 
 def load_mask(stream: Iterable[str] | TextIO, n: int) -> tuple[ObservationMask, ObservationMask]:
-    """Parse a mask file back into (train, test) masks."""
+    """Parse a mask file back into (train, test) masks.
+
+    Repeating a line is idempotent; flagging one pair both 1 and 0 is a
+    ParseError at the second line, so no entry is both trained on and held out.
+    """
     train = np.zeros((n, n), dtype=bool)
     test = np.zeros((n, n), dtype=bool)
     for lineno, line in _iter_data_lines(stream):
@@ -239,5 +243,7 @@ def load_mask(stream: Iterable[str] | TextIO, n: int) -> tuple[ObservationMask, 
             raise ParseError(f"index out of range (n={n}) in {line!r}", lineno)
         if flag not in (0, 1):
             raise ParseError(f"mask flag must be 0 or 1, got {flag}", lineno)
+        if (test if flag == 1 else train)[i, j]:
+            raise ParseError(f"conflicting flag for pair ({i}, {j}) in {line!r}", lineno)
         (train if flag == 1 else test)[i, j] = True
     return ObservationMask(n, train), ObservationMask(n, test)

@@ -10,6 +10,12 @@ community-interaction matrix. The fitting objective is
 with a_ij the logit and K the current number of communities. The
 penalty charges lambda^2 per community, which is what stops the trivial
 one-community-per-node solution.
+
+A logit depends only on the membership rows of its two nodes. Z is grouped
+into its P distinct rows (patterns) in one place, every stored logit comes
+from one P x P pattern-pair table summed in a fixed order without BLAS, and
+the objective sums that table by pattern pair: nodes with equal
+memberships get bitwise-equal logits, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -49,6 +55,33 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(x), -LOGIT_CLAMP)))
 
 
+def _group_patterns(z: np.ndarray):
+    """Distinct rows of binary z, np.unique's order: patterns = z[first], z = patterns[inverse]."""
+    # one byte string per row; a constant leading byte keeps it non-empty at K = 0
+    keys = np.ones((z.shape[0], z.shape[1] + 1), dtype=bool)
+    keys[:, 1:] = z
+    _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True,
+                                  return_inverse=True)
+    return z[first], first, inverse
+
+
+def _pattern_caches(patterns: np.ndarray, w: np.ndarray):
+    """Rows patterns W and patterns W^T, and the P x P logit table (patterns W) patterns^T.
+
+    Each sum runs over the features in index order from +0, without BLAS, so
+    the bits do not depend on the thread count, and an all-zero membership
+    column adds exact zeros, which leaves every sum unchanged.
+    """
+    n_pat, k_plus = patterns.shape
+    side, table = np.zeros((n_pat, 2 * k_plus)), np.zeros((n_pat, n_pat))
+    stacked = np.concatenate([w, w.T], axis=1)  # row k: [w[k, :], w[:, k]]
+    for k in range(k_plus):
+        side += patterns[:, k, None] * stacked[k]
+    for k in range(k_plus):
+        table += side[:, k, None] * patterns[:, k]
+    return side[:, :k_plus], side[:, k_plus:], table
+
+
 @dataclass
 class ModelState:
     """Binary memberships Z, interaction weights W, and derived caches.
@@ -62,6 +95,10 @@ class ModelState:
     Flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n
     by +-right_cache[:, k], which is what makes single-coordinate moves
     O(N) instead of a full recompute.
+
+    rebuild_caches expands them from the patterns of Z, so equal rows of Z
+    tie exactly in every cache; the optimizer's incremental flips keep them
+    within rounding only, and fit rebuilds the state it returns.
 
     K = 0 (Z with zero columns) is a legal state: all logits are 0 and every
     pair gets probability 0.5.
@@ -101,10 +138,15 @@ class ModelState:
         return state
 
     def rebuild_caches(self) -> None:
-        """Recompute right/left caches and logits ((Z W) Z^T, in that order)."""
-        self.right_cache = self.z @ self.w
-        self.left_cache = self.z @ self.w.T
-        self.logits = self.right_cache @ self.z.T
+        """Recompute the caches from the patterns of Z and W, expanded to the nodes.
+
+        The sums run in a fixed order (see _pattern_caches): their bits do
+        not depend on the BLAS thread count or on all-zero columns of Z.
+        """
+        patterns, _, inverse = _group_patterns(self.z)
+        right, left, table = _pattern_caches(patterns, self.w)
+        self.right_cache, self.left_cache = right[inverse], left[inverse]
+        self.logits = table.take(inverse, axis=0).take(inverse, axis=1)
 
     def copy(self) -> "ModelState":
         return ModelState(
@@ -114,13 +156,6 @@ class ModelState:
             logits=self.logits.copy(),
             left_cache=self.left_cache.copy(),
             right_cache=self.right_cache.copy(),
-        )
-
-
-def _check_dims(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> None:
-    if not (y.n == mask.n == state.n):
-        raise ValueError(
-            f"dimension mismatch: adjacency n={y.n}, mask n={mask.n}, state n={state.n}"
         )
 
 
@@ -139,17 +174,56 @@ def link_probability(state: ModelState, i, j):
     return float(p) if p.ndim == 0 else p
 
 
+class _PairStats:
+    """Sufficient statistics of the cross-entropy over membership patterns.
+
+    ``patterns`` (P x K) holds the distinct rows of Z. ``count[p, q]`` is
+    the number of observed entries (i, j) with z_i = patterns[p] and
+    z_j = patterns[q], and ``positives[p, q]`` the number of those with
+    y_ij = 1; both are 0 on unobserved pattern pairs. The cross-entropy of
+    the observed entries is then exactly sum(count * softplus(a) -
+    positives * a) over the P x P pair logits a.
+    """
+
+    def __init__(self, y: AdjacencyMatrix, mask: ObservationMask, z: np.ndarray):
+        if not (y.n == mask.n == len(z)):
+            raise ValueError(f"dimension mismatch: adjacency n={y.n}, mask n={mask.n}, "
+                             f"z n={len(z)}")
+        self.patterns, _, inverse = _group_patterns(z)
+        n_pat = self.patterns.shape[0]
+        # every entry's pattern pair, counted with the entry's observed and link flags
+        pair = (inverse[:, None] * n_pat + inverse).ravel()
+        links = mask.observed & (y.entries == 1)
+        self.count, self.positives = (
+            np.bincount(pair, flags.ravel(), n_pat * n_pat).reshape(n_pat, n_pat)
+            for flags in (mask.observed, links))
+
+    def logits(self, w: np.ndarray) -> np.ndarray:
+        """P x P pair logits patterns @ w @ patterns^T, by BLAS (for the W descent)."""
+        return (self.patterns @ w) @ self.patterns.T
+
+    def loss(self, a: np.ndarray) -> float:
+        """Cross-entropy of the observed entries, given the pair logits a (a BLAS dot)."""
+        return float(np.vdot(self.count, softplus(a)) - np.vdot(self.positives, a))
+
+    def gradient(self, a: np.ndarray) -> np.ndarray:
+        """W-gradient of the loss: patterns^T R patterns, R = count * sigma(a) - positives."""
+        residual = self.count * sigmoid(a) - self.positives
+        return self.patterns.T @ residual @ self.patterns
+
+
 def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
     """Masked Bernoulli cross-entropy, via the softplus form.
 
     Per observed entry: -y_ij * a_ij + softplus(a_ij), which equals
-    -y log p - (1-y) log(1-p) and stays finite for saturated logits.
+    -y log p - (1-y) log(1-p) and stays finite for saturated logits. It is
+    summed by pattern pair over rebuild_caches' logit table of (Z, W); the
+    logit cache is not read.
     """
-    _check_dims(y, mask, state)
-    a = state.logits
-    yv = y.entries
-    terms = -yv * a + softplus(a)
-    return float(terms[mask.observed].sum())
+    stats = _PairStats(y, mask, state.z)
+    a = _pattern_caches(stats.patterns, state.w)[2]
+    # _PairStats.loss without its BLAS dots, whose bits can depend on the thread count
+    return float((stats.count * softplus(a)).sum() - (stats.positives * a).sum())
 
 
 def objective(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:

@@ -29,9 +29,11 @@ The W step never touches the N x N matrices either. A logit depends only on
 the membership rows of its two nodes, so for fixed Z the observed entries
 collapse into pattern pairs: with P distinct rows of Z, the W-subproblem is
 a logistic fit over P x P pairs weighted by their observed and positive
-counts, gathered in one pass over the observed entries. Each descent step
-then costs O(P^2 K) instead of O(N^2 K), with the same iterates up to
-floating-point summation order.
+counts (model._PairStats, which the objective also sums with), gathered in
+one pass over the observed entries. Each descent step then costs O(P^2 K)
+instead of O(N^2 K), with the same iterates up to floating-point summation
+order. Its trial logits are BLAS products that are never stored; on exit
+ModelState.rebuild_caches stores the logits, in a fixed order.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .graph import AdjacencyMatrix, ObservationMask
-from .model import ModelState, objective, sigmoid, softplus
+from .model import ModelState, _group_patterns, _PairStats, objective, softplus
 
 __all__ = [
     "FitConfig",
@@ -268,7 +270,7 @@ class _DeltaTable:
         self.beta = _UNIT_ROUNDOFF * (4 * n_nodes + 64)
         self.idx = idx
         self.sign = 1.0 - 2.0 * state.z.T
-        patterns, first, inv = np.unique(state.z, axis=0, return_index=True, return_inverse=True)
+        patterns, first, inv = _group_patterns(state.z)
         n_pat = len(first)
         onehot = (inv[:, None] == np.arange(n_pat)).astype(float)
         # pattern-level logits and cache rows, read at each pattern's first node;
@@ -466,42 +468,6 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
         improved = True
 
 
-class _PairStats:
-    """Sufficient statistics of the W-subproblem over membership patterns.
-
-    A logit a_ij = z_i^T W z_j depends only on the rows z_i and z_j, so the
-    nodes are grouped by their P distinct rows, stacked in ``patterns``
-    (P x K). ``count[p, q]`` is the number of observed entries (i, j) with
-    z_i = patterns[p] and z_j = patterns[q], and ``positives[p, q]`` the
-    number of those with y_ij = 1; both are 0 on unobserved pattern pairs.
-    The cross-entropy of the observed entries is then exactly
-    sum(count * softplus(a) - positives * a) over the P x P pair logits a.
-    """
-
-    def __init__(self, y: AdjacencyMatrix, mask: ObservationMask, z: np.ndarray):
-        self.patterns, inverse = np.unique(z, axis=0, return_inverse=True)
-        n_pat = self.patterns.shape[0]
-        obs_i, obs_j = np.nonzero(mask.observed)
-        # one bincount splits each pattern pair's entries by their y value
-        code = 2 * (inverse[obs_i] * n_pat + inverse[obs_j]) + y.entries[obs_i, obs_j]
-        by_label = np.bincount(code, minlength=2 * n_pat * n_pat).reshape(n_pat, n_pat, 2)
-        self.count = by_label.sum(axis=2).astype(float)
-        self.positives = by_label[:, :, 1].astype(float)
-
-    def logits(self, w: np.ndarray) -> np.ndarray:
-        """P x P pair logits patterns @ w @ patterns^T."""
-        return (self.patterns @ w) @ self.patterns.T
-
-    def loss(self, a: np.ndarray) -> float:
-        """Cross-entropy of the observed entries, given the pair logits a."""
-        return float(np.vdot(self.count, softplus(a)) - np.vdot(self.positives, a))
-
-    def gradient(self, a: np.ndarray) -> np.ndarray:
-        """W-gradient of the loss: patterns^T R patterns, R = count * sigma(a) - positives."""
-        residual = self.count * sigmoid(a) - self.positives
-        return self.patterns.T @ residual @ self.patterns
-
-
 def optimize_w(
     y: AdjacencyMatrix, mask: ObservationMask, state: ModelState, config: FitConfig
 ) -> ModelState:
@@ -603,8 +569,9 @@ def propose_feature(
 def prune_empty_features(state: ModelState) -> ModelState:
     """Drop all-zero membership columns (and their W rows/columns) in place.
 
-    Inert columns contribute exactly zero to every logit, so the logit cache
-    is kept as-is; only the penalty drops, by lam^2 per removed column.
+    Inert columns add exact zeros to every sum of rebuild_caches, which
+    rebuilds the caches here, so a rebuilt state keeps its logits bit for
+    bit; only the penalty drops, by lam^2 per removed column.
     """
     occupancy = state.z.sum(axis=0)
     keep = occupancy > 0
@@ -612,8 +579,7 @@ def prune_empty_features(state: ModelState) -> ModelState:
         return state
     state.z = state.z[:, keep]
     state.w = state.w[np.ix_(keep, keep)]
-    state.left_cache = state.z @ state.w.T
-    state.right_cache = state.z @ state.w
+    state.rebuild_caches()
     return state
 
 

@@ -341,6 +341,20 @@ class TestExitCodes:
         assert excinfo.value.code == 1
         assert not (tmp_path / "m.json").exists()
 
+    def test_mask_pair_in_train_and_test_is_data_error(self, tmp_path, capsys):
+        # one pair flagged both 1 and 0 would be trained on and scored as held out
+        graph_path, mask_path = tmp_path / "g.txt", tmp_path / "g.mask"
+        assert run_cli("generate", "--out", str(graph_path), "--n", "12", "--planted-k", "2",
+                       "--seed", "0") == 0
+        full = ObservationMask.full(12)
+        mask_path.write_text(write_mask(full, ObservationMask(12, np.zeros((12, 12), bool)))
+                             + "0 1 0\n0 1 1\n")
+        code = run_cli("fit", "--input", str(graph_path), "--mask", str(mask_path),
+                       "--out", str(tmp_path / "m.json"), "--auc-trace")
+        assert code == 2
+        assert "conflicting flag for pair (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_config_value_is_data_error(self, tmp_path, planted_file):
         code = run_cli("fit", "--input", str(planted_file),
                        "--out", str(tmp_path / "m.json"), "--lambda", "-1")

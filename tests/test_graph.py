@@ -235,6 +235,16 @@ class TestMaskFile:
         with pytest.raises(ParseError):
             load_mask(io.StringIO("0 9 1\n"), 3)
 
+    @pytest.mark.parametrize("text", ["0 1 0\n1 0 1\n0 1 1\n", "0 1 1\n\n0 1 0\n"])
+    def test_pair_in_both_masks_names_the_second_line(self, text):
+        with pytest.raises(ParseError, match="line 3: conflicting flag for pair \\(0, 1\\)"):
+            load_mask(io.StringIO(text), 2)
+
+    def test_repeated_lines_are_idempotent(self):
+        train, test = load_mask(io.StringIO("0 1 1\n0 1 1\n1 0 0\n1 0 0\n"), 2)
+        assert train.observed.tolist() == [[False, True], [False, False]]
+        assert test.observed.tolist() == [[False, False], [True, False]]
+
 
 class TestObservationMask:
     def test_full_excludes_diagonal_by_default(self):

@@ -1,10 +1,18 @@
 """Mathematical core: probabilities, objective, gradient, divergence identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import laftr
 from laftr import (
     AdjacencyMatrix,
     ModelState,
@@ -12,6 +20,7 @@ from laftr import (
     link_probability,
     negative_log_likelihood,
     objective,
+    prune_empty_features,
     sigmoid,
     softplus,
 )
@@ -294,3 +303,73 @@ class TestStateInvariants:
     def test_rejects_non_binary_z(self):
         with pytest.raises(ValueError):
             ModelState.from_factors(np.full((2, 1), 0.5), np.zeros((1, 1)), 0.5)
+
+
+@st.composite
+def repeated_row_states(draw):
+    """States whose Z repeats a few membership rows, K from 0 to 5, W in +-400."""
+    k = draw(st.integers(0, 5))
+    patterns = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                             min_size=1, max_size=4))
+    rows = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=1, max_size=12))
+    w = draw(arrays(float, (k, k), elements=st.floats(-400.0, 400.0)))
+    z = np.array(patterns, dtype=float).reshape(len(patterns), k)[rows]
+    return ModelState.from_factors(z, w, 0.5)
+
+
+def assert_equal_rows_tie(state):
+    """Nodes with equal membership rows have bitwise-equal caches, logits and scores."""
+    _, first, inv = np.unique(state.z, axis=0, return_index=True, return_inverse=True)
+    i, j = np.nonzero(np.ones((state.n, state.n), dtype=bool))
+    probs = link_probability(state, i, j).reshape(state.n, state.n)
+    for square in (state.logits, probs):
+        assert square.tobytes() == square[np.ix_(first, first)][np.ix_(inv, inv)].tobytes()
+    for cache in (state.left_cache, state.right_cache):
+        assert cache.tobytes() == cache[first][inv].tobytes()
+
+
+def _wide_state_with_inert_column():
+    """A K = 12 state whose feature 5 is unused.
+
+    Wide enough that a sum not taken in feature order (an unrolled or
+    pairwise one) changes bits when the column is dropped.
+    """
+    rng = np.random.default_rng(3)
+    z = (rng.random((10, 12)) < 0.7).astype(float)
+    z[:, 5] = 0.0
+    return ModelState.from_factors(z, rng.uniform(-400.0, 400.0, (12, 12)), 0.5)
+
+
+# A seeded N=230, K=10 state; prints the sha256 of its stored logits.
+_LOGITS_DIGEST = """
+import hashlib
+import numpy as np
+from laftr import ModelState
+rng = np.random.default_rng(230)
+z = (rng.random((230, 10)) < 0.3).astype(float)
+w = rng.normal(0.0, 2.0, (10, 10))
+print(hashlib.sha256(ModelState.from_factors(z, w, 0.5).logits.tobytes()).hexdigest())
+"""
+
+
+class TestOneLogitPath:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(repeated_row_states())
+    @example(_wide_state_with_inert_column())
+    def test_equal_rows_tie_exactly_before_and_after_pruning(self, state):
+        assert_equal_rows_tie(state)
+        logits = state.logits.copy()
+        prune_empty_features(state)
+        assert_equal_rows_tie(state)
+        assert state.logits.tobytes() == logits.tobytes()
+
+    def test_logits_do_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(laftr.__file__).resolve().parent.parent)
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", _LOGITS_DIGEST], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            digests.add(run.stdout)
+        assert len(digests) == 1

@@ -29,13 +29,14 @@ from laftr import (
     split_observations,
 )
 from laftr import optimizer
-from laftr.optimizer import _PairStats
+from laftr.model import _PairStats
 from conftest import (
     assert_monotone_trace,
     exhaustive_flip_improvements,
     max_cache_error,
     nll_gradient_w,
     oracle_flip_delta,
+    oracle_nll,
     oracle_optimize_w,
     oracle_sweep,
     oracle_sweep_pass,
@@ -443,7 +444,7 @@ class TestPairStats:
         # relative to the sum of the absolute per-entry terms: each loss term
         # is at most 1 + |a|, each gradient term at most 1
         loss_scale = max(1.0, mask.count * (1.0 + np.abs(a).max(initial=0.0)))
-        nll = negative_log_likelihood(y, mask, state)
+        nll = oracle_nll(y, mask, state)
         assert abs(stats.loss(a) - nll) <= 1e-9 * loss_scale
         np.testing.assert_allclose(stats.gradient(a), nll_gradient_w(y, mask, state),
                                    rtol=0, atol=1e-9 * max(1, mask.count))
