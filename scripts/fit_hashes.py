@@ -1,11 +1,13 @@
-"""Print two sha256 per benchmark fit, to compare two versions of the fitter.
+"""Print two sha256 and the outcome of each benchmark fit, to compare two versions of the fitter.
 
     python3 scripts/fit_hashes.py
 
 For every fit workload of ``perfbench`` and every seed in 100..109, the
 60 fits of the benchmark's baseline seeds, each instance is generated,
 split and fitted through ``evaluate_split`` exactly as the benchmark does.
-One line per fit: workload, seed, instance index, then two hashes:
+One line per fit: workload, seed, instance index, two hashes, then the
+final K, ``converged``, the number of outer iterations and the held-out
+AUC. The hashes are:
 
 - the full hash, of the final Z and W, the objective trace, the held-out
   AUC, ``converged`` and the birth flags: equal lines mean bit-identical
@@ -14,8 +16,9 @@ One line per fit: workload, seed, instance index, then two hashes:
   ``converged`` only: equal lines mean the same greedy path, even when a
   change moves the last bits of W, the objective or the AUC.
 
-``diff`` of two versions' outputs is the check. BLAS runs on one thread,
-as in the benchmark.
+``diff`` of two versions' outputs is the check; the last four columns show
+the floor misses and convergence of the 60 fits without a second run. BLAS
+runs on one thread, as in the benchmark.
 """
 
 import os
@@ -44,8 +47,8 @@ def _sha256(*parts) -> str:
     return digest.hexdigest()
 
 
-def fit_hashes(workload, inst_seed: int) -> tuple[str, str]:
-    """The full hash and the path hash of one fit."""
+def fit_line(workload, inst_seed: int) -> tuple:
+    """The full hash, the path hash, K, converged, iterations and held-out AUC of one fit."""
     _, _, y = workload.generate(inst_seed)
     train, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
                                            workload.tie_symmetric)
@@ -54,7 +57,8 @@ def fit_hashes(workload, inst_seed: int) -> tuple[str, str]:
     flags = np.asarray([report.converged, *report.accepted_births], dtype=bool)
     return (_sha256(z, report.final_state.w, np.asarray(report.objective_trace, dtype=float),
                     np.float64(auc), flags),
-            _sha256(z, np.asarray(report.k_trace, dtype=np.int64), flags))
+            _sha256(z, np.asarray(report.k_trace, dtype=np.int64), flags),
+            report.final_state.k_plus, report.converged, len(report.objective_trace), f"{auc:.6f}")
 
 
 SEEDS = range(100, 110)
@@ -65,7 +69,7 @@ def main() -> None:
         workload = workloads.WORKLOADS[name]
         for seed in SEEDS:
             for index, inst_seed in enumerate(workloads.instance_seeds(seed, workload.instances)):
-                print(name, seed, index, *fit_hashes(workload, inst_seed), flush=True)
+                print(name, seed, index, *fit_line(workload, inst_seed), flush=True)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Nodes carry binary community-membership vectors; a pair links with
 probability sigma(z_i^T W z_j). Fitting minimizes the masked cross-entropy
 plus a penalty per active community, by greedy coordinate sweeps over the
-memberships, convex descent on W, and grow-by-one community proposals that
-are kept only when they lower the objective. The community count is learned,
-not fixed in advance.
+memberships, damped Newton on W (convex for fixed memberships), and
+grow-by-one community proposals that are kept only when they lower the
+objective. The community count is learned, not fixed in advance.
 """
 
 from .errors import LaftrError, NumericalError, ParseError, UndefinedMetricError

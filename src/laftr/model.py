@@ -199,17 +199,50 @@ class _PairStats:
             for flags in (mask.observed, links))
 
     def logits(self, w: np.ndarray) -> np.ndarray:
-        """P x P pair logits patterns @ w @ patterns^T, by BLAS (for the W descent)."""
+        """P x P pair logits patterns @ w @ patterns^T, by BLAS (for the W step)."""
         return (self.patterns @ w) @ self.patterns.T
 
     def loss(self, a: np.ndarray) -> float:
-        """Cross-entropy of the observed entries, given the pair logits a (a BLAS dot)."""
-        return float(np.vdot(self.count, softplus(a)) - np.vdot(self.positives, a))
+        """Cross-entropy of the observed entries, given the pair logits a.
+
+        Summed in a fixed order without BLAS, so its bits do not depend on
+        the thread count.
+        """
+        return float((self.count * softplus(a)).sum() - (self.positives * a).sum())
 
     def gradient(self, a: np.ndarray) -> np.ndarray:
         """W-gradient of the loss: patterns^T R patterns, R = count * sigma(a) - positives."""
         residual = self.count * sigmoid(a) - self.positives
         return self.patterns.T @ residual @ self.patterns
+
+    def hessian(self, a: np.ndarray) -> np.ndarray:
+        """K^2 x K^2 W-Hessian of the loss, rows and columns in w.ravel() order."""
+        p = sigmoid(a)
+        return self._pair_gram(self.count * p * (1.0 - p))
+
+    def observed_basis(self) -> np.ndarray:
+        """Orthonormal K^2 x r basis of the W directions that move an observed pair logit.
+
+        It spans the pair features patterns[p] (x) patterns[q] of the pairs
+        with count > 0, read off the count-weighted Gram matrix, whose
+        entries are integers and so exact. Every gradient and Hessian of the
+        loss lives in this span.
+        """
+        eigenvalues, vectors = np.linalg.eigh(self._pair_gram(self.count))
+        return vectors[:, eigenvalues > 1e-9 * max(eigenvalues[-1], 0.0)]
+
+    def _pair_gram(self, v: np.ndarray) -> np.ndarray:
+        """Sum of v[p, q] f f^T over the pair features f = patterns[p] (x) patterns[q].
+
+        Entry ((k, l), (m, n)) sums v[p, q] patterns[p, k] patterns[p, m]
+        patterns[q, l] patterns[q, n], so it is O^T v O, O the P x K^2
+        row-wise outer products of the patterns, with its axes permuted
+        from ((k, m), (l, n)).
+        """
+        k_plus = self.patterns.shape[1]
+        outer = (self.patterns[:, :, None] * self.patterns[:, None, :]).reshape(-1, k_plus**2)
+        h = outer.T @ v @ outer
+        return h.reshape((k_plus,) * 4).transpose(0, 2, 1, 3).reshape(k_plus**2, k_plus**2)
 
 
 def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
@@ -221,9 +254,7 @@ def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: Mo
     logit cache is not read.
     """
     stats = _PairStats(y, mask, state.z)
-    a = _pattern_caches(stats.patterns, state.w)[2]
-    # _PairStats.loss without its BLAS dots, whose bits can depend on the thread count
-    return float((stats.count * softplus(a)).sum() - (stats.positives * a).sum())
+    return stats.loss(_pattern_caches(stats.patterns, state.w)[2])
 
 
 def objective(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:

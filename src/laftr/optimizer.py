@@ -1,11 +1,12 @@
 """Greedy alternating minimization of the penalized cross-entropy objective.
 
 One outer iteration: sweep the binary membership coordinates to a one-flip
-fixed point, descend on W (convex for fixed Z), prune communities nobody
-belongs to, then propose growing the model by one community and keep the
-grown model only if it lowers the objective. Every move is a descent move,
-so the objective trace is non-increasing and the loop reaches a local
-minimum in finitely many iterations.
+fixed point, take a damped-Newton W step (convex for fixed Z), prune
+communities nobody belongs to, then propose growing the model by one
+community and keep the grown model only if it lowers the objective; an
+iteration that would end the fit draws more proposals first. Every move is
+a descent move, so the objective trace is non-increasing and the loop
+reaches a local minimum in finitely many iterations.
 
 Coordinate moves are evaluated without touching the full N x N logit matrix:
 flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n by
@@ -14,6 +15,9 @@ softplus-difference terms over the M observed entries of row/column n. The
 kernel scores all K flips of node n in one softplus pass over a K x M block
 of those shifts, takes the first improving k and re-scores only the
 features after it, so it accepts exactly the flips of a one-at-a-time scan.
+A flip counts as improving only if its delta plus a bound on the delta's
+rounding error is below -FLIP_TOLERANCE, so every accepted flip provably
+lowers the objective and a sweep cannot cycle, even on saturated logits.
 
 Most nodes have no improving flip in most passes, so the sweep screens
 them with an N x K table of every flip delta, maintained across passes.
@@ -28,12 +32,14 @@ O(N K) per flipping node. The flips, and so every fit, are unchanged.
 The W step never touches the N x N matrices either. A logit depends only on
 the membership rows of its two nodes, so for fixed Z the observed entries
 collapse into pattern pairs: with P distinct rows of Z, the W-subproblem is
-a logistic fit over P x P pairs weighted by their observed and positive
-counts (model._PairStats, which the objective also sums with), gathered in
-one pass over the observed entries. Each descent step then costs O(P^2 K)
-instead of O(N^2 K), with the same iterates up to floating-point summation
-order. Its trial logits are BLAS products that are never stored; on exit
-ModelState.rebuild_caches stores the logits, in a fixed order.
+a logistic fit with K^2 parameters over P x P pairs weighted by their
+observed and positive counts (model._PairStats, which the objective also
+sums with), gathered in one pass over the observed entries. It is solved
+by damped Newton: a step builds the K^2 x K^2 Hessian in O(P^2 K^2 + P K^4)
+and solves it, never visiting the N^2 entries, and a W step typically
+takes about ten such steps. Its trial logits are BLAS products that are
+never stored; on exit ModelState.rebuild_caches stores the logits, in a
+fixed order.
 """
 
 from __future__ import annotations
@@ -58,15 +64,25 @@ __all__ = [
     "fit",
 ]
 
-# Strict-improvement margin for accepting a coordinate flip or a grown model.
-# Exact arithmetic would accept any negative delta; the margin prevents
-# cycling on floating-point ties.
+# Strict-improvement margin for accepting a coordinate flip (after its
+# rounding bound, see _sweep) or a grown model.
 FLIP_TOLERANCE = 1e-12
 
 # Unit roundoff of float64 arithmetic.
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Rows per block when the delta table reads the N x N mask and logits.
 _BLOCK_ROWS = 64
+# Births fit draws after a rejected one before it may stop (see fit).
+BIRTH_RETRIES = 10
+
+
+def _rounding_beta(n_nodes: int) -> float:
+    """beta of the flip-delta rounding bound beta * mass on N nodes (see _sweep).
+
+    Every sum in the kernel or in the delta table adds at most 2N terms, each
+    rounded a few times; twice that first-order bound leaves headroom.
+    """
+    return _UNIT_ROUNDOFF * (4 * n_nodes + 64)
 
 
 @dataclass(frozen=True)
@@ -108,11 +124,14 @@ class FitReport:
     """Per-outer-iteration trace of a fit run.
 
     objective_trace is non-increasing (within 1e-9 slack); elapsed holds each
-    iteration's wall-clock duration in seconds.
+    iteration's wall-clock duration in seconds. births_proposed counts each
+    iteration's birth proposals (1, plus the retries drawn) and
+    accepted_births says whether one of them was kept.
     """
 
     objective_trace: list[float] = field(default_factory=list)
     k_trace: list[int] = field(default_factory=list)
+    births_proposed: list[int] = field(default_factory=list)
     accepted_births: list[bool] = field(default_factory=list)
     elapsed: list[float] = field(default_factory=list)
     converged: bool = False
@@ -177,20 +196,25 @@ def _gather(idx: _MaskIndex, table: np.ndarray, state: ModelState, n: int):
 
 
 def _flip_deltas(idx, state, n, a, shifts, ydot, sp_a, a_nn, start):
-    """Objective deltas of flipping z[n, k] for each k >= start.
+    """Objective deltas of flipping z[n, k] for each k >= start, and their masses.
 
     One softplus pass over the block rows, summed per row, so each delta
-    keeps numpy's 1-D pairwise summation. Also returns each row's softplus
-    sum and, if (n, n) is observed, the diagonal logit's shifts and
-    softplus values (see _diag_terms); else None.
+    keeps numpy's 1-D pairwise summation. A row's mass (see _sweep) sums
+    sp(a + s) + sp(a) + y|s| + 1 over n's observed entries, plus the
+    diagonal's. Also returns each row's softplus sum and, if (n, n) is
+    observed, the diagonal logit's shifts (see _diag_terms); else None.
     """
-    sp_rows = softplus(a + shifts[start:]).sum(axis=1)
+    rows = shifts[start:]
+    sp_rows = softplus(a + rows).sum(axis=1)
     delta = sp_rows - sp_a - ydot[start:]
+    mass = sp_rows + sp_a + np.vecdot(np.abs(rows), idx.rowcol_y[n])
+    mass += len(idx.rowcol_y[n])
     diag = None
     if idx.diag_observed[n]:
-        terms, *diag = _diag_terms(state, n, a_nn, idx.diag_y[n], start)
+        terms, diag, sp_x, sp_nn = _diag_terms(state, n, a_nn, idx.diag_y[n], start)
         delta += terms
-    return delta, sp_rows, diag
+        mass += _diag_mass(state, n, sp_x, sp_nn, start)
+    return delta, mass, sp_rows, diag
 
 
 def _diag_terms(state, n, a_nn, y_nn, start=0):
@@ -210,14 +234,14 @@ def _diag_terms(state, n, a_nn, y_nn, start=0):
     return -y_nn * da + sp_x - sp_a, da, sp_x, sp_a
 
 
-def _diag_mass(state, n, sp_x, sp_a):
-    """Mass of the diagonal terms of node(s) n's flips, from _diag_terms' softplus values.
+def _diag_mass(state, n, sp_x, sp_a, start=0):
+    """Mass of the diagonal terms of node(s) n's flips k >= start, from _diag_terms' sp values.
 
     Adds |left| + |right| + |w[k, k]|, which bounds the diagonal shift and
     so its rounding and its y term.
     """
-    return (sp_x + sp_a + np.abs(state.left_cache[n]) + np.abs(state.right_cache[n])
-            + np.abs(np.diagonal(state.w)) + 1.0)
+    return (sp_x + sp_a + np.abs(state.left_cache[n, start:])
+            + np.abs(state.right_cache[n, start:]) + np.abs(np.diagonal(state.w)[start:]) + 1.0)
 
 
 def _apply_flip(state: ModelState, n: int, k: int) -> None:
@@ -249,8 +273,7 @@ def delta_objective_flip(
         raise ValueError("adjacency/mask/state dimensions disagree")
     idx = _MaskIndex(y, mask)
     table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
-    delta, _, _ = _flip_deltas(idx, state, n, *_gather(idx, table, state, n), 0)
-    return float(delta[k])
+    return float(_flip_deltas(idx, state, n, *_gather(idx, table, state, n), 0)[0][k])
 
 
 class _DeltaTable:
@@ -265,9 +288,7 @@ class _DeltaTable:
 
     def __init__(self, idx: _MaskIndex, state: ModelState):
         n_nodes, k_plus = state.z.shape
-        # Every sum in the kernel or in this table adds at most 2N terms, each
-        # rounded a few times; twice that first-order bound leaves headroom.
-        self.beta = _UNIT_ROUNDOFF * (4 * n_nodes + 64)
+        self.beta = _rounding_beta(n_nodes)
         self.idx = idx
         self.sign = 1.0 - 2.0 * state.z.T
         patterns, first, inv = _group_patterns(state.z)
@@ -362,16 +383,14 @@ class _DeltaTable:
         touched = self.idx.offdiag[:, m] | self.idx.offdiag[m, :]
         self.open = np.where(touched, self._flagged(), self.open)
 
-    def reset(self, state: ModelState, n: int, delta, sp_rows, sp_a, shifts, diag) -> None:
+    def reset(self, n: int, delta, mass) -> None:
         """Take node n's row from the kernel's scores of every k in the current state.
 
         The row is within beta * mass of kappa, as is the kernel's next
-        visit, so n stays open only if the row could hold an improving flip.
+        visit, so n stays open only if the row could hold a flip the
+        kernel accepts; that rule does not subtract the kernel's own
+        beta * mass, so it is looser than the kernel's.
         """
-        mass = sp_rows + sp_a + np.vecdot(np.abs(shifts), self.idx.rowcol_y[n])
-        mass += len(self.idx.rowcol_y[n])
-        if diag is not None:
-            mass += _diag_mass(state, n, *diag[1:])
         self.delta[:, n] = delta
         self.mass[:, n] = mass
         self.error[:, n] = self.beta * mass
@@ -381,17 +400,21 @@ class _DeltaTable:
 def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     """Row-major passes over all (n, k), screened by a maintained delta table.
 
-    With apply=True this sweeps to a one-flip fixed point: every strictly
+    With apply=True this sweeps to a one-flip fixed point: every provably
     improving flip is taken, passes repeat until one takes none, and the
     return value says whether any flip happened. With apply=False it is
     one read-only pass that stops at the first improving flip.
 
     The flips are exactly those of visiting every node in every pass with
     the kernel (_gather/_flip_deltas): node n's K flips are scored at once
-    on its K x M shift block, the first k with delta < -FLIP_TOLERANCE is
-    flipped and only the features after it are re-scored. The kernel's
-    local logits replay the arithmetic of _apply_flip, and the shift
-    table's columns n and N + n are patched after each flip.
+    on its K x M shift block, the first k with delta + beta * mass <
+    -FLIP_TOLERANCE is flipped and only the features after it are
+    re-scored. The kernel's local logits replay the arithmetic of
+    _apply_flip, and the shift table's columns n and N + n are patched
+    after each flip. As the kernel's delta is within beta * mass of kappa
+    (below), an accepted flip lowers the objective by more than
+    FLIP_TOLERANCE in exact arithmetic on the state's logits, so passes
+    cannot cycle.
 
     The screen (_DeltaTable) holds every node's K deltas, built on entry
     from the P distinct rows of Z. Its bound: for entry (n, k) let kappa
@@ -413,13 +436,17 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     nodes move: their rows are updated from one softplus pass over those
     entries before and after the flips, and m's row is re-scored by the
     kernel. A node the kernel has just visited without flipping stays
-    closed until a flip touches one of its entries.
+    closed until a flip touches one of its entries. The screen opens a
+    node when the kernel's delta could fall below -FLIP_TOLERANCE; it does
+    not subtract the kernel's own beta * mass, so it opens every node whose
+    flip the kernel could accept.
     """
     n_nodes, k_plus = state.z.shape
     if k_plus == 0:
         return False
     table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
     screen = _DeltaTable(idx, state)
+    beta = screen.beta
     improved = False
     while True:
         flipped = False
@@ -430,9 +457,9 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
             flips = []
             start = 0
             while start < k_plus:
-                delta, sp_rows, diag = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
-                                                    a_nn, start)
-                hits = np.flatnonzero(delta < -FLIP_TOLERANCE)
+                delta, mass, sp_rows, diag = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
+                                                          a_nn, start)
+                hits = np.flatnonzero(delta + beta * mass < -FLIP_TOLERANCE)
                 if hits.size == 0:
                     break
                 if not apply:
@@ -444,7 +471,7 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
                 a = a + shifts[k]
                 sp_a = sp_rows[j]
                 if diag is not None:
-                    a_nn = a_nn + diag[0][j]
+                    a_nn = a_nn + diag[j]
                 _apply_flip(state, n, k)
                 table[:, n] = state.left_cache[n]
                 table[:, n_nodes + n] = state.right_cache[n]
@@ -455,10 +482,10 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
                 # score every k again, as the next visit to n would
                 shifts[flips] *= -1.0
                 ydot[flips] *= -1.0
-                delta, sp_rows, diag = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
-                                                    state.logits[n, n], 0)
+                delta, mass, _, _ = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
+                                                 state.logits[n, n], 0)
                 flipped = True
-            screen.reset(state, n, delta, sp_rows, sp_a, shifts, diag)
+            screen.reset(n, delta, mass)
             if not flips:
                 # the kernel just rejected every flip of n in this very state
                 screen.open[n] = False
@@ -471,58 +498,72 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
 def optimize_w(
     y: AdjacencyMatrix, mask: ObservationMask, state: ModelState, config: FitConfig
 ) -> ModelState:
-    """Backtracking gradient descent on W for fixed Z (the objective is convex here).
+    """Damped Newton on W for fixed Z (the objective is convex here).
 
-    Armijo condition with halving steps; the first step's line search starts
-    at 1.0 and later searches start from twice the last accepted step
-    (capped at 1.0), which keeps trial counts near one once the scale is
-    found. Stops when the gradient infinity-norm drops below w_grad_tol,
-    after w_max_steps, or when a step can no longer make measurable
-    progress. Caches are rebuilt from scratch on exit.
+    The subproblem is a logistic fit with K^2 parameters over the P x P
+    pattern pairs of _PairStats, built with one pass over the observed
+    entries; its iterates are those of Newton over the individual entries,
+    up to summation order. Each step solves (H + mu I) d = -g for the
+    K^2 x K^2 Hessian H, with Levenberg damping mu = 1e-8 max(1, tr H / K^2),
+    and falls back to d = -g if the solve fails or d is not a descent
+    direction. The solve runs in the span of the observed pair features
+    (_PairStats.observed_basis), where g and H live: in exact arithmetic
+    that is the same step, but a W direction that moves no observed logit
+    would otherwise pick up the gradient's rounding noise divided by mu.
+    An Armijo backtrack (constant 1e-4, halving from t = 1) then accepts
+    w + t d; each trial is one softplus pass over the pair logits, shifted
+    by t times d's logit image.
 
-    The descent runs on pattern-pair sufficient statistics (see _PairStats),
-    built with one pass over the observed entries. The iterates are those of
-    descent over the individual entries, up to summation order, but a step
-    costs O(P^2 K) for P distinct membership rows instead of O(N^2 K): a
-    trial step shifts the pair logits by -t * (the gradient's logit image),
-    so each Armijo trial is one softplus pass over the P x P pattern pairs.
+    Stops when the gradient infinity-norm drops below w_grad_tol, after
+    w_max_steps, or when a step can no longer make measurable progress.
+    On near-separable data the optimum is at infinity and the last of
+    these, the stall guard, ends the step. Caches are rebuilt on exit.
     """
     if state.k_plus == 0:
         return state
     stats = _PairStats(y, mask, state.z)
+    basis = stats.observed_basis()
     w = state.w.copy()
+    n_params = w.size
 
     a = stats.logits(w)
     f = stats.loss(a)
     if not np.isfinite(f):
-        raise NumericalError("non-finite objective entering W descent", state)
+        raise NumericalError("non-finite objective entering the W step", state)
 
-    step_start = 1.0
     for _ in range(config.w_max_steps):
         grad = stats.gradient(a)
         if np.abs(grad).max() < config.w_grad_tol:
             break
-        grad_sq = float((grad * grad).sum())
-        g = stats.logits(grad)
+        h = stats.hessian(a)
+        damping = 1e-8 * max(1.0, np.trace(h) / n_params)
+        h = basis.T @ h @ basis
+        h[np.diag_indices(len(h))] += damping
+        try:
+            d = (basis @ np.linalg.solve(h, basis.T @ -grad.ravel())).reshape(w.shape)
+            slope = float(np.vdot(grad, d))
+        except np.linalg.LinAlgError:
+            slope = math.nan
+        if not -math.inf < slope < 0.0:
+            d, slope = -grad, -float(np.vdot(grad, grad))
+        image = stats.logits(d)
 
-        step = step_start
+        step = 1.0
         accepted = False
         while step > 1e-20:
-            a_new = a - step * g
+            a_new = a + step * image
             f_new = stats.loss(a_new)
-            if np.isfinite(f_new) and f_new <= f - 1e-4 * step * grad_sq:
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted or f_new >= f:
             break  # line search exhausted; no strict descent available
-        w -= step * grad
+        w += step * d
         a = a_new
-        step_start = min(1.0, 2.0 * step)
         # stall guard: once per-step progress is below measurement noise,
         # further steps cannot change the outer loop's decisions
         if (f - f_new) < 1e-12 * max(1.0, abs(f)):
-            f = f_new
             break
         f = f_new
     state.w = w
@@ -542,7 +583,7 @@ def propose_feature(
 
     Appends a zero membership column and turns it on for one uniformly drawn
     node; borders W with Gaussian(0, sigma_w^2) entries (new row first, then
-    the new column); then descends on the full W and sweeps the candidate's
+    the new column); then takes the W step on the full W and sweeps the candidate's
     coordinates to a fixed point, using fit's index ``idx`` of (y, mask).
     The input state is not mutated.
     """
@@ -591,14 +632,16 @@ def fit(
 ) -> FitReport:
     """Run the full greedy loop and return its report.
 
-    Each outer iteration: sweep Z to a one-flip fixed point, descend on W,
-    prune empty communities, then one grow-by-one proposal, accepted only if
-    it strictly lowers the objective. The run stops when an iteration's
-    relative improvement falls below rel_tol, the proposal was rejected,
-    and no single coordinate flip can improve the final state (so the
-    returned state is a one-flip local minimum). It also stops at
-    max_outer_iters. A non-finite objective at the end of an outer
-    iteration raises NumericalError.
+    Each outer iteration: sweep Z to a one-flip fixed point, take the
+    damped-Newton W step, prune empty communities, then one grow-by-one
+    proposal, accepted only if it strictly lowers the objective. If the
+    iteration's relative improvement is below rel_tol and that proposal is
+    rejected, up to BIRTH_RETRIES more single-node births are drawn from
+    the same RNG stream, and the first that lowers the objective is kept.
+    The run converges when no flip provably improves and R+1 births were
+    rejected (R = BIRTH_RETRIES), so the returned state is a one-flip local
+    minimum. It also stops at max_outer_iters. A non-finite objective at
+    the end of an outer iteration raises NumericalError.
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
     after each outer iteration with the cumulative wall-clock time of the
@@ -628,11 +671,17 @@ def fit(
         state = prune_empty_features(state)
 
         q = objective(y, mask, state)
-        candidate = propose_feature(idx, y, mask, state, config, rng)
-        q_candidate = objective(y, mask, candidate)
-        birth_accepted = q_candidate < q - FLIP_TOLERANCE
-        if birth_accepted:
-            state, q = candidate, q_candidate
+        stalled = (q_start - q) / max(abs(q_start), 1e-12) < config.rel_tol
+        # one birth, and BIRTH_RETRIES more if the iteration would otherwise stop
+        births = 1 + BIRTH_RETRIES if stalled else 1
+        birth_accepted = False
+        for proposed in range(1, births + 1):
+            candidate = propose_feature(idx, y, mask, state, config, rng)
+            q_candidate = objective(y, mask, candidate)
+            if q_candidate < q - FLIP_TOLERANCE:
+                state, q, birth_accepted = candidate, q_candidate, True
+                break
+        report.births_proposed.append(proposed)
         report.accepted_births.append(birth_accepted)
 
         if not math.isfinite(q):
@@ -645,8 +694,7 @@ def fit(
             on_iteration(iteration, state, t_callback - t_start - callback_s)
             callback_s += time.perf_counter() - t_callback
 
-        rel_improvement = (q_start - q) / max(abs(q_start), 1e-12)
-        if rel_improvement < config.rel_tol and not birth_accepted:
+        if stalled and not birth_accepted:
             # declare convergence only from a genuine one-flip local minimum:
             # the W update may have shifted some coordinate's best value
             if not _sweep(idx, state, apply=False):

@@ -4,8 +4,8 @@ The oracles here deliberately avoid the implementation's computation paths:
 the objective oracle uses direct -y log p - (1-y) log(1-p) sums instead of
 the softplus form, the AUC oracle enumerates positive/negative pairs, and
 gradient checks use central finite differences. The W-step oracle is the
-descent over the individual observed entries that the pattern-pair W step
-must reproduce, and the sweep oracle scores one (n, k) flip at a time in
+damped Newton over the individual observed entries that the pattern-pair W
+step must reproduce, and the sweep oracle scores one (n, k) flip at a time in
 the order the screened, batched sweep must reproduce flip for flip. The split,
 mask-writing and scoring oracles are the
 one-entry-at-a-time loops whose output the array versions must reproduce
@@ -68,14 +68,17 @@ def _softplus_scalar(a: float) -> float:
 def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
     """The sweep pass scoring one (n, k) at a time, with scalar diagonal terms.
 
-    Same row-major order, strict-improvement margin and incremental patches
-    as the library's batched pass: with apply=True every improving flip is
-    taken; with apply=False the scan stops at the first improving flip.
+    Same row-major order, acceptance rule and incremental patches as the
+    library's batched pass: a flip improves when its delta plus beta times
+    its mass (the delta's rounding bound, see optimizer._sweep) is below
+    -FLIP_TOLERANCE. With apply=True every improving flip is taken; with
+    apply=False the scan stops at the first improving flip.
     """
     improved = False
     n_nodes, k_plus = state.z.shape
     if k_plus == 0:
         return False
+    beta = optimizer._rounding_beta(n_nodes)
     obs, yv, w = mask.observed, y.entries, state.w
     for n in range(n_nodes):
         js = np.flatnonzero(obs[n])
@@ -100,10 +103,13 @@ def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
             a_new = a_all + da
             sp_new = float(softplus(a_new).sum())
             delta = sp_new - sp_all - float(y_all @ da)
+            mass = sp_new + sp_all + float(y_all @ np.abs(da)) + len(y_all)
             if diag_obs:
                 da_nn = d * (left_n[k] + right_n[k]) + w[k, k]
-                delta += -y_nn * da_nn + _softplus_scalar(a_nn + da_nn) - _softplus_scalar(a_nn)
-            if delta < -FLIP_TOLERANCE:
+                sp_x, sp_nn = _softplus_scalar(a_nn + da_nn), _softplus_scalar(a_nn)
+                delta += -y_nn * da_nn + sp_x - sp_nn
+                mass += sp_x + sp_nn + abs(left_n[k]) + abs(right_n[k]) + abs(w[k, k]) + 1.0
+            if delta + beta * mass < -FLIP_TOLERANCE:
                 if not apply:
                     return True
                 _apply_flip(state, n, k)
@@ -193,51 +199,66 @@ def scaled_log_partition(eta_tilde, beta: float):
 
 
 def oracle_optimize_w(y, mask, state, config):
-    """optimize_w's backtracking descent, run over the individual observed entries.
+    """optimize_w's damped Newton, run over the individual observed entries.
 
-    Same step rule, Armijo constant, stall guard and stopping rules as the
-    library's W step, but on flat per-observed-entry logit vectors with the
-    gradient formed as Z^T R Z from the N x N residual matrix R.
+    Same damping, solve span, descent fallback, Armijo rule, stall guard
+    and stopping rules as the library's W step, but on flat
+    per-observed-entry logit vectors: the gradient is Z^T R Z from the
+    N x N residual matrix R, and the Hessian sums v x x^T over the entries,
+    with x = z_i (x) z_j the entry's K^2 features and v = sigma(a)(1 -
+    sigma(a)). The solve runs in the span of those features, read off their
+    Gram matrix.
     """
     if state.k_plus == 0:
         return state
     z = state.z
+    k = state.k_plus
     obs_i, obs_j = np.nonzero(mask.observed)
     y_obs = y.entries[obs_i, obs_j].astype(float)
+    features = (z[obs_i][:, :, None] * z[obs_j][:, None, :]).reshape(-1, k * k)
+    gram_values, gram_vectors = np.linalg.eigh(features.T @ features)
+    basis = gram_vectors[:, gram_values > 1e-9 * max(gram_values[-1], 0.0)]
     w = state.w.copy()
 
-    a_obs = ((z @ w) @ z.T)[obs_i, obs_j]
+    a_obs = features @ w.ravel()
     f = float(softplus(a_obs).sum() - y_obs @ a_obs)
     if not np.isfinite(f):
-        raise NumericalError("non-finite objective entering W descent", state)
+        raise NumericalError("non-finite objective entering the W step", state)
 
-    step_start = 1.0
     n = state.n
     residual_full = np.zeros((n, n))
     for _ in range(config.w_max_steps):
-        residual_full[obs_i, obs_j] = sigmoid(a_obs) - y_obs
+        p = sigmoid(a_obs)
+        residual_full[obs_i, obs_j] = p - y_obs
         grad = z.T @ residual_full @ z
         if np.abs(grad).max() < config.w_grad_tol:
             break
-        grad_sq = float((grad * grad).sum())
-        g_obs = ((z @ grad) @ z.T)[obs_i, obs_j]
+        hess = features.T @ ((p * (1.0 - p))[:, None] * features)
+        damping = 1e-8 * max(1.0, np.trace(hess) / k**2)
+        reduced = basis.T @ hess @ basis + damping * np.eye(basis.shape[1])
+        try:
+            d = (basis @ np.linalg.solve(reduced, -(basis.T @ grad.ravel()))).reshape(k, k)
+            slope = float((grad * d).sum())
+        except np.linalg.LinAlgError:
+            slope = math.nan
+        if not -math.inf < slope < 0.0:
+            d, slope = -grad, -float((grad * grad).sum())
+        d_obs = features @ d.ravel()
 
-        step = step_start
+        step = 1.0
         accepted = False
         while step > 1e-20:
-            a_new = a_obs - step * g_obs
+            a_new = a_obs + step * d_obs
             f_new = float(softplus(a_new).sum() - y_obs @ a_new)
-            if np.isfinite(f_new) and f_new <= f - 1e-4 * step * grad_sq:
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted or f_new >= f:
             break
-        w -= step * grad
+        w += step * d
         a_obs = a_new
-        step_start = min(1.0, 2.0 * step)
         if (f - f_new) < 1e-12 * max(1.0, abs(f)):
-            f = f_new
             break
         f = f_new
     state.w = w

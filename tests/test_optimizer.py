@@ -4,10 +4,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, reject, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from laftr import (
     AdjacencyMatrix,
@@ -203,16 +203,14 @@ def sweep_instances(draw, w_max=400.0):
 def _oracle_fixed_point(y, mask, state, max_passes=50):
     """(whether anything flipped, fixed point) of repeated oracle passes on a copy of state.
 
-    Rejects the example when the passes do not stop within max_passes: on
-    saturated logits a delta's rounding noise can exceed FLIP_TOLERANCE,
-    and a scan may then flip one coordinate back and forth forever, so
-    such a state has no fixed point to compare the sweep with.
+    Every accepted flip provably lowers the objective, even on saturated
+    logits, so the passes must stop within max_passes.
     """
     fixed = state.copy()
     for passes in range(max_passes):
         if not oracle_sweep_pass(y, mask, fixed, apply=True):
             return passes > 0, fixed
-    reject()
+    raise AssertionError(f"no one-flip fixed point within {max_passes} passes")
 
 
 def _kernel_rows(idx, state):
@@ -254,11 +252,12 @@ class _CheckedTable(optimizer._DeltaTable):
 
     def __init__(self, idx, state):
         super().__init__(idx, state)
+        self.state = state  # the sweep flips this very state in place
         self.check(state)
 
-    def reset(self, state, *args):
-        super().reset(state, *args)
-        self.check(state)
+    def reset(self, *args):
+        super().reset(*args)
+        self.check(self.state)
 
     def check(self, state):
         bound = self.error + self.beta * self.mass
@@ -321,8 +320,6 @@ class TestSweepKernel:
         assert (np.abs(table.delta - kernel) <= table.error + table.beta * table.mass).all()
         assert np.abs(table.delta - kernel).max() > bump / 10
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: on saturated logits a flip "
-                       "delta's rounding noise exceeds FLIP_TOLERANCE, so a sweep can cycle")
     def test_saturated_scan_reaches_a_fixed_point(self):
         # a state hypothesis drew at W +-400 (the exact W value matters): every
         # y = 1, one node in feature 0, W saturates every logit but two
@@ -334,11 +331,14 @@ class TestSweepKernel:
         observed[0, 4] = False
         y, mask = AdjacencyMatrix(9, np.ones((9, 9))), ObservationMask(9, observed)
         state = ModelState.from_factors(z, w, 0.5)
-        # the oracle under a pass cap: the screened sweep would not return
+        # the oracle under a pass cap, then the screened sweep to the same point
+        swept = state.copy()
         passes = 0
         while passes < 100 and oracle_sweep_pass(y, mask, state, apply=True):
             passes += 1
         assert passes < 100, "no one-flip fixed point within 100 passes"
+        sweep_to_fixed_point(y, mask, swept)
+        assert np.array_equal(swept.z, state.z)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances(w_max=8.0))
@@ -451,6 +451,27 @@ class TestPairStats:
         assert stats.count.sum() == mask.count
         assert stats.positives.sum() == y.entries[mask.observed].sum()
         assert len(stats.patterns) == len(np.unique(state.z, axis=0))
+
+    def test_newton_reaches_the_dense_minimizer(self):
+        # three membership patterns whose K^2 pair features span W, and links
+        # mixed within every pattern pair: the optimum is finite and unique
+        rng = np.random.default_rng(7)
+        rows = np.arange(15) % 3
+        entries = rng.random((15, 15)) < 0.4
+        y, mask, state = _w_subproblem([[1, 0], [0, 1], [1, 1]], rows, np.zeros((2, 2)),
+                                       entries, ~np.eye(15, dtype=bool))
+        stats = _PairStats(y, mask, state.z)
+        assert ((stats.positives > 0) & (stats.positives < stats.count)).all()
+        config = FitConfig()
+        optimize_w(y, mask, state, config)
+        assert np.abs(nll_gradient_w(y, mask, state)).max() < config.w_grad_tol
+
+        def dense(flat_w):
+            s = ModelState.from_factors(state.z, flat_w.reshape(2, 2), 0.5)
+            return oracle_nll(y, mask, s), nll_gradient_w(y, mask, s).ravel()
+
+        best = minimize(dense, np.zeros(4), jac=True, method="BFGS", options={"gtol": 1e-11})
+        np.testing.assert_allclose(state.w.ravel(), best.x, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_optimize_w_matches_entrywise_descent(self, seed):
@@ -633,8 +654,8 @@ class TestFit:
     def test_one_objective_per_iteration_and_birth(self, monkeypatch):
         # the post-prune objective is carried across births and becomes the
         # iteration's trace entry, so each iteration evaluates it once plus
-        # once for its one candidate; fit proposes through the module-level
-        # name, so a wrapper installed there sees every birth
+        # once per candidate (its birth and any retries); fit proposes through
+        # the module-level name, so a wrapper installed there sees every birth
         y, mask, config = _ibp_problem(0)
         calls, proposals = [], []
         propose = optimizer.propose_feature
@@ -650,8 +671,19 @@ class TestFit:
         monkeypatch.setattr(optimizer, "objective", counted)
         monkeypatch.setattr(optimizer, "propose_feature", counted_propose)
         report = fit(y, mask, config)
-        assert len(calls) == 1 + 2 * len(report.objective_trace)
-        assert len(proposals) == len(report.objective_trace) == len(report.accepted_births)
+        iterations = len(report.objective_trace)
+        assert len(calls) == 1 + iterations + len(proposals)
+        assert len(proposals) == sum(report.births_proposed)
+        assert len(report.births_proposed) == iterations == len(report.accepted_births)
+
+    def test_converged_fit_rejected_every_retry(self):
+        # convergence needs the first birth and all BIRTH_RETRIES retries rejected
+        y, mask, config = _planted_problem(0)
+        report = fit(y, mask, config)
+        assert report.converged
+        assert report.births_proposed[-1] == 1 + optimizer.BIRTH_RETRIES
+        assert not report.accepted_births[-1]
+        assert all(1 <= count <= 1 + optimizer.BIRTH_RETRIES for count in report.births_proposed)
 
     def test_dimension_mismatch(self, rng):
         y, _, _ = random_instance(rng, 5, 2)
@@ -725,8 +757,9 @@ class TestTrajectory:
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "_sweep", sweep)
             expected = fit(y, mask, config)
-        # two sweeps to a fixed point per iteration (fit's and the birth's)
-        assert calls.count(True) == 2 * len(expected.objective_trace)
+        # one sweep to a fixed point per iteration (fit's) and one per birth
+        assert calls.count(True) == (len(expected.objective_trace)
+                                     + sum(expected.births_proposed))
         got = fit(y, mask, config)
         assert got.objective_trace == expected.objective_trace
         assert got.k_trace == expected.k_trace
