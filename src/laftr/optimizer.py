@@ -27,7 +27,7 @@ its distance from the kernel's value. Only nodes whose row minus its
 bound falls below -FLIP_TOLERANCE go through the kernel; the kernel would
 reject every flip of the others. After a node's flips, each other node's
 row changes only in its entries at that node, so the table is updated in
-O(N K) per flipping node. The flips, and so every fit, are unchanged.
+O(N K) per flipping node. The screen changes no flip, and so no fit.
 
 The W step never touches the N x N matrices either. A logit depends only on
 the membership rows of its two nodes, so for fixed Z the observed entries
