@@ -32,16 +32,22 @@ def predict_links(state: ModelState, pairs) -> list[float]:
     return link_probability(state, pairs[:, 0], pairs[:, 1]).tolist()
 
 
-def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC: P(random positive outranks random negative), ties at half credit."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
+def _class_counts(labels: np.ndarray) -> tuple[int, int]:
+    """Positives and negatives among the labels; UndefinedMetricError unless both occur."""
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUC needs both classes; got {n_pos} positives and {n_neg} negatives"
         )
+    return n_pos, n_neg
+
+
+def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Mann-Whitney AUC: P(random positive outranks random negative), ties at half credit."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    n_pos, n_neg = _class_counts(labels)
     ranks = rankdata(scores)  # average ranks give tied pairs half credit
     u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -56,14 +62,17 @@ def evaluate_split(
     """Fit on the train mask and score every test entry by AUC.
 
     Only the train mask is handed to the fitter, so held-out entries cannot
-    influence the learned model.
+    influence the learned model. Single-class held-out labels raise
+    UndefinedMetricError before anything is fitted.
     """
     if (train_mask.observed & test_mask.observed).any():
         raise ValueError("train and test masks overlap")
-    report = fit(y, train_mask, config)
     rows, cols = np.nonzero(test_mask.observed)
+    labels = y.entries[rows, cols]
+    _class_counts(labels)
+    report = fit(y, train_mask, config)
     scores = link_probability(report.final_state, rows, cols)
-    return auc_from_scores(scores, y.entries[rows, cols]), report
+    return auc_from_scores(scores, labels), report
 
 
 def cross_validate_lambda(

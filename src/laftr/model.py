@@ -98,7 +98,9 @@ class ModelState:
 
     rebuild_caches expands them from the patterns of Z, so equal rows of Z
     tie exactly in every cache; the optimizer's incremental flips keep them
-    within rounding only, and fit rebuilds the state it returns.
+    within rounding only. Every Z sweep starts by rebuilding them, so its
+    screen reads exact pattern values and bounds no drift, and fit rebuilds
+    the state it returns.
 
     K = 0 (Z with zero columns) is a legal state: all logits are 0 and every
     pair gets probability 0.5.

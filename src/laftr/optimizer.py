@@ -21,13 +21,14 @@ lowers the objective and a sweep cannot cycle, even on saturated logits.
 
 Most nodes have no improving flip in most passes, so the sweep screens
 them with an N x K table of every flip delta, maintained across passes.
-It is built once per sweep from the P distinct rows of Z (P x P x K
-softplus terms instead of N x M x K), and each entry carries a bound on
-its distance from the kernel's value. Only nodes whose row minus its
-bound falls below -FLIP_TOLERANCE go through the kernel; the kernel would
-reject every flip of the others. After a node's flips, each other node's
-row changes only in its entries at that node, so the table is updated in
-O(N K) per flipping node. The screen changes no flip, and so no fit.
+Every sweep starts from rebuilt caches and builds the table from the P
+distinct rows of Z (P x P x K softplus terms instead of N x M x K); each
+entry carries a bound on its distance from the kernel's value, and none
+on drift of the caches. Only nodes whose row minus its bound falls below
+-FLIP_TOLERANCE go through the kernel; the kernel would reject every
+flip of the others. After a node's flips, each other node's row changes
+only in its entries at that node, so the table is updated in O(N K) per
+flipping node. The screen changes no flip, and so no fit.
 
 The W step never touches the N x N matrices either. A logit depends only on
 the membership rows of its two nodes, so for fixed Z the observed entries
@@ -70,10 +71,11 @@ FLIP_TOLERANCE = 1e-12
 
 # Unit roundoff of float64 arithmetic.
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# Rows per block when the delta table reads the N x N mask and logits.
-_BLOCK_ROWS = 64
 # Births fit draws after a rejected one before it may stop (see fit).
 BIRTH_RETRIES = 10
+# Newton-step cap and gradient infinity-norm stop of a W step (see optimize_w).
+W_MAX_STEPS = 200
+W_GRAD_TOL = 1e-6
 
 
 def _rounding_beta(n_nodes: int) -> float:
@@ -98,8 +100,6 @@ class FitConfig:
     k_init: int = 1
     max_outer_iters: int = 100
     rel_tol: float = 1e-6
-    w_max_steps: int = 200
-    w_grad_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -113,10 +113,6 @@ class FitConfig:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.w_max_steps < 1:
-            raise ValueError(f"w_max_steps must be >= 1, got {self.w_max_steps}")
-        if self.w_grad_tol <= 0:
-            raise ValueError(f"w_grad_tol must be positive, got {self.w_grad_tol}")
 
 
 @dataclass
@@ -284,6 +280,10 @@ class _DeltaTable:
     ``error + beta * mass`` of it; _sweep derives the bound. ``open``
     marks the nodes the sweep must still visit, and ``sign`` holds
     1 - 2 z^T.
+
+    It is built on caches _sweep has just rebuilt, so each pattern's values
+    are read at its first node and every entry starts at error beta * mass,
+    as after a kernel reset; no bound covers drifted caches.
     """
 
     def __init__(self, idx: _MaskIndex, state: ModelState):
@@ -294,30 +294,13 @@ class _DeltaTable:
         patterns, first, inv = _group_patterns(state.z)
         n_pat = len(first)
         onehot = (inv[:, None] == np.arange(n_pat)).astype(float)
-        # pattern-level logits and cache rows, read at each pattern's first node;
-        # the drift of the other nodes from them is measured and bounded below
+        # pattern-level logits and cache rows, read at each pattern's first node
         pat_logits = state.logits[np.ix_(first, first)]
         side = np.concatenate([state.left_cache[first], state.right_cache[first]])
-        left_gap = np.abs(state.left_cache - state.left_cache[first][inv]).max(initial=0.0)
-        right_gap = np.abs(state.right_cache - state.right_cache[first][inv]).max(initial=0.0)
-
         # counts[n] = observed partners of n by pattern, row side then column
-        # side; positives counts those with y = 1. Built in row blocks, so no
-        # N x N float array is ever formed.
-        counts = np.empty((n_nodes, 2 * n_pat))
-        positives = np.empty((n_nodes, 2 * n_pat))
-        drift = np.empty(n_nodes)
-        for lo in range(0, n_nodes, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            for out, obs in ((counts, idx.offdiag), (positives, idx.positive)):
-                out[rows, :n_pat] = obs[rows] @ onehot
-                out[rows, n_pat:] = obs[:, rows].T @ onehot
-            row_gap = np.abs(state.logits[rows] - pat_logits[inv[rows]][:, inv]).max(axis=1)
-            col_gap = np.abs(state.logits[:, rows] - pat_logits[:, inv[rows]][inv]).max(axis=0)
-            # each entry's term is 1-Lipschitz in its logit and in its shift,
-            # twice over (x and a); 4 > 2 also covers this arithmetic
-            drift[rows] = 4.0 * (counts[rows, :n_pat].sum(axis=1) * (row_gap + left_gap)
-                                 + counts[rows, n_pat:].sum(axis=1) * (col_gap + right_gap))
+        # side; positives counts those with y = 1
+        counts, positives = (np.concatenate([obs @ onehot, obs.T @ onehot], axis=1)
+                             for obs in (idx.offdiag, idx.positive))
 
         # one softplus pass over 2P x K pattern-pair shifts per pattern group,
         # contracted with the group's counts
@@ -338,7 +321,7 @@ class _DeltaTable:
                                                idx.diag_y[diag, None])
             self.delta[:, diag] += terms.T
             self.mass[:, diag] += _diag_mass(state, diag, sp_x, sp_a).T
-        self.error = self.beta * self.mass + drift
+        self.error = self.beta * self.mass
         self.open = self._flagged()
 
     def _flagged(self) -> np.ndarray:
@@ -400,10 +383,12 @@ class _DeltaTable:
 def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     """Row-major passes over all (n, k), screened by a maintained delta table.
 
-    With apply=True this sweeps to a one-flip fixed point: every provably
-    improving flip is taken, passes repeat until one takes none, and the
-    return value says whether any flip happened. With apply=False it is
-    one read-only pass that stops at the first improving flip.
+    It first rebuilds the state's caches from Z and W. With apply=True it
+    then sweeps to a one-flip fixed point: every provably improving flip is
+    taken, passes repeat until one takes none, and the return value says
+    whether any flip happened. With apply=False it is one pass that stops
+    at the first improving flip; it leaves Z and W unchanged but may
+    rewrite the caches to their rebuilt values.
 
     The flips are exactly those of visiting every node in every pass with
     the kernel (_gather/_flip_deltas): node n's K flips are scored at once
@@ -416,21 +401,20 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     FLIP_TOLERANCE in exact arithmetic on the state's logits, so passes
     cannot cycle.
 
-    The screen (_DeltaTable) holds every node's K deltas, built on entry
-    from the P distinct rows of Z. Its bound: for entry (n, k) let kappa
-    be the delta in exact arithmetic on the state's floating-point logits
-    and caches, and mass the sum of sp(a + s) + sp(a) + y|s| + 1 over n's
-    observed entries (logit a, shift s; plus the diagonal's terms). The
-    kernel's delta is within beta * mass of kappa, beta = u (4N + 64) for
-    unit roundoff u: each of its sums adds at most 2N terms, and beta is
-    twice that first-order bound. The table's error term bounds
-    |table - kappa|: beta * mass after the build, plus 4 x n's entry count
-    x the measured drift of the state's logits and caches from the pattern
-    values; each update adds beta x the changed entries' mass before and
-    after, plus u |table|; a kernel row resets it to beta * mass. So the
-    table is within error + beta * mass of the kernel, and a pass visits
-    only nodes with an entry below -FLIP_TOLERANCE after subtracting that;
-    the kernel would reject every flip of the others.
+    The screen (_DeltaTable) holds every node's K deltas, built after the
+    rebuild from the P distinct rows of Z. Its bound: for entry (n, k) let
+    kappa be the delta in exact arithmetic on the state's floating-point
+    logits and caches, and mass the sum of sp(a + s) + sp(a) + y|s| + 1
+    over n's observed entries (logit a, shift s; plus the diagonal's
+    terms). The kernel's delta is within beta * mass of kappa, beta =
+    u (4N + 64) for unit roundoff u: each of its sums adds at most 2N
+    terms, and beta is twice that first-order bound. The table's error
+    term bounds |table - kappa|: a newly built entry and a kernel row's
+    reset start it at beta * mass; each update adds beta x the changed
+    entries' mass before and after, plus u |table|. So the table is within
+    error + beta * mass of the kernel, and a pass visits only nodes with an
+    entry below -FLIP_TOLERANCE after subtracting that; the kernel would
+    reject every flip of the others.
 
     After node m's flips, only the entries (n, m) and (m, n) of the other
     nodes move: their rows are updated from one softplus pass over those
@@ -444,6 +428,7 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     n_nodes, k_plus = state.z.shape
     if k_plus == 0:
         return False
+    state.rebuild_caches()
     table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
     screen = _DeltaTable(idx, state)
     beta = screen.beta
@@ -495,9 +480,7 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
         improved = True
 
 
-def optimize_w(
-    y: AdjacencyMatrix, mask: ObservationMask, state: ModelState, config: FitConfig
-) -> ModelState:
+def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> ModelState:
     """Damped Newton on W for fixed Z (the objective is convex here).
 
     The subproblem is a logistic fit with K^2 parameters over the P x P
@@ -514,8 +497,8 @@ def optimize_w(
     w + t d; each trial is one softplus pass over the pair logits, shifted
     by t times d's logit image.
 
-    Stops when the gradient infinity-norm drops below w_grad_tol, after
-    w_max_steps, or when a step can no longer make measurable progress.
+    Stops when the gradient infinity-norm drops below W_GRAD_TOL, after
+    W_MAX_STEPS, or when a step can no longer make measurable progress.
     On near-separable data the optimum is at infinity and the last of
     these, the stall guard, ends the step. Caches are rebuilt on exit.
     """
@@ -531,9 +514,9 @@ def optimize_w(
     if not np.isfinite(f):
         raise NumericalError("non-finite objective entering the W step", state)
 
-    for _ in range(config.w_max_steps):
+    for _ in range(W_MAX_STEPS):
         grad = stats.gradient(a)
-        if np.abs(grad).max() < config.w_grad_tol:
+        if np.abs(grad).max() < W_GRAD_TOL:
             break
         h = stats.hessian(a)
         damping = 1e-8 * max(1.0, np.trace(h) / n_params)
@@ -602,7 +585,7 @@ def propose_feature(
     w_new[:k, k] = border[k + 1 :]
 
     candidate = ModelState.from_factors(z_new, w_new, state.lam)
-    optimize_w(y, mask, candidate, config)
+    optimize_w(y, mask, candidate)
     _sweep(idx, candidate, apply=True)
     return candidate
 
@@ -667,7 +650,7 @@ def fit(
         q_start = q
 
         _sweep(idx, state, apply=True)
-        optimize_w(y, mask, state, config)
+        optimize_w(y, mask, state)
         state = prune_empty_features(state)
 
         q = objective(y, mask, state)

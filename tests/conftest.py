@@ -198,7 +198,7 @@ def scaled_log_partition(eta_tilde, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def oracle_optimize_w(y, mask, state, config):
+def oracle_optimize_w(y, mask, state):
     """optimize_w's damped Newton, run over the individual observed entries.
 
     Same damping, solve span, descent fallback, Armijo rule, stall guard
@@ -227,11 +227,11 @@ def oracle_optimize_w(y, mask, state, config):
 
     n = state.n
     residual_full = np.zeros((n, n))
-    for _ in range(config.w_max_steps):
+    for _ in range(optimizer.W_MAX_STEPS):
         p = sigmoid(a_obs)
         residual_full[obs_i, obs_j] = p - y_obs
         grad = z.T @ residual_full @ z
-        if np.abs(grad).max() < config.w_grad_tol:
+        if np.abs(grad).max() < optimizer.W_GRAD_TOL:
             break
         hess = features.T @ ((p * (1.0 - p))[:, None] * features)
         damping = 1e-8 * max(1.0, np.trace(hess) / k**2)

@@ -79,8 +79,7 @@ def test_criterion_1_benchmark_datasets():
         fraction, target = DATASETS[name]
         with open(data_dir / name, encoding="utf-8") as handle:
             y = laftr.load_dense_matrix(handle)
-        config = FitConfig(seed=0, lam=0.5, rel_tol=1e-4, w_max_steps=100,
-                           max_outer_iters=100)
+        config = FitConfig(seed=0, lam=0.5, rel_tol=1e-4, max_outer_iters=100)
         t0 = time.perf_counter()
         results = laftr.run_splits(y, n_splits=5, train_fraction=fraction, config=config)
         elapsed = time.perf_counter() - t0
@@ -98,7 +97,7 @@ def test_criterion_1_benchmark_datasets():
 # criterion 2: self-contained synthetic recovery
 # ---------------------------------------------------------------------------
 
-RECOVERY_CONFIG = dict(lam=4.0, rel_tol=1e-4, w_max_steps=100, max_outer_iters=40)
+RECOVERY_CONFIG = dict(lam=4.0, rel_tol=1e-4, max_outer_iters=40)
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +146,7 @@ def test_criterion_3_monotone_descent(recovery_runs, rng):
         np.fill_diagonal(entries, 0)
         y = AdjacencyMatrix(n, entries)
         mask = ObservationMask.full(n, include_diagonal=include_diag)
-        report = fit(y, mask, FitConfig(seed=seed, rel_tol=1e-4, w_max_steps=40,
-                                        max_outer_iters=30))
+        report = fit(y, mask, FitConfig(seed=seed, rel_tol=1e-4, max_outer_iters=30))
         assert_monotone_trace(report, slack=1e-9)
         checked += 1
     empty = ObservationMask(6, np.zeros((6, 6), dtype=bool))
@@ -172,8 +170,7 @@ def test_criterion_4_small_instance_oracles():
         np.fill_diagonal(entries, 0)
         y = AdjacencyMatrix(n, entries)
         mask = ObservationMask.full(n)
-        config = FitConfig(seed=trial, k_init=1 + trial % 2, rel_tol=1e-4,
-                           w_max_steps=40, max_outer_iters=200)
+        config = FitConfig(seed=trial, k_init=1 + trial % 2, rel_tol=1e-4, max_outer_iters=200)
         report = fit(y, mask, config)
         assert report.converged, f"instance {trial} did not converge"
         state = report.final_state

@@ -19,6 +19,7 @@ from laftr import (
     write_dense,
     write_mask,
 )
+from laftr import cli
 from laftr.cli import dump_communities, load_model, main
 from conftest import oracle_link_probabilities, oracle_split_observations, oracle_write_mask
 
@@ -154,6 +155,26 @@ class TestFitPredict:
         without = fit(y, ObservationMask.full(y.n), config)
         trace = json.loads(model_path.read_text())["objective_trace"]
         assert trace == with_diag.objective_trace != without.objective_trace
+
+    def test_auc_trace_on_single_class_held_out_labels_fails_before_fitting(
+            self, tmp_path, monkeypatch, capsys):
+        graph_path = tmp_path / "graph.txt"
+        assert run_cli("generate", "--out", str(graph_path), "--n", "12",
+                       "--planted-k", "2", "--seed", "0") == 0
+        with open(graph_path) as handle:
+            y = load_dense_matrix(handle)
+        held_out = np.zeros((12, 12), dtype=bool)
+        non_links = np.argwhere((y.entries == 0) & ~np.eye(12, dtype=bool))[:3]
+        held_out[non_links[:, 0], non_links[:, 1]] = True
+        train = ObservationMask(12, ~np.eye(12, dtype=bool) & ~held_out)
+        mask_path = tmp_path / "m.mask"
+        mask_path.write_text(write_mask(train, ObservationMask(12, held_out)))
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: pytest.fail("fit was called"))
+        code = run_cli("fit", "--input", str(graph_path), "--mask", str(mask_path),
+                       "--out", str(tmp_path / "m.json"), "--auc-trace")
+        assert code == 2
+        assert "got 0 positives and 3 negatives" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_auc_trace_without_mask_is_data_error(self, tmp_path, planted_file, capsys):
         code = run_cli("fit", "--input", str(planted_file),

@@ -20,6 +20,7 @@ from laftr import (
     sample_edges,
     split_observations,
 )
+from laftr import evaluation
 from conftest import oracle_auc, oracle_link_probabilities, random_instance
 
 
@@ -108,7 +109,7 @@ class TestEvaluateSplit:
     def test_planted_structure_scores_high(self):
         y = planted_graph(n=30, seed=0)
         train, test = split_observations(y, 0.8, seed=0, tie_symmetric=False)
-        config = FitConfig(seed=0, lam=1.0, rel_tol=1e-4, w_max_steps=100)
+        config = FitConfig(seed=0, lam=1.0, rel_tol=1e-4)
         auc, report = evaluate_split(y, train, test, config)
         assert auc > 0.95
         assert report.final_state.k_plus >= 2
@@ -122,10 +123,20 @@ class TestEvaluateSplit:
         assert (scores == 0.5).all()
         assert auc_from_scores(scores, labels) == 0.5
 
+    def test_single_class_held_out_labels_fail_before_fitting(self, monkeypatch):
+        y = planted_graph(n=12, seed=3)
+        held_out = np.zeros((12, 12), dtype=bool)
+        non_links = np.argwhere((y.entries == 0) & ~np.eye(12, dtype=bool))[:3]
+        held_out[non_links[:, 0], non_links[:, 1]] = True
+        train = ObservationMask(12, ~np.eye(12, dtype=bool) & ~held_out)
+        monkeypatch.setattr(evaluation, "fit", lambda *args: pytest.fail("fit was called"))
+        with pytest.raises(UndefinedMetricError, match="got 0 positives and 3 negatives"):
+            evaluate_split(y, train, ObservationMask(12, held_out), FitConfig())
+
     def test_huge_penalty_blocks_all_growth(self):
         y = planted_graph(n=20, seed=1)
         train, test = split_observations(y, 0.8, seed=1, tie_symmetric=False)
-        config = FitConfig(seed=1, lam=1000.0, rel_tol=1e-4, w_max_steps=60, max_outer_iters=30)
+        config = FitConfig(seed=1, lam=1000.0, rel_tol=1e-4, max_outer_iters=30)
         auc, report = evaluate_split(y, train, test, config)
         assert not any(report.accepted_births)
         assert report.final_state.k_plus <= config.k_init
@@ -133,7 +144,7 @@ class TestEvaluateSplit:
     def test_deterministic(self):
         y = planted_graph(n=16, seed=2)
         train, test = split_observations(y, 0.8, seed=2, tie_symmetric=False)
-        config = FitConfig(seed=2, rel_tol=1e-4, w_max_steps=40, max_outer_iters=20)
+        config = FitConfig(seed=2, rel_tol=1e-4, max_outer_iters=20)
         auc1, _ = evaluate_split(y, train, test, config)
         auc2, _ = evaluate_split(y, train, test, config)
         assert auc1 == auc2
@@ -148,7 +159,7 @@ class TestEvaluateSplit:
         # flipping y on test entries must not change anything about the fit
         y = planted_graph(n=14, seed=4)
         train, test = split_observations(y, 0.8, seed=4, tie_symmetric=False)
-        config = FitConfig(seed=4, rel_tol=1e-4, w_max_steps=30, max_outer_iters=15)
+        config = FitConfig(seed=4, rel_tol=1e-4, max_outer_iters=15)
 
         tampered_entries = y.entries.copy()
         tampered_entries[test.observed] = 1 - tampered_entries[test.observed]
@@ -167,7 +178,7 @@ class TestCrossValidateLambda:
     def test_single_value_grid(self):
         y = planted_graph(n=14, seed=5)
         train, _ = split_observations(y, 0.8, seed=5, tie_symmetric=False)
-        config = FitConfig(seed=5, rel_tol=1e-3, w_max_steps=20, max_outer_iters=10)
+        config = FitConfig(seed=5, rel_tol=1e-3, max_outer_iters=10)
         best, table = cross_validate_lambda(y, train, [0.7], folds=2, seed=5, config=config)
         assert best == 0.7
         assert len(table) == 1
@@ -175,7 +186,7 @@ class TestCrossValidateLambda:
     def test_prefers_working_penalty_over_huge_one(self):
         y = planted_graph(n=24, seed=6)
         train, _ = split_observations(y, 0.8, seed=6, tie_symmetric=False)
-        config = FitConfig(seed=6, rel_tol=1e-3, w_max_steps=60, max_outer_iters=15)
+        config = FitConfig(seed=6, rel_tol=1e-3, max_outer_iters=15)
         best, table = cross_validate_lambda(
             y, train, [0.5, 1000.0], folds=2, seed=6, config=config
         )
@@ -186,7 +197,7 @@ class TestCrossValidateLambda:
     def test_deterministic_table(self):
         y = planted_graph(n=14, seed=7)
         train, _ = split_observations(y, 0.8, seed=7, tie_symmetric=False)
-        config = FitConfig(seed=7, rel_tol=1e-3, w_max_steps=20, max_outer_iters=8)
+        config = FitConfig(seed=7, rel_tol=1e-3, max_outer_iters=8)
         out1 = cross_validate_lambda(y, train, [0.4, 0.8], folds=2, seed=7, config=config)
         out2 = cross_validate_lambda(y, train, [0.4, 0.8], folds=2, seed=7, config=config)
         assert out1 == out2
@@ -210,7 +221,7 @@ class TestCrossValidateLambda:
         entries[0, 1] = 1
         y = AdjacencyMatrix(4, entries)
         train = ObservationMask.full(4)
-        config = FitConfig(seed=0, rel_tol=1e-3, w_max_steps=10, max_outer_iters=5)
+        config = FitConfig(seed=0, rel_tol=1e-3, max_outer_iters=5)
         with pytest.warns(UserWarning, match="single-class"):
             best, table = cross_validate_lambda(y, train, [0.5], folds=2, seed=1, config=config)
         assert best == 0.5
@@ -251,7 +262,7 @@ class TestCrossValidateLambda:
 class TestRunSplits:
     def test_five_splits_shape_and_determinism(self):
         y = planted_graph(n=16, seed=10)
-        config = FitConfig(seed=100, rel_tol=1e-3, w_max_steps=20, max_outer_iters=8)
+        config = FitConfig(seed=100, rel_tol=1e-3, max_outer_iters=8)
         results = run_splits(y, n_splits=3, train_fraction=0.8, config=config,
                              tie_symmetric=False)
         assert [r.seed for r in results] == [100, 101, 102]

@@ -59,8 +59,6 @@ class TestFitConfig:
             {"k_init": 0},
             {"max_outer_iters": 0},
             {"rel_tol": 0.0},
-            {"w_max_steps": 0},
-            {"w_grad_tol": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -247,12 +245,14 @@ class _CheckedTable(optimizer._DeltaTable):
     A visit follows each node's accepted flips, so every state the screen
     reads is checked: each entry lies within its bound of a fresh kernel
     row, the table never claims to be closer to the kernel than the
-    kernel's own rounding, and mass follows its definition.
+    kernel's own rounding, and mass follows its definition. A built table
+    starts every entry at exactly beta * mass, the kernel reset's rule.
     """
 
     def __init__(self, idx, state):
         super().__init__(idx, state)
         self.state = state  # the sweep flips this very state in place
+        assert np.array_equal(self.error, self.beta * self.mass)
         self.check(state)
 
     def reset(self, *args):
@@ -298,7 +298,8 @@ class TestSweepKernel:
         observed = mask.observed.copy()
         np.fill_diagonal(observed, diagonal)
         mask = ObservationMask(state.n, observed)
-        # incremental patches let the caches drift from a from-scratch build
+        # patched flips leave the caches within rounding of Z and W; the
+        # sweep rebuilds them before it builds the table
         for n, k in patches if state.k_plus else ():
             optimizer._apply_flip(state, n % state.n, k % state.k_plus)
         _oracle_fixed_point(y, mask, state)
@@ -310,15 +311,30 @@ class TestSweepKernel:
         assert len(tables) == (state.k_plus > 0)
 
     @pytest.mark.parametrize("bump", [1e-9, 1e-6])
-    def test_bound_covers_drifted_caches(self, rng, bump):
-        # caches that drifted from Z and W (here, one logit moved by hand):
-        # the table builds from pattern values, the kernel reads the caches
+    def test_sweep_starts_from_rebuilt_caches(self, monkeypatch, rng, bump):
+        # caches moved off Z and W: one logit by hand, then patched flips; the
+        # table reads pattern values at one node each, the kernel every node
         y, mask, state = random_instance(rng, 10, 3)
         state.logits[0, 1] += bump
-        table = optimizer._DeltaTable(optimizer._MaskIndex(y, mask), state)
-        kernel = _kernel_rows(table.idx, state)
-        assert (np.abs(table.delta - kernel) <= table.error + table.beta * table.mass).all()
-        assert np.abs(table.delta - kernel).max() > bump / 10
+        for n, k in ((2, 0), (5, 2), (7, 1)):
+            optimizer._apply_flip(state, n, k)
+        rebuilt = ModelState.from_factors(state.z, state.w, state.lam)
+        tables = []
+        monkeypatch.setattr(optimizer, "_DeltaTable",
+                            lambda *args: tables.append(_CheckedTable(*args)) or tables[-1])
+        idx = optimizer._MaskIndex(y, mask)
+
+        scanned = state.copy()
+        expected_flag = oracle_sweep(y, mask, rebuilt.copy(), apply=False)
+        assert optimizer._sweep(idx, scanned, apply=False) == expected_flag
+        for name in ("z", "w", "logits", "left_cache", "right_cache"):
+            assert np.array_equal(getattr(scanned, name), getattr(rebuilt, name)), name
+
+        expected = rebuilt.copy()
+        assert oracle_sweep(y, mask, expected, apply=True)
+        assert optimizer._sweep(idx, state, apply=True)
+        assert np.array_equal(state.z, expected.z)
+        assert len(tables) == 2
 
     def test_saturated_scan_reaches_a_fixed_point(self):
         # a state hypothesis drew at W +-400 (the exact W value matters): every
@@ -355,7 +371,7 @@ class TestOptimizeW:
         y, mask, _ = random_instance(rng, 4, 2)
         w = rng.normal(size=(2, 2))
         state = ModelState.from_factors(np.zeros((4, 2)), w, 0.5)
-        optimize_w(y, mask, state, FitConfig())
+        optimize_w(y, mask, state)
         assert np.array_equal(state.w, w)
 
     def test_single_parameter_against_golden_section(self):
@@ -368,7 +384,7 @@ class TestOptimizeW:
         observed[0, 1] = True
         mask = ObservationMask(2, observed)
         state = ModelState.from_factors(np.ones((2, 1)), np.zeros((1, 1)), 0.5)
-        optimize_w(y, mask, state, FitConfig())
+        optimize_w(y, mask, state)
 
         from laftr import link_probability
 
@@ -387,12 +403,12 @@ class TestOptimizeW:
         for trial in range(5):
             y, mask, state = random_instance(rng, 6, 2)
             before = objective(y, mask, state)
-            optimize_w(y, mask, state, FitConfig(w_max_steps=40))
+            optimize_w(y, mask, state)
             assert objective(y, mask, state) <= before + 1e-9
 
     def test_rebuilds_caches(self, rng):
         y, mask, state = random_instance(rng, 6, 2)
-        optimize_w(y, mask, state, FitConfig(w_max_steps=20))
+        optimize_w(y, mask, state)
         assert max_cache_error(state) < 1e-9
 
 
@@ -462,9 +478,8 @@ class TestPairStats:
                                        entries, ~np.eye(15, dtype=bool))
         stats = _PairStats(y, mask, state.z)
         assert ((stats.positives > 0) & (stats.positives < stats.count)).all()
-        config = FitConfig()
-        optimize_w(y, mask, state, config)
-        assert np.abs(nll_gradient_w(y, mask, state)).max() < config.w_grad_tol
+        optimize_w(y, mask, state)
+        assert np.abs(nll_gradient_w(y, mask, state)).max() < optimizer.W_GRAD_TOL
 
         def dense(flat_w):
             s = ModelState.from_factors(state.z, flat_w.reshape(2, 2), 0.5)
@@ -482,9 +497,8 @@ class TestPairStats:
             observed = rng.random((9, 9)) < 0.7  # diagonal entries included
             mask = ObservationMask(9, observed)
         state.rebuild_caches()
-        config = FitConfig(w_max_steps=25)
-        expected = oracle_optimize_w(y, mask, state.copy(), config)
-        got = optimize_w(y, mask, state.copy(), config)
+        expected = oracle_optimize_w(y, mask, state.copy())
+        got = optimize_w(y, mask, state.copy())
         np.testing.assert_allclose(got.w, expected.w, rtol=0, atol=1e-8)
 
 
@@ -586,7 +600,7 @@ class TestFit:
         np.fill_diagonal(entries, 0)
         y = AdjacencyMatrix(n, entries)
         mask = ObservationMask.full(n)
-        report = fit(y, mask, FitConfig(seed=1, rel_tol=1e-4, w_max_steps=100))
+        report = fit(y, mask, FitConfig(seed=1, rel_tol=1e-4))
         assert_monotone_trace(report)
         probs = np.array(
             [[float(1 / (1 + np.exp(-report.final_state.logits[i, j]))) for j in range(n)] for i in range(n)]
@@ -601,7 +615,7 @@ class TestFit:
             n = int(rng.integers(4, 7))
             y, mask, _ = random_instance(rng, n, 2)
             config = FitConfig(
-                seed=trial, rel_tol=1e-4, w_max_steps=40, max_outer_iters=150
+                seed=trial, rel_tol=1e-4, max_outer_iters=150
             )
             report = fit(y, mask, config)
             assert_monotone_trace(report)
@@ -611,7 +625,7 @@ class TestFit:
 
     def test_deterministic_reports(self, rng):
         y, mask, _ = random_instance(rng, 8, 2)
-        config = FitConfig(seed=5, rel_tol=1e-4, w_max_steps=30, max_outer_iters=40)
+        config = FitConfig(seed=5, rel_tol=1e-4, max_outer_iters=40)
         r1 = fit(y, mask, config)
         r2 = fit(y, mask, config)
         assert r1.objective_trace == r2.objective_trace
@@ -622,7 +636,7 @@ class TestFit:
 
     def test_k_trace_steps_are_bounded(self, rng):
         y, mask, _ = random_instance(rng, 10, 2)
-        report = fit(y, mask, FitConfig(seed=3, rel_tol=1e-4, w_max_steps=30, max_outer_iters=30))
+        report = fit(y, mask, FitConfig(seed=3, rel_tol=1e-4, max_outer_iters=30))
         for prev, curr in zip(report.k_trace, report.k_trace[1:]):
             assert curr <= prev + 1
 
@@ -632,7 +646,7 @@ class TestFit:
         fit(
             y,
             mask,
-            FitConfig(seed=0, rel_tol=1e-4, w_max_steps=20, max_outer_iters=10),
+            FitConfig(seed=0, rel_tol=1e-4, max_outer_iters=10),
             on_iteration=lambda it, state, sec: seen.append((it, state.k_plus, sec)),
         )
         assert [row[0] for row in seen] == list(range(len(seen)))
@@ -701,7 +715,7 @@ def fit_problems(draw):
     config = FitConfig(seed=draw(st.integers(0, 2**32 - 1)),
                        lam=draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])),
                        k_init=draw(st.integers(1, 3)),
-                       rel_tol=1e-4, w_max_steps=30, max_outer_iters=10)
+                       rel_tol=1e-4, max_outer_iters=10)
     return AdjacencyMatrix(n, entries), ObservationMask(n, observed), config
 
 
