@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,18 +217,68 @@ def dump_communities(model_payload: dict, labels: list[str] | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def _load_pairs(path: str) -> list[tuple[int, int]]:
-    pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in graph._iter_data_lines(handle):
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'i j', got {line!r}", lineno)
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(f"non-integer pair in {line!r}", lineno) from None
-    return pairs
+def _load_pairs(stream, n: int) -> np.ndarray:
+    """Parse 'i j' or 'i,j' lines into an (M, 2) array of node indices below ``n``.
+
+    Blank lines and '#' comments are skipped. As in graph.load_dense_matrix,
+    array masks accept the plain lines and every other line goes through
+    ``_pair``, which accepts or rejects it token by token.
+    """
+    data, buf, bounds = graph._read_lines(stream)
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    edges = np.diff(digit.view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    counts = np.diff(np.searchsorted(starts, bounds))  # digit runs per line
+    width = len(str(max(n - 1, 0)))
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(width):  # the k-th digit from the right of every run
+        pos = ends - 1 - k
+        inside = pos >= starts
+        values[inside] += (buf[pos[inside]] - ord("0")) * np.int64(10**k)
+
+    slow = counts != 2
+    slow[graph._lines_of(bounds, ~(digit | graph._SPACE[buf] | (buf == ord(","))))] = True
+    token_line = np.repeat(np.arange(slow.size), counts)
+    # a run longer than n - 1's digits has leading zeros or is out of range: _pair decides
+    slow[token_line[(ends - starts > width) | (values >= n)]] = True
+    pairs = np.empty((slow.size, 2), dtype=np.int64)
+    pairs[~slow] = values[~slow[token_line]].reshape(-1, 2)
+    is_pair = ~slow
+    for k, pair in graph._parse_lines(data, bounds, np.flatnonzero(slow),
+                                      functools.partial(_pair, n=n)).items():
+        pairs[k] = pair
+        is_pair[k] = True
+    return pairs[is_pair]
+
+
+def _pair(line: str, lineno: int, n: int) -> tuple[int, int]:
+    """One stripped data line of a pairs file, parsed token by token."""
+    parts = line.replace(",", " ").split()
+    if len(parts) != 2:
+        raise ParseError(f"expected 'i j', got {line!r}", lineno)
+    try:
+        i, j = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"non-integer pair in {line!r}", lineno) from None
+    if not (0 <= i < n and 0 <= j < n):
+        raise ParseError(f"pair index out of range (n={n}) in {line!r}", lineno)
+    return i, j
+
+
+def _predictions_csv(pairs: np.ndarray, probs: list[float], n: int) -> str:
+    """The predictions CSV: an 'i,j,probability' header, then one row per pair.
+
+    The rows' "i,j," prefixes are laid out as arrays; one %-format call
+    then writes every probability as %.17g, which round-trips a float.
+    """
+    digits = graph._digit_table(n)
+    width = digits.shape[1]
+    out = np.zeros((len(pairs), 2 * width + 8), dtype=np.uint8)
+    out[:, :width] = np.take(digits, pairs[:, 0], axis=0)
+    out[:, width] = ord(",")
+    out[:, width + 1:2 * width + 1] = np.take(digits, pairs[:, 1], axis=0)
+    out[:, 2 * width + 1:] = np.frombuffer(b",%.17g\n", dtype=np.uint8)
+    return "i,j,probability\n" + graph._unpad(out) % tuple(probs)
 
 
 def _tie_symmetric_arg(value: str) -> bool | None:
@@ -270,11 +321,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     state, _ = load_model(args.model)
-    pairs = _load_pairs(args.input)
+    with open(args.input, encoding="utf-8") as handle:
+        pairs = _load_pairs(handle, state.n)
     probs = predict_links(state, pairs)
-    lines = ["i,j,probability"]
-    lines += [f"{i},{j},{p:.17g}" for (i, j), p in zip(pairs, probs)]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, _predictions_csv(pairs, probs, state.n))
     print(f"predict: {len(pairs)} pairs -> {args.out}")
     return EXIT_OK
 

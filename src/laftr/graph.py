@@ -91,6 +91,61 @@ def _iter_data_lines(stream: Iterable[str]):
             yield lineno, line
 
 
+# the ASCII bytes str.split() and str.strip() treat as whitespace
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+
+
+def _read_lines(stream: Iterable[str] | TextIO) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """Read a text stream whole: its UTF-8 bytes, their uint8 view and its line bounds.
+
+    Line k (numbered k + 1) is ``data[bounds[k]:bounds[k + 1]]``, its
+    "\\n" included, so no line is empty and the lines are those that
+    iterating the stream yields. A stream without ``read`` is an iterable
+    of lines.
+    """
+    if hasattr(stream, "read"):
+        text = stream.read()
+    else:
+        text = "\n".join(line.removesuffix("\n") for line in stream)
+    data = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if not buf.size:
+        return data, buf, np.zeros(1, dtype=np.intp)
+    starts = np.flatnonzero(buf[:-1] == ord("\n")) + 1
+    return data, buf, np.concatenate(([0], starts, [buf.size]))
+
+
+def _lines_of(bounds: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """Sorted indices of the lines that hold a flagged byte."""
+    return np.unique(np.searchsorted(bounds, np.flatnonzero(flagged), side="right") - 1)
+
+
+def _parse_lines(data: bytes, bounds: np.ndarray, lines: np.ndarray, parse_line) -> dict:
+    """``{k: parse_line(stripped line, line number)}`` for the data lines among ``lines``.
+
+    Blank and '#' lines are skipped as _iter_data_lines skips them. The
+    lines are parsed in order, so the first bad one raises.
+    """
+    parsed = {}
+    for k in lines.tolist():
+        line = data[bounds[k]:bounds[k + 1]].decode("utf-8", "surrogatepass").strip()
+        if line and line[0] != "#":
+            parsed[k] = parse_line(line, k + 1)
+    return parsed
+
+
+def _digit_table(n: int) -> np.ndarray:
+    """Row v holds the decimal digits of v, left-aligned and padded with zero bytes."""
+    width = len(str(max(n - 1, 0)))
+    return np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+
+
+def _unpad(rows: np.ndarray) -> str:
+    """The text of fixed-width uint8 rows with their zero padding bytes removed."""
+    return str(rows[rows != 0], "ascii")
+
+
 def load_edge_list(stream: Iterable[str] | TextIO, n: int | None = None) -> AdjacencyMatrix:
     """Parse "src dst [value]" lines (tab- or space-separated) into a matrix.
 
@@ -138,36 +193,61 @@ def load_edge_list(stream: Iterable[str] | TextIO, n: int | None = None) -> Adja
 def load_dense_matrix(stream: Iterable[str] | TextIO) -> AdjacencyMatrix:
     """Parse N rows of N whitespace-separated {0,1} tokens.
 
-    symmetric_hint is set by checking the parsed matrix against its
-    transpose.
+    Blank lines and lines starting with '#' are skipped. The file is read
+    whole and checked with array masks; a line they cannot vouch for (a
+    comment, a token such as ``01`` or ``+1``, any other byte) is parsed
+    with ``int()`` token by token, so it is accepted or rejected exactly as
+    a line-by-line parse would. symmetric_hint is set by checking the
+    parsed matrix against its transpose.
     """
-    rows: list[list[int]] = []
-    row_lines: list[int] = []
-    for lineno, line in _iter_data_lines(stream):
-        tokens = line.split()
-        try:
-            row = [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError(f"non-integer token in row {line!r}", lineno) from None
-        if any(v not in (0, 1) for v in row):
-            raise ParseError("matrix tokens must be 0 or 1", lineno)
-        rows.append(row)
-        row_lines.append(lineno)
+    data, buf, bounds = _read_lines(stream)
+    digit = (buf | 1) == ord("1")  # b"0" or b"1"
+    bad = ~(digit | _SPACE[buf])
+    bad[1:] |= digit[1:] & digit[:-1]  # a token longer than one byte
+    slow = _lines_of(bounds, bad)
+    counts = np.add.reduceat(digit, bounds[:-1], dtype=np.intp)  # tokens per fast line
+    counts[slow] = 0
+    slow_rows = _parse_lines(data, bounds, slow, _dense_row)
+    for k, row in slow_rows.items():
+        counts[k] = len(row)
 
-    if not rows:
+    row_lines = np.flatnonzero(counts)
+    size = row_lines.size
+    if size == 0:
         raise ParseError("empty matrix file")
-    size = len(rows)
-    for row, lineno in zip(rows, row_lines):
-        if len(row) != size:
-            raise ParseError(f"ragged row: expected {size} tokens, got {len(row)}", lineno)
-    entries = np.array(rows, dtype=np.int8)
+    ragged = row_lines[counts[row_lines] != size]
+    if ragged.size:
+        k = int(ragged[0])
+        raise ParseError(f"ragged row: expected {size} tokens, got {counts[k]}", k + 1)
+    fast = np.ones(len(bounds) - 1, dtype=bool)
+    fast[slow] = False
+    if slow.size:
+        digit &= np.repeat(fast, np.diff(bounds))
+    entries = np.empty((size, size), dtype=np.int8)
+    entries[fast[row_lines]] = (buf[digit] - ord("0")).reshape(-1, size)
+    for k, row in slow_rows.items():
+        entries[np.searchsorted(row_lines, k)] = row
     symmetric = bool((entries == entries.T).all())
     return AdjacencyMatrix(size, entries, symmetric_hint=symmetric)
 
 
+def _dense_row(line: str, lineno: int) -> list[int]:
+    """One stripped data line of a dense matrix file, parsed token by token."""
+    try:
+        row = [int(t) for t in line.split()]
+    except ValueError:
+        raise ParseError(f"non-integer token in row {line!r}", lineno) from None
+    if any(v not in (0, 1) for v in row):
+        raise ParseError("matrix tokens must be 0 or 1", lineno)
+    return row
+
+
 def write_dense(adj: AdjacencyMatrix) -> str:
     """Serialize to the dense format; load_dense_matrix round-trips it bit-exactly."""
-    return "\n".join(" ".join(str(int(v)) for v in row) for row in adj.entries) + "\n"
+    out = np.full((adj.n, 2 * adj.n), ord(" "), dtype=np.uint8)
+    out[:, 0::2] = adj.entries + ord("0")
+    out[:, -1:] = ord("\n")  # a slice, so that n = 0 gives no IndexError
+    return out.tobytes().decode("ascii") or "\n"
 
 
 def split_observations(
@@ -215,12 +295,19 @@ def split_observations(
 def write_mask(train: ObservationMask, test: ObservationMask) -> str:
     """Serialize a split as "i j {0|1}" lines (1 = train), row-major order."""
     either = train.observed | test.observed
-    lines = []
-    for i in range(train.n):
-        js = np.flatnonzero(either[i])
-        flags = train.observed[i, js].astype(np.int8)
-        lines.extend(f"{i} {j} {f}" for j, f in zip(js.tolist(), flags.tolist()))
-    return "\n".join(lines) + "\n"
+    n = train.n
+    rows = np.repeat(np.arange(n, dtype=np.int32), either.sum(axis=1))
+    cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[either]
+    digits = _digit_table(n)
+    width = digits.shape[1]
+    out = np.zeros((rows.size, 2 * width + 4), dtype=np.uint8)
+    out[:, :width] = np.take(digits, rows, axis=0)
+    out[:, width + 1:-3] = np.take(digits, cols, axis=0)
+    out[:, width] = out[:, -3] = ord(" ")
+    out[:, -2] = train.observed[either]
+    out[:, -2] += ord("0")
+    out[:, -1] = ord("\n")
+    return _unpad(out) or "\n"
 
 
 def load_mask(stream: Iterable[str] | TextIO, n: int) -> tuple[ObservationMask, ObservationMask]:

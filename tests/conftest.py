@@ -7,9 +7,9 @@ gradient checks use central finite differences. The W-step oracle is the
 damped Newton over the individual observed entries that the pattern-pair W
 step must reproduce, and the sweep oracle scores one (n, k) flip at a time in
 the order the screened, batched sweep must reproduce flip for flip. The split,
-mask-writing and scoring oracles are the
-one-entry-at-a-time loops whose output the array versions must reproduce
-bit for bit.
+scoring and file oracles are the one-entry-at-a-time and one-line-at-a-time
+loops whose output (and, for the parsers, whose ParseError message and line)
+the array versions must reproduce exactly.
 
 The math helpers below them serve only as references for package code:
 the exact W-gradient, the cache-coherence check, the Bernoulli Bregman
@@ -20,12 +20,13 @@ helper that runs package code: the screened sweep, for tests that need a
 one-flip fixed point.
 """
 
+import io
 import math
 
 import numpy as np
 import pytest
 
-from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask
+from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask, ParseError
 from laftr import optimizer
 from laftr.model import sigmoid, softplus
 from laftr.optimizer import FLIP_TOLERANCE, _apply_flip
@@ -296,6 +297,75 @@ def oracle_write_mask(train: ObservationMask, test: ObservationMask) -> str:
     for i, j in np.argwhere(either):
         lines.append(f"{i} {j} {1 if train.observed[i, j] else 0}")
     return "\n".join(lines) + "\n"
+
+
+def _oracle_data_lines(stream):
+    """(line number, stripped line) of every line that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, line
+
+
+def oracle_load_dense_matrix(stream) -> AdjacencyMatrix:
+    """load_dense_matrix parsed one line and one token at a time."""
+    rows: list[list[int]] = []
+    row_lines: list[int] = []
+    for lineno, line in _oracle_data_lines(stream):
+        tokens = line.split()
+        try:
+            row = [int(t) for t in tokens]
+        except ValueError:
+            raise ParseError(f"non-integer token in row {line!r}", lineno) from None
+        if any(v not in (0, 1) for v in row):
+            raise ParseError("matrix tokens must be 0 or 1", lineno)
+        rows.append(row)
+        row_lines.append(lineno)
+
+    if not rows:
+        raise ParseError("empty matrix file")
+    size = len(rows)
+    for row, lineno in zip(rows, row_lines):
+        if len(row) != size:
+            raise ParseError(f"ragged row: expected {size} tokens, got {len(row)}", lineno)
+    entries = np.array(rows, dtype=np.int8)
+    symmetric = bool((entries == entries.T).all())
+    return AdjacencyMatrix(size, entries, symmetric_hint=symmetric)
+
+
+def oracle_write_dense(adj: AdjacencyMatrix) -> str:
+    """write_dense formatted one entry at a time."""
+    return "\n".join(" ".join(str(int(v)) for v in row) for row in adj.entries) + "\n"
+
+
+def oracle_load_pairs(stream, n: int) -> np.ndarray:
+    """The pairs file of `laftr predict` parsed one line at a time, as an (M, 2) array."""
+    pairs = []
+    for lineno, line in _oracle_data_lines(stream):
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'i j', got {line!r}", lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer pair in {line!r}", lineno) from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParseError(f"pair index out of range (n={n}) in {line!r}", lineno)
+        pairs.append((i, j))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def parse_outcome(parse, text, *args, as_lines=False):
+    """What a parser makes of ``text``: its result, or its ParseError's (message, line).
+
+    The parser reads a text stream, or with ``as_lines`` the list of lines
+    that iterating one yields.
+    """
+    source = io.StringIO(text).readlines() if as_lines else io.StringIO(text)
+    try:
+        return parse(source, *args)
+    except ParseError as exc:
+        return str(exc), exc.line_number
 
 
 def oracle_link_probabilities(state: ModelState, pairs) -> list[float]:

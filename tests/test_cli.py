@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laftr import (
     FitConfig,
@@ -21,7 +23,13 @@ from laftr import (
 )
 from laftr import cli
 from laftr.cli import dump_communities, load_model, main
-from conftest import oracle_link_probabilities, oracle_split_observations, oracle_write_mask
+from conftest import (
+    oracle_link_probabilities,
+    oracle_load_pairs,
+    oracle_split_observations,
+    oracle_write_mask,
+    parse_outcome,
+)
 
 
 def run_cli(*argv):
@@ -310,6 +318,88 @@ class TestModelFile:
         model_path.write_text(json.dumps(self.GOOD))
         state, _ = load_model(str(model_path))
         assert np.array_equal(state.w, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@st.composite
+def pair_lines(draw, n):
+    """'i j' / 'i,j' lines in varied spacing, with blank and comment lines between."""
+    index = st.integers(0, n - 1)
+    token = st.one_of(index.map(str), index.map(lambda v: f"0{v}"), index.map(lambda v: f"+{v}"))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t\r", "# 1 2", " #"]), max_size=2))
+        sep = draw(st.sampled_from([" ", ",", " , ", "\t", ",,", " ,\t", "\x0c"]))
+        lead = draw(st.sampled_from(["", " ", ","]))
+        trail = draw(st.sampled_from(["", " ", "\r", ","]))
+        lines.append(lead + draw(token) + sep + draw(token) + trail)
+    return lines
+
+
+class TestPairsFile:
+    """The pairs file of `laftr predict`: the array parser against the line-by-line oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 9, 10, 11, 999, 1000, 1500]))
+    def test_accepted_files_parse_alike(self, data, n):
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(data.draw(pair_lines(n))) + data.draw(st.sampled_from(["", eol]))
+        got = parse_outcome(cli._load_pairs, text, n)
+        want = parse_outcome(oracle_load_pairs, text, n)
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 12, 100]))
+    def test_injected_faults_fail_alike(self, data, n):
+        lines = data.draw(pair_lines(n))
+        bad = data.draw(st.sampled_from(["5", "1 2 3", "a b", "1.5 0", ",", "0 1 #",
+                                         f"0 {n}", f"{n + 7},0", "-1 0", "0 -0x1"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        text = "\n".join(lines) + "\n"
+        want = parse_outcome(oracle_load_pairs, text, n)
+        assert isinstance(want, tuple)
+        assert parse_outcome(cli._load_pairs, text, n) == want
+
+    @pytest.fixture
+    def model_12(self, tmp_path):
+        z = (np.arange(12)[:, None] % 2 == np.arange(2)).astype(float)
+        state = ModelState.from_factors(z, np.array([[1.0, -1.0], [-0.5, 2.0]]), 0.5)
+        path = tmp_path / "m.json"
+        path.write_text(cli._model_to_json(state, [], 0))
+        return path
+
+    def predict(self, tmp_path, model, text):
+        pairs_path, out = tmp_path / "pairs.txt", tmp_path / "preds.csv"
+        pairs_path.write_text(text)
+        return run_cli("predict", "--model", str(model), "--input", str(pairs_path),
+                       "--out", str(out)), out
+
+    def test_commas_comments_and_blank_lines_are_accepted(self, tmp_path, model_12):
+        code, out = self.predict(tmp_path, model_12, "0 1\n# c\n\n3,4\n 5 , 11 \r\n")
+        assert code == 0
+        state, _ = load_model(str(model_12))
+        pairs = [(0, 1), (3, 4), (5, 11)]
+        rows = [f"{i},{j},{p:.17g}" for (i, j), p in
+                zip(pairs, oracle_link_probabilities(state, pairs))]
+        assert out.read_text() == "\n".join(["i,j,probability", *rows]) + "\n"
+
+    @pytest.mark.parametrize("text, error", [
+        ("0 1\n2\n", "line 2: expected 'i j', got '2'"),
+        ("0 1\n\n1 2 3\n", "line 3: expected 'i j', got '1 2 3'"),
+        ("# c\n0 x\n", "line 2: non-integer pair in '0 x'"),
+        ("0 1\n# c\n\n3,4\n0 99\n", "line 5: pair index out of range (n=12) in '0 99'"),
+        ("-1 0\n", "line 1: pair index out of range (n=12) in '-1 0'"),
+    ])
+    def test_bad_line_exits_2_and_names_it(self, tmp_path, capsys, model_12, text, error):
+        code, out = self.predict(tmp_path, model_12, text)
+        assert code == 2
+        assert f"laftr: error: {error}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_file_writes_header_only(self, tmp_path, model_12):
+        code, out = self.predict(tmp_path, model_12, "")
+        assert code == 0
+        assert out.read_text() == "i,j,probability\n"
 
 
 class TestExitCodes:

@@ -18,7 +18,13 @@ from laftr import (
     write_dense,
     write_mask,
 )
-from conftest import oracle_split_observations, oracle_write_mask
+from conftest import (
+    oracle_load_dense_matrix,
+    oracle_split_observations,
+    oracle_write_dense,
+    oracle_write_mask,
+    parse_outcome,
+)
 
 
 class TestEdgeList:
@@ -216,6 +222,82 @@ class TestArrayPathsMatchOracles:
         test = ~train & (rng.random((n, n)) < test_density)
         train_mask, test_mask = ObservationMask(n, train), ObservationMask(n, test)
         assert write_mask(train_mask, test_mask) == oracle_write_mask(train_mask, test_mask)
+
+
+# int() accepts each of these as 0 or 1, so a line holding one is a matrix row
+ODD_BITS = ["01", "+1", "00", "-0", "0_1", "\u0661"]
+BAD_TOKENS = ["2", "x", "1.0", "0x1", "10", "1,0"]
+FILLER_LINES = ["", "   ", "\t\r", "# comment 0 1", "  #x", "#"]
+
+
+@st.composite
+def dense_lines(draw, tokens):
+    """Rows of a dense matrix file in varied spacing, with blank and comment lines between."""
+    n = draw(st.integers(1, 7))
+    lines = []
+    for _ in range(n):
+        lines += draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
+        row = draw(st.lists(tokens, min_size=n, max_size=n))
+        seps = draw(st.lists(st.sampled_from([" ", "  ", "\t", " \t", "\x0b"]),
+                             min_size=n - 1, max_size=n - 1))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        trail = draw(st.sampled_from(["", " ", "\r", "\x1c"]))
+        lines.append(lead + "".join(t + sep for t, sep in zip(row, seps)) + row[-1] + trail)
+    lines += draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
+    return lines
+
+
+def join_lines(draw, lines):
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestDenseMatrixMatchesOracle:
+    """The array parser and writer against the one-line-at-a-time loops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), odd=st.booleans(), as_lines=st.booleans())
+    def test_accepted_files_parse_alike(self, data, odd, as_lines):
+        bits = st.sampled_from(["0", "1"] * 4 + (ODD_BITS if odd else []))
+        text = join_lines(data.draw, data.draw(dense_lines(bits)))
+        got = parse_outcome(load_dense_matrix, text, as_lines=as_lines)
+        want = oracle_load_dense_matrix(io.StringIO(text))
+        assert isinstance(got, AdjacencyMatrix), got
+        assert np.array_equal(got.entries, want.entries)
+        assert got.symmetric_hint == want.symmetric_hint
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["token", "ragged", "line"]))
+    def test_injected_faults_fail_alike(self, data, kind):
+        lines = data.draw(dense_lines(st.sampled_from(["0", "1", "01"])))
+        at = data.draw(st.integers(0, len(lines) - 1))
+        stripped = lines[at].strip()
+        is_row = stripped and stripped[0] != "#"
+        if kind == "token":
+            bad = data.draw(st.sampled_from(BAD_TOKENS))
+            lines[at] = lines[at] + " " + bad if is_row else bad
+        elif kind == "ragged":
+            lines[at] = lines[at] + " 0 1" if is_row else "1"
+        else:
+            lines.insert(at, data.draw(st.sampled_from(["0 a", "\u00a0x", "1 1 \x00"])))
+        text = join_lines(data.draw, lines)
+        want = parse_outcome(oracle_load_dense_matrix, text)
+        assert isinstance(want, tuple)
+        assert parse_outcome(load_dense_matrix, text) == want
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "0 1\n1\n", "1 1 1\n"])
+    def test_degenerate_files_fail_alike(self, text):
+        want = parse_outcome(oracle_load_dense_matrix, text)
+        assert isinstance(want, tuple)
+        assert parse_outcome(load_dense_matrix, text) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 30), density=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_write_dense_bytes_match(self, n, density, seed):
+        entries = np.random.default_rng(seed).random((n, n)) < density
+        adj = AdjacencyMatrix(n, entries)
+        assert write_dense(adj) == oracle_write_dense(adj)
 
 
 class TestMaskFile:
