@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -72,14 +73,22 @@ def _model_to_json(state: ModelState, objective_trace, seed: int) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def load_model(path: str) -> tuple[ModelState, dict]:
     """Read a model JSON file back into a ModelState (caches rebuilt).
 
-    ``k`` must equal the column count of ``z`` and ``w`` must be a K x K
-    nested list; otherwise a ParseError names the offending field.
+    The file must hold a JSON object; ``k`` must equal the column count of
+    ``z``, ``w`` must be a K x K nested list of finite numbers and
+    ``lambda`` a finite number >= 0; otherwise a ParseError names the
+    offending field.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ParseError(f"model file must hold a JSON object, got {type(payload).__name__}")
     z = np.asarray(payload["z"], dtype=float)
     k = payload["k"]
     if z.ndim != 2 or k != z.shape[1]:
@@ -88,8 +97,13 @@ def load_model(path: str) -> tuple[ModelState, dict]:
     if not (isinstance(w, list) and len(w) == k
             and all(isinstance(row, list) and len(row) == k for row in w)):
         raise ParseError(f"model field 'w' must be a {k}x{k} nested list")
+    if not all(_is_finite_number(v) for row in w for v in row):
+        raise ParseError("model field 'w' must hold finite numbers")
     w = np.asarray(w, dtype=float).reshape(k, k)  # k = 0: [] becomes 0 x 0
-    state = ModelState.from_factors(z, w, payload["lambda"])
+    lam = payload["lambda"]
+    if not (_is_finite_number(lam) and lam >= 0):
+        raise ParseError(f"model field 'lambda' must be a finite number >= 0, got {lam!r}")
+    state = ModelState.from_factors(z, w, lam)
     return state, payload
 
 

@@ -65,21 +65,29 @@ def _group_patterns(z: np.ndarray):
     return z[first], first, inverse
 
 
+def _pattern_logits(right: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Logits right patterns^T, for rows ``right`` of (other patterns) W, in feature order."""
+    table = np.zeros((len(right), len(patterns)))
+    for k in range(patterns.shape[1]):
+        table += right[:, k, None] * patterns[:, k]
+    return table
+
+
 def _pattern_caches(patterns: np.ndarray, w: np.ndarray):
     """Rows patterns W and patterns W^T, and the P x P logit table (patterns W) patterns^T.
 
     Each sum runs over the features in index order from +0, without BLAS, so
     the bits do not depend on the thread count, and an all-zero membership
-    column adds exact zeros, which leaves every sum unchanged.
+    column adds exact zeros, which leaves every sum unchanged. Every entry
+    sums only its own patterns' terms, so a row or column computed alone,
+    for a subset of the patterns, has the same bits.
     """
     n_pat, k_plus = patterns.shape
-    side, table = np.zeros((n_pat, 2 * k_plus)), np.zeros((n_pat, n_pat))
+    side = np.zeros((n_pat, 2 * k_plus))
     stacked = np.concatenate([w, w.T], axis=1)  # row k: [w[k, :], w[:, k]]
     for k in range(k_plus):
         side += patterns[:, k, None] * stacked[k]
-    for k in range(k_plus):
-        table += side[:, k, None] * patterns[:, k]
-    return side[:, :k_plus], side[:, k_plus:], table
+    return side[:, :k_plus], side[:, k_plus:], _pattern_logits(side[:, :k_plus], patterns)
 
 
 @dataclass
@@ -93,14 +101,11 @@ class ModelState:
     - ``right_cache``: N x K, right_cache[i, k] = z_i . W[:, k]  (= Z W)
 
     Flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n
-    by +-right_cache[:, k], which is what makes single-coordinate moves
-    O(N) instead of a full recompute.
+    by +-right_cache[:, k] (plus w[k, k] at (n, n)).
 
     rebuild_caches expands them from the patterns of Z, so equal rows of Z
-    tie exactly in every cache; the optimizer's incremental flips keep them
-    within rounding only. Every Z sweep starts by rebuilding them, so its
-    screen reads exact pattern values and bounds no drift, and fit rebuilds
-    the state it returns.
+    tie exactly in every cache. They are never patched: every optimizer step
+    that changes Z or W ends by rebuilding them.
 
     K = 0 (Z with zero columns) is a legal state: all logits are 0 and every
     pair gets probability 0.5.

@@ -8,39 +8,46 @@ iteration that would end the fit draws more proposals first. Every move is
 a descent move, so the objective trace is non-increasing and the loop
 reaches a local minimum in finitely many iterations.
 
-Coordinate moves are evaluated without touching the full N x N logit matrix:
-flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n by
-+-right_cache[:, k], so the objective delta is a sum of O(N)
-softplus-difference terms over the M observed entries of row/column n. The
-kernel scores all K flips of node n in one softplus pass over a K x M block
-of those shifts, takes the first improving k and re-scores only the
-features after it, so it accepts exactly the flips of a one-at-a-time scan.
-A flip counts as improving only if its delta plus a bound on the delta's
-rounding error is below -FLIP_TOLERANCE, so every accepted flip provably
-lowers the objective and a sweep cannot cycle, even on saturated logits.
+Coordinate moves are scored on membership patterns. For fixed W a logit
+depends only on the rows of Z of its two nodes, so with P distinct rows
+(patterns) every observed logit is an entry of the P x P pattern logit
+table that the objective also sums. Flipping z[n, k] shifts the logit of an
+entry (n, j) by +-left_cache[j, k] and of (i, n) by +-right_cache[i, k],
+and those too depend only on the other node's pattern. Node n's K flip
+deltas are therefore sums over its 2P partner patterns (row side and column
+side): the number of its observed entries with that partner times a
+softplus difference, minus the number with y = 1 times the shift, plus the
+term of (n, n) if it is observed. The kernel scores all K flips of node n
+in one softplus pass over those K x 2P terms, takes the first improving k,
+scores the row again on n's new pattern and looks for the next improving
+feature after k there, so it accepts exactly the flips of a one-at-a-time
+scan. A flip counts as improving only if its delta plus a bound on the
+delta's rounding error is below -FLIP_TOLERANCE, so every accepted flip
+provably lowers the objective and a sweep cannot cycle, even on saturated
+logits.
 
 Most nodes have no improving flip in most passes, so the sweep screens
-them with an N x K table of every flip delta, maintained across passes.
-Every sweep starts from rebuilt caches and builds the table from the P
-distinct rows of Z (P x P x K softplus terms instead of N x M x K); each
-entry carries a bound on its distance from the kernel's value, and none
-on drift of the caches. Only nodes whose row minus its bound falls below
--FLIP_TOLERANCE go through the kernel; the kernel would reject every
-flip of the others. After a node's flips, each other node's row changes
-only in its entries at that node, so the table is updated in O(N K) per
-flipping node. The screen changes no flip, and so no fit.
+them with an N x K table of every flip delta, maintained across passes
+and built from the same per-pattern terms; each entry carries a bound on
+its distance from the kernel's value. Only nodes whose row minus its bound
+falls below -FLIP_TOLERANCE go through the kernel; the kernel would reject
+every flip of the others. When node m changes pattern, the other nodes'
+partner counts move by one at m's pattern before and after, and their rows
+move by the terms of their entries at m, scored once per pattern. The
+sweep reads Z, W and the mask only; a new row of Z gets a row and column
+of the logit table with the bits a rebuild gives, and the caches are
+rebuilt once when the sweep ends. The screen changes no flip, and so no
+fit.
 
-The W step never touches the N x N matrices either. A logit depends only on
-the membership rows of its two nodes, so for fixed Z the observed entries
-collapse into pattern pairs: with P distinct rows of Z, the W-subproblem is
-a logistic fit with K^2 parameters over P x P pairs weighted by their
-observed and positive counts (model._PairStats, which the objective also
-sums with), gathered in one pass over the observed entries. It is solved
-by damped Newton: a step builds the K^2 x K^2 Hessian in O(P^2 K^2 + P K^4)
-and solves it, never visiting the N^2 entries, and a W step typically
-takes about ten such steps. Its trial logits are BLAS products that are
-never stored; on exit ModelState.rebuild_caches stores the logits, in a
-fixed order.
+The W step works on patterns too: for fixed Z the observed entries collapse
+into pattern pairs, so the W-subproblem is a logistic fit with K^2
+parameters over P x P pairs weighted by their observed and positive counts
+(model._PairStats, which the objective also sums with), gathered in one
+pass over the observed entries. It is solved by damped Newton: a step
+builds the K^2 x K^2 Hessian in O(P^2 K^2 + P K^4) and solves it, never
+visiting the N^2 entries, and a W step typically takes about ten such
+steps. Its trial logits are BLAS products that are never stored; on exit
+ModelState.rebuild_caches stores the logits, in a fixed order.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .graph import AdjacencyMatrix, ObservationMask
-from .model import ModelState, _group_patterns, _PairStats, objective, softplus
+from .model import (ModelState, _group_patterns, _PairStats, _pattern_caches, _pattern_logits,
+                    objective, softplus)
 
 __all__ = [
     "FitConfig",
@@ -81,8 +89,9 @@ W_GRAD_TOL = 1e-6
 def _rounding_beta(n_nodes: int) -> float:
     """beta of the flip-delta rounding bound beta * mass on N nodes (see _sweep).
 
-    Every sum in the kernel or in the delta table adds at most 2N terms, each
-    rounded a few times; twice that first-order bound leaves headroom.
+    Every sum in the kernel or in the delta table adds at most 2N nonzero
+    terms, each rounded a few times; twice that first-order bound leaves
+    headroom.
     """
     return _UNIT_ROUNDOFF * (4 * n_nodes + 64)
 
@@ -146,110 +155,19 @@ def init_state(n: int, config: FitConfig, rng: np.random.Generator | None = None
 
 
 class _MaskIndex:
-    """Precomputed per-node gather indices of the observed entries.
+    """The mask and y as the sweep reads them, built once per fit.
 
-    Node n's working vector is the observed entries (n, j), j != n, of row n
-    followed by the observed entries (i, n), i != n, of column n.
-    ``logit_idx[n]`` holds their flat positions in the N x N logit matrix,
-    ``shift_idx[n]`` their columns in the K x 2N shift table
-    [left_cache; right_cache]^T (column j moves logit (n, j), column N + i
-    logit (i, n)), and ``rowcol_y[n]`` their y values. ``diag_observed``
-    and ``diag_y`` describe (n, n) itself. ``offdiag`` is the N x N mask
-    without its diagonal and ``positive`` its entries with y = 1. Built
-    once per fit; the mask and y never change during a run.
+    ``kind[i, j]`` is 0 if the entry (i, j) is unobserved or on the
+    diagonal, 1 if it is observed with y = 0 and 2 if with y = 1.
+    ``diag_observed`` and ``diag_y`` describe each (n, n). The mask and y
+    never change during a run.
     """
 
     def __init__(self, y: AdjacencyMatrix, mask: ObservationMask):
-        obs = mask.observed.copy()
-        np.fill_diagonal(obs, False)
-        yv = y.entries
-        n = mask.n
-        self.offdiag = obs
-        self.positive = obs & (yv == 1)
-        self.logit_idx: list[np.ndarray] = []
-        self.shift_idx: list[np.ndarray] = []
-        self.rowcol_y: list[np.ndarray] = []
+        self.kind = np.where(mask.observed, 1 + (y.entries == 1), 0).astype(np.int8)
+        np.fill_diagonal(self.kind, 0)
         self.diag_observed = np.diagonal(mask.observed).copy()
-        self.diag_y = np.diagonal(yv).astype(float)
-        for node in range(n):
-            js = np.flatnonzero(obs[node])
-            is_ = np.flatnonzero(obs[:, node])
-            self.logit_idx.append(np.concatenate([node * n + js, is_ * n + node]))
-            self.shift_idx.append(np.concatenate([js, n + is_]))
-            self.rowcol_y.append(np.concatenate([yv[node, js], yv[is_, node]]).astype(float))
-
-
-def _gather(idx: _MaskIndex, table: np.ndarray, state: ModelState, n: int):
-    """Node n's logits a, shift block, y . block rows, softplus(a).sum(), logit (n, n).
-
-    Row k of the C-order K x M block is the shift that flipping z[n, k]
-    adds to a.
-    """
-    a = state.logits.take(idx.logit_idx[n])
-    shifts = table.take(idx.shift_idx[n], axis=1)
-    shifts *= (1.0 - 2.0 * state.z[n])[:, None]
-    return a, shifts, np.vecdot(shifts, idx.rowcol_y[n]), softplus(a).sum(), state.logits[n, n]
-
-
-def _flip_deltas(idx, state, n, a, shifts, ydot, sp_a, a_nn, start):
-    """Objective deltas of flipping z[n, k] for each k >= start, and their masses.
-
-    One softplus pass over the block rows, summed per row, so each delta
-    keeps numpy's 1-D pairwise summation. A row's mass (see _sweep) sums
-    sp(a + s) + sp(a) + y|s| + 1 over n's observed entries, plus the
-    diagonal's. Also returns each row's softplus sum and, if (n, n) is
-    observed, the diagonal logit's shifts (see _diag_terms); else None.
-    """
-    rows = shifts[start:]
-    sp_rows = softplus(a + rows).sum(axis=1)
-    delta = sp_rows - sp_a - ydot[start:]
-    mass = sp_rows + sp_a + np.vecdot(np.abs(rows), idx.rowcol_y[n])
-    mass += len(idx.rowcol_y[n])
-    diag = None
-    if idx.diag_observed[n]:
-        terms, diag, sp_x, sp_nn = _diag_terms(state, n, a_nn, idx.diag_y[n], start)
-        delta += terms
-        mass += _diag_mass(state, n, sp_x, sp_nn, start)
-    return delta, mass, sp_rows, diag
-
-
-def _diag_terms(state, n, a_nn, y_nn, start=0):
-    """Diagonal delta terms of flipping z[n, k] for each k >= start.
-
-    n is a node, or an array of nodes with a_nn and y_nn columns of their
-    diagonal logits and y values (then each node's terms are a row).
-    Returns the terms, the shifts da of logit (n, n), sp(a_nn + da) and
-    sp(a_nn).
-    """
-    # the diagonal logit is quadratic in z[n, k]: both caches shift it, plus
-    # the d^2 = 1 self-term w[k, k]
-    da = (1.0 - 2.0 * state.z[n, start:]) * (state.left_cache[n, start:]
-                                             + state.right_cache[n, start:])
-    da += np.diagonal(state.w)[start:]
-    sp_x, sp_a = softplus(a_nn + da), softplus(a_nn)
-    return -y_nn * da + sp_x - sp_a, da, sp_x, sp_a
-
-
-def _diag_mass(state, n, sp_x, sp_a, start=0):
-    """Mass of the diagonal terms of node(s) n's flips k >= start, from _diag_terms' sp values.
-
-    Adds |left| + |right| + |w[k, k]|, which bounds the diagonal shift and
-    so its rounding and its y term.
-    """
-    return (sp_x + sp_a + np.abs(state.left_cache[n, start:])
-            + np.abs(state.right_cache[n, start:]) + np.abs(np.diagonal(state.w)[start:]) + 1.0)
-
-
-def _apply_flip(state: ModelState, n: int, k: int) -> None:
-    """Flip z[n, k] and patch logits row/column n and cache row n in place."""
-    d = 1.0 - 2.0 * state.z[n, k]
-    state.logits[n, :] += d * state.left_cache[:, k]
-    state.logits[:, n] += d * state.right_cache[:, k]
-    # the two updates above already contributed d*(left + right) at (n, n)
-    state.logits[n, n] += state.w[k, k]
-    state.left_cache[n, :] += d * state.w[:, k]
-    state.right_cache[n, :] += d * state.w[k, :]
-    state.z[n, k] += d
+        self.diag_y = np.diagonal(y.entries).astype(float)
 
 
 def delta_objective_flip(
@@ -259,7 +177,8 @@ def delta_objective_flip(
 
     The community-count penalty is unchanged by a flip, so this is purely a
     likelihood delta over the observed entries of row and column n. It is
-    entry k of the delta row the sweep computes for node n.
+    entry k of the delta row the sweep's kernel computes for node n, from Z
+    and W.
     """
     if not (0 <= n < state.n):
         raise IndexError(f"node index {n} out of range for n={state.n}")
@@ -267,217 +186,276 @@ def delta_objective_flip(
         raise IndexError(f"feature index {k} out of range for k={state.k_plus}")
     if y.n != state.n or mask.n != state.n:
         raise ValueError("adjacency/mask/state dimensions disagree")
-    idx = _MaskIndex(y, mask)
-    table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
-    return float(_flip_deltas(idx, state, n, *_gather(idx, table, state, n), 0)[0][k])
+    return float(_DeltaTable(_MaskIndex(y, mask), state).scores(n)[0][k])
 
 
 class _DeltaTable:
-    """The sweep's screen: every node's flip deltas, each with a bound.
+    """The sweep's pattern tables, and its screen: every node's flip deltas with a bound.
 
-    ``delta[k, n]`` approximates the delta _flip_deltas computes for
-    flipping z[n, k] in the current state and is within
-    ``error + beta * mass`` of it; _sweep derives the bound. ``open``
-    marks the nodes the sweep must still visit, and ``sign`` holds
-    1 - 2 z^T.
+    Node n is at pattern ``pat[n]``, a row of ``patterns``. The other node
+    of an observed entry of n is its partner: entry (n, j) has partner j on
+    n's row side, entry (i, n) partner i on its column side. Partner tables
+    interleave the sides: column 2q + s is a partner at pattern q on side s.
+    ``logits[p, 2q]`` and ``logits[p, 2q + 1]`` are the pattern logits
+    (_pattern_caches' table) of (p, q) and (q, p), and ``sp_logits`` their
+    softplus. ``partner[k, 2q]`` and ``partner[k, 2q + 1]`` are pattern q's
+    left and right cache entries, so flipping z[n, k] moves the logit of an
+    entry at a partner in column j by +-partner[k, j].
+    ``counts[n, 0, j]`` counts n's observed entries with a partner in
+    column j and ``counts[n, 1, j]`` those with y = 1.
 
-    It is built on caches _sweep has just rebuilt, so each pattern's values
-    are read at its first node and every entry starts at error beta * mass,
-    as after a kernel reset; no bound covers drifted caches.
+    A flip that makes a new row of Z appends it, with the logits and cache
+    entries a rebuild gives it, bit for bit. The first ``n_pat`` patterns
+    are in use; the tables' capacity doubles when they fill.
+
+    ``delta[n, k]`` approximates the kernel's delta (scores) for flipping
+    z[n, k] in the current Z and is within ``bound[n, k]`` of it; _sweep
+    derives the bound. ``open`` marks the nodes the sweep must still visit.
+    Z is the state's, flipped in place; the caches are not read.
     """
 
     def __init__(self, idx: _MaskIndex, state: ModelState):
+        self.idx, self.z, self.w = idx, state.z, state.w
         n_nodes, k_plus = state.z.shape
         self.beta = _rounding_beta(n_nodes)
-        self.idx = idx
-        self.sign = 1.0 - 2.0 * state.z.T
-        patterns, first, inv = _group_patterns(state.z)
-        n_pat = len(first)
-        onehot = (inv[:, None] == np.arange(n_pat)).astype(float)
-        # pattern-level logits and cache rows, read at each pattern's first node
-        pat_logits = state.logits[np.ix_(first, first)]
-        side = np.concatenate([state.left_cache[first], state.right_cache[first]])
-        # counts[n] = observed partners of n by pattern, row side then column
-        # side; positives counts those with y = 1
-        counts, positives = (np.concatenate([obs @ onehot, obs.T @ onehot], axis=1)
-                             for obs in (idx.offdiag, idx.positive))
+        self.patterns, _, self.pat = _group_patterns(self.z)
+        self.signs = 1.0 - 2.0 * self.patterns
+        self.n_pat = n_pat = len(self.patterns)
+        self.index = {row.tobytes(): p for p, row in enumerate(self.patterns)}
+        right, left, table = _pattern_caches(self.patterns, self.w)
+        self.logits = np.stack([table, table.T], axis=2).reshape(n_pat, 2 * n_pat)
+        self.sp_logits = softplus(self.logits)
+        self.partner = np.stack([left.T, right.T], axis=2).reshape(k_plus, 2 * n_pat)
+        onehot = (self.pat[:, None] == np.arange(n_pat)).astype(float)
+        self.counts = np.empty((n_nodes, 2, 2 * n_pat))
+        for kind in range(2):
+            observed = (idx.kind > kind).astype(float)
+            self.counts[:, kind, 0::2] = observed @ onehot
+            self.counts[:, kind, 1::2] = observed.T @ onehot
+        self._grow()
 
-        # one softplus pass over 2P x K pattern-pair shifts per pattern group,
-        # contracted with the group's counts
-        self.delta = np.empty((k_plus, n_nodes))
-        self.mass = np.empty((k_plus, n_nodes))
-        abs_side = np.abs(side)
-        groups = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+        # per pattern, its nodes' partner terms contracted with their counts by
+        # BLAS: faster than the kernel's reductions, and the screen decides no flip
+        self.delta = np.empty((n_nodes, k_plus))
+        mass = np.empty((n_nodes, k_plus))
+        groups = np.split(np.argsort(self.pat, kind="stable"),
+                          np.cumsum(np.bincount(self.pat))[:-1])
         for p, members in enumerate(groups):
-            shifts = side * (1.0 - 2.0 * patterns[p])
-            a = np.concatenate([pat_logits[p], pat_logits[:, p]])[:, None]
-            sp_x, sp_a = softplus(a + shifts), softplus(a)
-            c, y = counts[members], positives[members]
-            self.delta[:, members] = (c @ (sp_x - sp_a) - y @ shifts).T
-            self.mass[:, members] = (c @ (sp_x + sp_a + 1.0) + y @ abs_side).T
-        diag = np.flatnonzero(idx.diag_observed)
-        if diag.size:
-            terms, _, sp_x, sp_a = _diag_terms(state, diag, np.diagonal(state.logits)[diag, None],
-                                               idx.diag_y[diag, None])
-            self.delta[:, diag] += terms.T
-            self.mass[:, diag] += _diag_mass(state, diag, sp_x, sp_a).T
-        self.error = self.beta * self.mass
+            shifts, sp_x, sp_a = self._shifted(p)
+            c, pos = self.counts[members, :, :2 * n_pat].transpose(1, 0, 2)
+            self.delta[members] = c @ (sp_x - sp_a).T - pos @ shifts.T
+            mass[members] = c @ (sp_x + sp_a + 1.0).T + pos @ np.abs(shifts).T
+            diag = members[idx.diag_observed[members]]
+            if diag.size:
+                terms, diag_mass = self._diag_terms(p, idx.diag_y[diag, None])
+                self.delta[diag] += terms
+                mass[diag] += diag_mass
+        self.bound = 2.0 * self.beta * mass
         self.open = self._flagged()
 
-    def _flagged(self) -> np.ndarray:
-        bound = self.error + self.beta * self.mass
-        return (self.delta - bound < -FLIP_TOLERANCE).any(axis=0)
+    def _grow(self) -> None:
+        """Double the pattern capacity of every table."""
+        extra = len(self.patterns)
+        self.patterns, self.signs = (np.pad(t, ((0, extra), (0, 0)))
+                                     for t in (self.patterns, self.signs))
+        self.logits, self.sp_logits = (np.pad(t, ((0, extra), (0, 2 * extra)))
+                                       for t in (self.logits, self.sp_logits))
+        self.partner = np.pad(self.partner, ((0, 0), (0, 2 * extra)))
+        self.counts = np.pad(self.counts, ((0, 0), (0, 0), (0, 2 * extra)))
 
-    @staticmethod
-    def entries_at(state: ModelState, m: int):
-        """The logits and cache rows that node m's flips change for the other nodes."""
-        a = np.concatenate([state.logits[:, m], state.logits[m, :]])
-        return a, state.left_cache[m].copy(), state.right_cache[m].copy()
+    def _shifted(self, p: int):
+        """Shifts s, sp(a + s) and sp(a), K x 2P, of the partner logits a of a node at pattern p."""
+        width = 2 * self.n_pat
+        shifts = self.partner[:, :width] * self.signs[p, :, None]
+        return shifts, softplus(self.logits[p, :width] + shifts), self.sp_logits[p, :width]
 
-    def replace(self, state: ModelState, m: int, old) -> None:
-        """Move the other nodes' rows by node m's flips; ``old`` is entries_at before them.
+    def _diag_terms(self, p: int, y_nn):
+        """Delta and mass terms of the entry (n, n) in the flips of n at pattern p, y_nn its y.
 
-        Node n's entries at m are (n, m), shifted by +-left_cache[m], and
-        (m, n), shifted by +-right_cache[m]. Their terms before and after
-        the flips are scored in one softplus pass over a stacked
-        K x 2 x 2N block. Node m's own row is left to reset(). A node with
-        an entry at m is reopened if its screen no longer holds.
+        The diagonal logit is quadratic in z[n, k]: both cache entries shift
+        it, plus the d^2 = 1 self-term w[k, k]. The mass adds |left| +
+        |right| + |w[k, k]|, which bounds the shift and so its rounding and
+        its y term.
         """
-        n_nodes, k_plus = state.z.shape
-        new = self.entries_at(state, m)
-        # axes: feature, before/after, entry (n, m)/(m, n), node n; the extra
-        # feature row has zero shift, so its softplus is sp(a)
-        shifts = np.zeros((k_plus + 1, 2, 2, n_nodes))
-        for t, (_, left, right) in enumerate((old, new)):
-            np.multiply(self.sign, left[:, None], out=shifts[:k_plus, t, 0])
-            np.multiply(self.sign, right[:, None], out=shifts[:k_plus, t, 1])
-        sp = softplus(shifts + np.concatenate([old[0], new[0]]).reshape(2, 2, n_nodes))
-        sp_x, sp_a, shifts = sp[:k_plus], sp[k_plus], shifts[:k_plus]
-        obs, y = np.stack([self.idx.offdiag[:, m], self.idx.offdiag[m, :],
-                           self.idx.positive[:, m], self.idx.positive[m, :]]).reshape(2, 2, n_nodes)
-        ys = shifts * y
-        terms = np.where(obs, sp_x - sp_a - ys, 0.0).sum(axis=2)
-        mass = np.where(obs, sp_x + sp_a + np.abs(ys) + 1.0, 0.0).sum(axis=2)
-        self.delta += terms[:, 1] - terms[:, 0]
-        self.mass += mass[:, 1] - mass[:, 0]
-        self.error += self.beta * (mass[:, 0] + mass[:, 1]) + _UNIT_ROUNDOFF * np.abs(self.delta)
-        self.sign[:, m] = 1.0 - 2.0 * state.z[m]
+        left, right = self.partner[:, 2 * p], self.partner[:, 2 * p + 1]
+        w_diag = np.diagonal(self.w)
+        da = self.signs[p] * (left + right) + w_diag
+        sp_x, sp_a = softplus(self.logits[p, 2 * p] + da), self.sp_logits[p, 2 * p]
+        return (-y_nn * da + sp_x - sp_a,
+                sp_x + sp_a + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0)
+
+    def scores(self, n: int):
+        """The kernel: node n's deltas of flipping z[n, k] for every k, and their masses.
+
+        One softplus pass over the K x 2P partner terms, weighted by n's
+        counts and summed by numpy reductions, never by BLAS, so the bits do
+        not depend on the thread count. Row k depends on nothing but its own
+        terms.
+        """
+        p = self.pat[n]
+        shifts, sp_x, sp_a = self._shifted(p)
+        c, pos = self.counts[n, :, :2 * self.n_pat]
+        delta = (c * (sp_x - sp_a) - pos * shifts).sum(axis=1)
+        mass = (c * (sp_x + sp_a + 1.0) + pos * np.abs(shifts)).sum(axis=1)
+        if self.idx.diag_observed[n]:
+            terms, diag_mass = self._diag_terms(p, self.idx.diag_y[n])
+            delta += terms
+            mass += diag_mass
+        return delta, mass
+
+    def flip(self, n: int, k: int) -> None:
+        """Flip z[n, k] and move n to the pattern of its new row, appending it if it is new."""
+        row = self.z[n]
+        row[k] = 1.0 - row[k]
+        key = row.tobytes()
+        if key not in self.index:
+            p = self.n_pat
+            if p == len(self.patterns):
+                self._grow()
+            self.patterns[p], self.signs[p] = row, 1.0 - 2.0 * row
+            right, left, _ = _pattern_caches(row[None], self.w)
+            self.partner[:, 2 * p], self.partner[:, 2 * p + 1] = left[0], right[0]
+            # the logits (p, q) and (q, p) for q <= p
+            out = _pattern_logits(right, self.patterns[:p + 1])[0]
+            into = _pattern_logits(self.partner[:, 1:2 * p + 2:2].T, row[None])[:, 0]
+            self.logits[p, :2 * p + 2] = np.stack([out, into], axis=1).ravel()
+            self.logits[:p + 1, 2 * p:2 * p + 2] = np.stack([into, out], axis=1)
+            self.sp_logits[p, :2 * p + 2] = softplus(self.logits[p, :2 * p + 2])
+            self.sp_logits[:p + 1, 2 * p:2 * p + 2] = softplus(self.logits[:p + 1, 2 * p:2 * p + 2])
+            self.index[key] = p
+            self.n_pat = p + 1
+        self.pat[n] = self.index[key]
+
+    def _flagged(self) -> np.ndarray:
+        return (self.delta - self.bound < -FLIP_TOLERANCE).any(axis=1)
+
+    def move(self, m: int, p_old: int) -> None:
+        """Move the other nodes' rows and counts from node m at pattern p_old to its pattern now.
+
+        Node n's entries at m are (n, m), on its row side, and (m, n), on its
+        column side. Their terms depend only on n's pattern and m's, so they
+        are scored once per pattern of n, with m before and after, and
+        gathered by node pattern and by the kind of n's entry at m. A node
+        with an entry at m is reopened if its screen no longer holds.
+        """
+        n_pat, p_new = self.n_pat, self.pat[m]
+        columns = [2 * p_old, 2 * p_old + 1, 2 * p_new, 2 * p_new + 1]
+        # axes: n's pattern, m's column (before, then after), feature
+        shifts = self.signs[:n_pat, None] * self.partner[:, columns].T
+        sp_a = self.sp_logits[:n_pat, columns, None]
+        sp_x = softplus(self.logits[:n_pat, columns, None] + shifts)
+        delta, mass = sp_x - sp_a, 2.0 * self.beta * (sp_x[:, 2:] + sp_a[:, 2:] + 1.0)
+        # axes: kind of n's entry at m, n's pattern, side, (delta move, 2 beta mass after), feature
+        moves = np.zeros((3, n_pat, 2, 2, self.z.shape[1]))
+        np.subtract(delta[:, 2:], delta[:, :2], out=moves[1, :, :, 0])
+        np.subtract(moves[1, :, :, 0], shifts[:, 2:] - shifts[:, :2], out=moves[2, :, :, 0])
+        moves[1, :, :, 1] = mass
+        np.add(mass, 2.0 * self.beta * np.abs(shifts[:, 2:]), out=moves[2, :, :, 1])
+        kinds = np.stack([self.idx.kind[:, m], self.idx.kind[m]], axis=1)
+        rows = moves[kinds, self.pat[:, None], (0, 1)].sum(axis=1)
+        self.delta += rows[:, 0]
+        self.bound += rows[:, 1] + _UNIT_ROUNDOFF * np.abs(self.delta)
+        # counts[:, 0, column]: observed entries (kind >= 1); counts[:, 1, column]: y = 1 (kind 2)
+        moved = kinds[:, None, :] > np.array([[0], [1]])
+        self.counts[:, :, columns[0]:columns[0] + 2] -= moved
+        self.counts[:, :, columns[2]:columns[2] + 2] += moved
         # a node with no observed entry at m sees no change: it keeps its state
-        touched = self.idx.offdiag[:, m] | self.idx.offdiag[m, :]
-        self.open = np.where(touched, self._flagged(), self.open)
+        self.open = np.where(kinds.any(axis=1), self._flagged(), self.open)
 
     def reset(self, n: int, delta, mass) -> None:
-        """Take node n's row from the kernel's scores of every k in the current state.
+        """Take node n's row from the kernel's scores of every k in the current Z.
 
         The row is within beta * mass of kappa, as is the kernel's next
         visit, so n stays open only if the row could hold a flip the
         kernel accepts; that rule does not subtract the kernel's own
         beta * mass, so it is looser than the kernel's.
         """
-        self.delta[:, n] = delta
-        self.mass[:, n] = mass
-        self.error[:, n] = self.beta * mass
-        self.open[n] = bool((delta - 2.0 * self.beta * mass < -FLIP_TOLERANCE).any())
+        self.delta[n] = delta
+        self.bound[n] = 2.0 * self.beta * mass
+        self.open[n] = bool((delta - self.bound[n] < -FLIP_TOLERANCE).any())
 
 
 def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
-    """Row-major passes over all (n, k), screened by a maintained delta table.
+    """Row-major passes over all (n, k) on the patterns of Z, screened by a maintained delta table.
 
-    It first rebuilds the state's caches from Z and W. With apply=True it
-    then sweeps to a one-flip fixed point: every provably improving flip is
-    taken, passes repeat until one takes none, and the return value says
-    whether any flip happened. With apply=False it is one pass that stops
-    at the first improving flip; it leaves Z and W unchanged but may
-    rewrite the caches to their rebuilt values.
+    With apply=True it sweeps to a one-flip fixed point: every provably
+    improving flip is taken, passes repeat until one takes none, and the
+    return value says whether any flip happened; if one did, the state's
+    caches are rebuilt on exit. With apply=False it is one pass that stops
+    at the first improving flip and leaves the state unchanged. It reads Z,
+    W and the mask only, never the caches.
 
     The flips are exactly those of visiting every node in every pass with
-    the kernel (_gather/_flip_deltas): node n's K flips are scored at once
-    on its K x M shift block, the first k with delta + beta * mass <
-    -FLIP_TOLERANCE is flipped and only the features after it are
-    re-scored. The kernel's local logits replay the arithmetic of
-    _apply_flip, and the shift table's columns n and N + n are patched
-    after each flip. As the kernel's delta is within beta * mass of kappa
-    (below), an accepted flip lowers the objective by more than
-    FLIP_TOLERANCE in exact arithmetic on the state's logits, so passes
+    the kernel (_DeltaTable.scores): node n's K flips are scored at once on
+    its K x 2P partner terms, the first k with delta + beta * mass <
+    -FLIP_TOLERANCE is flipped, and the row is scored again on n's new
+    pattern, where the first improving feature after k is flipped next, and
+    so on. As the kernel's delta is within beta * mass
+    of kappa (below), an accepted flip lowers the objective by more than
+    FLIP_TOLERANCE in exact arithmetic on the pattern logits, so passes
     cannot cycle.
 
-    The screen (_DeltaTable) holds every node's K deltas, built after the
-    rebuild from the P distinct rows of Z. Its bound: for entry (n, k) let
-    kappa be the delta in exact arithmetic on the state's floating-point
-    logits and caches, and mass the sum of sp(a + s) + sp(a) + y|s| + 1
-    over n's observed entries (logit a, shift s; plus the diagonal's
-    terms). The kernel's delta is within beta * mass of kappa, beta =
-    u (4N + 64) for unit roundoff u: each of its sums adds at most 2N
-    terms, and beta is twice that first-order bound. The table's error
-    term bounds |table - kappa|: a newly built entry and a kernel row's
-    reset start it at beta * mass; each update adds beta x the changed
-    entries' mass before and after, plus u |table|. So the table is within
-    error + beta * mass of the kernel, and a pass visits only nodes with an
-    entry below -FLIP_TOLERANCE after subtracting that; the kernel would
+    The bound: for entry (n, k) let kappa be the delta in exact arithmetic
+    of the pattern logits a and shifts s the kernel reads, and mass the sum
+    over n's 2P partner columns of count * (sp(a + s) + sp(a) + 1) +
+    positives * |s| (plus the diagonal's terms). The kernel's delta is
+    within beta * mass of kappa, beta = u (4N + 64) for unit roundoff u:
+    each of its sums has 2P weighted terms, of which only the partner
+    columns with an observed entry, at most 2N, are nonzero, adding an
+    exact zero rounds nothing, and beta is twice that first-order bound.
+
+    The screen (_DeltaTable) holds every node's K deltas, built from the
+    same partner terms per pattern, each with a bound on its distance from
+    the kernel's value: error + beta * mass, for error a bound on
+    |table - kappa|. A newly built entry and a kernel row's reset start the
+    error at beta * mass, so the bound at 2 beta * mass. After node m's
+    flips, only the other nodes' entries at m change, from mass m_before to
+    m_after: the error grows by beta (m_before + m_after) plus u |table|
+    and the mass by m_after - m_before, so the bound grows by
+    2 beta m_after + u |table|. A pass visits only nodes with an entry
+    below -FLIP_TOLERANCE after subtracting its bound; the kernel would
     reject every flip of the others.
 
-    After node m's flips, only the entries (n, m) and (m, n) of the other
-    nodes move: their rows are updated from one softplus pass over those
-    entries before and after the flips, and m's row is re-scored by the
-    kernel. A node the kernel has just visited without flipping stays
+    A node's row moves by the terms of its entries at m before and after,
+    read from one softplus pass per pattern, and m's row is re-scored by
+    the kernel. A node the kernel has just visited without flipping stays
     closed until a flip touches one of its entries. The screen opens a
     node when the kernel's delta could fall below -FLIP_TOLERANCE; it does
     not subtract the kernel's own beta * mass, so it opens every node whose
     flip the kernel could accept.
     """
-    n_nodes, k_plus = state.z.shape
-    if k_plus == 0:
+    if state.k_plus == 0:
         return False
-    state.rebuild_caches()
-    table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
     screen = _DeltaTable(idx, state)
-    beta = screen.beta
     improved = False
     while True:
         flipped = False
         n = 0
         while (ahead := np.flatnonzero(screen.open[n:])).size:
             n += int(ahead[0])
-            a, shifts, ydot, sp_a, a_nn = _gather(idx, table, state, n)
-            flips = []
-            start = 0
-            while start < k_plus:
-                delta, mass, sp_rows, diag = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
-                                                          a_nn, start)
-                hits = np.flatnonzero(delta + beta * mass < -FLIP_TOLERANCE)
-                if hits.size == 0:
-                    break
+            p_old, k = screen.pat[n], 0
+            delta, mass = screen.scores(n)
+            while (hits := np.flatnonzero((delta + screen.beta * mass)[k:] < -FLIP_TOLERANCE)).size:
                 if not apply:
                     return True
-                if not flips:
-                    old = screen.entries_at(state, n)
-                j = hits[0]
-                k = start + j
-                a = a + shifts[k]
-                sp_a = sp_rows[j]
-                if diag is not None:
-                    a_nn = a_nn + diag[j]
-                _apply_flip(state, n, k)
-                table[:, n] = state.left_cache[n]
-                table[:, n_nodes + n] = state.right_cache[n]
-                flips.append(k)
-                start = k + 1
-            if flips:
-                screen.replace(state, n, old)
-                # score every k again, as the next visit to n would
-                shifts[flips] *= -1.0
-                ydot[flips] *= -1.0
-                delta, mass, _, _ = _flip_deltas(idx, state, n, a, shifts, ydot, sp_a,
-                                                 state.logits[n, n], 0)
+                k += int(hits[0])
+                screen.flip(n, k)
+                delta, mass = screen.scores(n)
+                k += 1
+            if screen.pat[n] != p_old:
+                screen.move(n, p_old)
                 flipped = True
             screen.reset(n, delta, mass)
-            if not flips:
-                # the kernel just rejected every flip of n in this very state
+            if screen.pat[n] == p_old:
+                # the kernel just rejected every flip of n in this very Z
                 screen.open[n] = False
             n += 1
         if not flipped or not apply:
-            return improved
+            break
         improved = True
+    if improved:
+        state.rebuild_caches()
+    return improved
 
 
 def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> ModelState:
@@ -628,9 +606,9 @@ def fit(
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
     after each outer iteration with the cumulative wall-clock time of the
-    fit, not counting the time spent in earlier on_iteration calls. The
-    returned state's caches are rebuilt from (Z, W), so its logits do not
-    depend on the order of the incremental patches that produced them.
+    fit, not counting the time spent in earlier on_iteration calls. Every
+    step leaves the state's caches rebuilt from (Z, W), the returned
+    state's too.
 
     Deterministic for a fixed config: one RNG stream seeded with config.seed
     drives initialization and every birth proposal.
@@ -684,6 +662,5 @@ def fit(
                 report.converged = True
                 break
 
-    state.rebuild_caches()
     report.final_state = state
     return report

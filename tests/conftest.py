@@ -5,11 +5,16 @@ the objective oracle uses direct -y log p - (1-y) log(1-p) sums instead of
 the softplus form, the AUC oracle enumerates positive/negative pairs, and
 gradient checks use central finite differences. The W-step oracle is the
 damped Newton over the individual observed entries that the pattern-pair W
-step must reproduce, and the sweep oracle scores one (n, k) flip at a time in
-the order the screened, batched sweep must reproduce flip for flip. The split,
-scoring and file oracles are the one-entry-at-a-time and one-line-at-a-time
-loops whose output (and, for the parsers, whose ParseError message and line)
-the array versions must reproduce exactly.
+step must reproduce. The pattern sweep oracle scores one (n, k) flip at a
+time, from partner counts taken afresh from Z, in the order the screened,
+batched sweep must reproduce flip for flip; it reads the pattern logits
+from model._pattern_caches, whose bits the sweep's growing table must
+keep. The entrywise sweep oracle sums each flip's delta over the
+individual observed entries, which the pattern kernel must match within
+its rounding bound. The split, scoring and file oracles are the
+one-entry-at-a-time and one-line-at-a-time loops whose output (and, for
+the parsers, whose ParseError message and line) the array versions must
+reproduce exactly.
 
 The math helpers below them serve only as references for package code:
 the exact W-gradient, the cache-coherence check, the Bernoulli Bregman
@@ -28,8 +33,8 @@ import pytest
 
 from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask, ParseError
 from laftr import optimizer
-from laftr.model import sigmoid, softplus
-from laftr.optimizer import FLIP_TOLERANCE, _apply_flip
+from laftr.model import _group_patterns, _pattern_caches, sigmoid, softplus
+from laftr.optimizer import FLIP_TOLERANCE
 
 
 def oracle_nll(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
@@ -45,12 +50,29 @@ def oracle_objective(y: AdjacencyMatrix, mask: ObservationMask, state: ModelStat
     return oracle_nll(y, mask, state) + state.k_plus * state.lam**2
 
 
+def _oracle_entry_terms(y, mask, z, w) -> np.ndarray:
+    """Each observed entry's -y log p - (1-y) log(1-p), the logs taken as -logaddexp(0, -+a).
+
+    The logits z_i^T W z_j are summed entry by entry (einsum), so an entry's
+    bits depend on its own two rows of z only.
+    """
+    logits = np.einsum("ik,kl,jl->ij", z, w, z)
+    terms = np.where(y.entries == 1, np.logaddexp(0.0, -logits), np.logaddexp(0.0, logits))
+    return terms[mask.observed]
+
+
 def oracle_flip_delta(y, mask, state, n, k) -> float:
-    """Objective change from flipping z[n, k], by full from-scratch recompute."""
+    """Objective change from flipping z[n, k], by recomputing every observed entry's term.
+
+    The two term lists are differenced and summed exactly (math.fsum):
+    entries off row and column n keep their bits and cancel, so the delta is
+    as accurate as n's own terms even where the objective is large or the
+    logits saturate.
+    """
     z_flipped = state.z.copy()
     z_flipped[n, k] = 1.0 - z_flipped[n, k]
-    flipped = ModelState.from_factors(z_flipped, state.w, state.lam)
-    return oracle_objective(y, mask, flipped) - oracle_objective(y, mask, state)
+    before, after = (_oracle_entry_terms(y, mask, z, state.w) for z in (state.z, z_flipped))
+    return math.fsum(np.concatenate([after, -before]))
 
 
 def exhaustive_flip_improvements(y, mask, state) -> np.ndarray:
@@ -66,74 +88,137 @@ def _softplus_scalar(a: float) -> float:
     return max(a, 0.0) + math.log1p(math.exp(max(-abs(a), -500.0)))
 
 
-def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
-    """The sweep pass scoring one (n, k) at a time, with scalar diagonal terms.
+def _apply_flip(state: ModelState, n: int, k: int) -> None:
+    """Flip z[n, k] and patch logits row/column n and cache row n in place."""
+    d = 1.0 - 2.0 * state.z[n, k]
+    state.logits[n, :] += d * state.left_cache[:, k]
+    state.logits[:, n] += d * state.right_cache[:, k]
+    # the two updates above already contributed d*(left + right) at (n, n)
+    state.logits[n, n] += state.w[k, k]
+    state.left_cache[n, :] += d * state.w[:, k]
+    state.right_cache[n, :] += d * state.w[k, :]
+    state.z[n, k] += d
 
-    Same row-major order, acceptance rule and incremental patches as the
-    library's batched pass: a flip improves when its delta plus beta times
-    its mass (the delta's rounding bound, see optimizer._sweep) is below
-    -FLIP_TOLERANCE. With apply=True every improving flip is taken; with
-    apply=False the scan stops at the first improving flip.
+
+def oracle_flip_score(y, mask, state, n, k):
+    """Delta and mass (see optimizer._sweep) of flipping z[n, k], entry by entry on the caches.
+
+    The delta sums over the observed entries of row and column n, read from
+    the state's logit and cache values, with a scalar diagonal term.
     """
-    improved = False
-    n_nodes, k_plus = state.z.shape
-    if k_plus == 0:
-        return False
-    beta = optimizer._rounding_beta(n_nodes)
     obs, yv, w = mask.observed, y.entries, state.w
-    for n in range(n_nodes):
-        js = np.flatnonzero(obs[n])
-        js = js[js != n]
-        is_ = np.flatnonzero(obs[:, n])
-        is_ = is_[is_ != n]
-        y_all = np.concatenate([yv[n, js], yv[is_, n]]).astype(float)
-        # row-side entries first, then column-side, in one working vector
-        a_all = np.concatenate([state.logits[n, js], state.logits[is_, n]])
-        shifts = np.concatenate([state.left_cache[js, :], state.right_cache[is_, :]])
-        sp_all = float(softplus(a_all).sum())
-        diag_obs = bool(obs[n, n])
-        if diag_obs:
-            a_nn = float(state.logits[n, n])
-            y_nn = float(yv[n, n])
-            left_n = state.left_cache[n, :].copy()
-            right_n = state.right_cache[n, :].copy()
+    js = np.flatnonzero(obs[n])
+    js = js[js != n]
+    is_ = np.flatnonzero(obs[:, n])
+    is_ = is_[is_ != n]
+    y_all = np.concatenate([yv[n, js], yv[is_, n]]).astype(float)
+    a_all = np.concatenate([state.logits[n, js], state.logits[is_, n]])
+    d = 1.0 - 2.0 * state.z[n, k]
+    da = d * np.concatenate([state.left_cache[js, k], state.right_cache[is_, k]])
+    sp_new, sp_old = float(softplus(a_all + da).sum()), float(softplus(a_all).sum())
+    delta = sp_new - sp_old - float(y_all @ da)
+    mass = sp_new + sp_old + float(y_all @ np.abs(da)) + len(y_all)
+    if obs[n, n]:
+        left, right = state.left_cache[n, k], state.right_cache[n, k]
+        a_nn, da_nn = float(state.logits[n, n]), d * (left + right) + w[k, k]
+        sp_x, sp_nn = _softplus_scalar(a_nn + da_nn), _softplus_scalar(a_nn)
+        delta += -float(yv[n, n]) * da_nn + sp_x - sp_nn
+        mass += sp_x + sp_nn + abs(left) + abs(right) + abs(w[k, k]) + 1.0
+    return delta, mass
 
+
+def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
+    """The sweep pass scoring one (n, k) at a time, entry by entry on patched caches.
+
+    Row-major order; a flip improves when its delta plus beta times its mass
+    (the delta's rounding bound, see optimizer._sweep) is below
+    -FLIP_TOLERANCE, and an accepted flip patches the caches (_apply_flip).
+    With apply=True every improving flip is taken; with apply=False the scan
+    stops at the first improving flip.
+    """
+    n_nodes, k_plus = state.z.shape
+    beta = optimizer._rounding_beta(n_nodes)
+    improved = False
+    for n in range(n_nodes):
         for k in range(k_plus):
-            d = 1.0 - 2.0 * state.z[n, k]
-            da = d * shifts[:, k]
-            a_new = a_all + da
-            sp_new = float(softplus(a_new).sum())
-            delta = sp_new - sp_all - float(y_all @ da)
-            mass = sp_new + sp_all + float(y_all @ np.abs(da)) + len(y_all)
-            if diag_obs:
-                da_nn = d * (left_n[k] + right_n[k]) + w[k, k]
-                sp_x, sp_nn = _softplus_scalar(a_nn + da_nn), _softplus_scalar(a_nn)
-                delta += -y_nn * da_nn + sp_x - sp_nn
-                mass += sp_x + sp_nn + abs(left_n[k]) + abs(right_n[k]) + abs(w[k, k]) + 1.0
+            delta, mass = oracle_flip_score(y, mask, state, n, k)
             if delta + beta * mass < -FLIP_TOLERANCE:
                 if not apply:
                     return True
                 _apply_flip(state, n, k)
                 improved = True
-                a_all, sp_all = a_new, sp_new
-                if diag_obs:
-                    a_nn += da_nn
-                    left_n += d * w[:, k]
-                    right_n += d * w[k, :]
     return improved
 
 
-def oracle_sweep(y, mask, state, apply: bool) -> bool:
-    """oracle_sweep_pass to a fixed point (apply=True), or one read-only pass.
+def sweep_patterns(z) -> list:
+    """The pattern list a sweep starts from: the distinct rows of z in _group_patterns' order."""
+    return [tuple(row) for row in _group_patterns(z)[0]]
+
+
+def oracle_pattern_sweep_pass(y, mask, state, apply: bool, patterns: list) -> bool:
+    """The sweep pass scoring one (n, k) at a time from freshly counted patterns.
+
+    Row-major order and the kernel's acceptance rule: a flip improves when
+    delta + beta * mass < -FLIP_TOLERANCE. Before every (n, k) it recomputes
+    the pattern logit table (model._pattern_caches) and counts n's partners
+    by pattern from Z, then scores the flip with the kernel's arithmetic.
+    ``patterns`` lists the rows of Z in the sweep's pattern order, which
+    fixes the order of the kernel's sums: sweep_patterns(z), then each new
+    row as a flip first makes it. Pass one list to every pass of a sweep.
+    Flips state.z in place and reads no cache. With apply=False the scan
+    stops at the first improving flip.
+    """
+    z, w = state.z, state.w
+    n_nodes, k_plus = z.shape
+    beta = optimizer._rounding_beta(n_nodes)
+    obs = mask.observed & ~np.eye(n_nodes, dtype=bool)
+    pos = obs & (y.entries == 1)
+    improved = False
+    for n in range(n_nodes):
+        for k in range(k_plus):
+            n_pat = len(patterns)
+            right, left, logits = _pattern_caches(np.array(patterns), w)
+            pat = np.array([patterns.index(tuple(row)) for row in z])
+            c, c_pos = (np.concatenate([np.bincount(pat[m[n]], minlength=n_pat),
+                                        np.bincount(pat[m[:, n]], minlength=n_pat)]).astype(float)
+                        for m in (obs, pos))
+            p, sign = pat[n], 1.0 - 2.0 * z[n, k]
+            a = np.concatenate([logits[p], logits[:, p]])
+            s = sign * np.concatenate([left[:, k], right[:, k]])
+            sp_x, sp_a = softplus(a + s), softplus(a)
+            delta = (c * (sp_x - sp_a) - c_pos * s).sum()
+            mass = (c * (sp_x + sp_a + 1.0) + c_pos * np.abs(s)).sum()
+            if mask.observed[n, n]:
+                da = sign * (left[p, k] + right[p, k]) + w[k, k]
+                sp_x, sp_a = softplus(logits[p, p] + da), softplus(logits[p, p])
+                delta += -float(y.entries[n, n]) * da + sp_x - sp_a
+                mass += (sp_x + sp_a + abs(left[p, k]) + abs(right[p, k]) + abs(w[k, k])
+                         + 1.0)
+            if delta + beta * mass < -FLIP_TOLERANCE:
+                if not apply:
+                    return True
+                z[n, k] = 1.0 - z[n, k]
+                if tuple(z[n]) not in patterns:
+                    patterns.append(tuple(z[n]))
+                improved = True
+    return improved
+
+
+def oracle_pattern_sweep(y, mask, state, apply: bool) -> bool:
+    """oracle_pattern_sweep_pass to a fixed point (apply=True), or one read-only pass.
 
     The reference for the package's screened sweep: with apply=True it
-    reports whether any pass flipped anything.
+    reports whether any pass flipped anything and, if one did, rebuilds the
+    caches.
     """
+    patterns = sweep_patterns(state.z)
     if not apply:
-        return oracle_sweep_pass(y, mask, state, apply=False)
+        return oracle_pattern_sweep_pass(y, mask, state, False, patterns)
     improved = False
-    while oracle_sweep_pass(y, mask, state, apply=True):
+    while oracle_pattern_sweep_pass(y, mask, state, True, patterns):
         improved = True
+    if improved:
+        state.rebuild_caches()
     return improved
 
 

@@ -425,6 +425,30 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "communities"])
+    @pytest.mark.parametrize("text, field", [
+        ('"w": [[null]]', "'w'"),                   # loaded as NaN
+        ('"w": [[Infinity]]', "'w'"),
+        ('"w": [["1"]]', "'w'"),
+        ('"lambda": "x"', "'lambda'"),
+        ('"lambda": null', "'lambda'"),
+        (None, "JSON object"),                       # a top-level array
+    ])
+    def test_bad_model_values_are_data_errors(self, tmp_path, capsys, command, text, field):
+        fields = {'"w"': '"w": [[1.5]]', '"lambda"': '"lambda": 0.5'}
+        if text is not None:
+            fields[text.split(":")[0]] = text
+        body = ", ".join(['"k": 1', '"z": [[1], [0]]', *fields.values()])
+        model_path = tmp_path / "m.json"
+        model_path.write_text("[1, 2]" if text is None else "{" + body + "}")
+        pairs_path = tmp_path / "pairs.txt"
+        pairs_path.write_text("0 1\n")
+        argv = {"predict": ["--input", str(pairs_path), "--out", str(tmp_path / "p.csv")],
+                "communities": []}[command]
+        assert run_cli(command, "--model", str(model_path), *argv) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_non_finite_objective_is_numerical_error(self, tmp_path, planted_file, capsys):
         # an infinite penalty makes every objective infinite: the fit must
         # stop with exit 3, not run to the iteration cap on a NaN improvement

@@ -31,16 +31,20 @@ from laftr import (
 from laftr import optimizer
 from laftr.model import _PairStats
 from conftest import (
+    _apply_flip,
     assert_monotone_trace,
     exhaustive_flip_improvements,
     max_cache_error,
     nll_gradient_w,
     oracle_flip_delta,
+    oracle_flip_score,
     oracle_nll,
     oracle_optimize_w,
-    oracle_sweep,
+    oracle_pattern_sweep,
+    oracle_pattern_sweep_pass,
     oracle_sweep_pass,
     random_instance,
+    sweep_patterns,
     sweep_to_fixed_point,
 )
 
@@ -90,8 +94,6 @@ class TestInitState:
 
 class TestDeltaObjectiveFlip:
     def test_involution(self, rng):
-        from laftr.optimizer import _apply_flip
-
         y, mask, state = random_instance(rng, 6, 2)
         for n, k in ((0, 0), (3, 1), (5, 0)):
             d1 = delta_objective_flip(y, mask, state, n, k)
@@ -199,75 +201,84 @@ def sweep_instances(draw, w_max=400.0):
 
 
 def _oracle_fixed_point(y, mask, state, max_passes=50):
-    """(whether anything flipped, fixed point) of repeated oracle passes on a copy of state.
+    """(whether anything flipped, fixed point) of repeated pattern-oracle passes on a copy of state.
 
     Every accepted flip provably lowers the objective, even on saturated
     logits, so the passes must stop within max_passes.
     """
     fixed = state.copy()
+    patterns = sweep_patterns(fixed.z)
     for passes in range(max_passes):
-        if not oracle_sweep_pass(y, mask, fixed, apply=True):
+        if not oracle_pattern_sweep_pass(y, mask, fixed, True, patterns):
             return passes > 0, fixed
     raise AssertionError(f"no one-flip fixed point within {max_passes} passes")
 
 
-def _kernel_rows(idx, state):
-    """K x N flip deltas of every node, scored by the kernel from scratch."""
-    table = np.concatenate([state.left_cache, state.right_cache]).T.copy()
-    rows = [optimizer._flip_deltas(idx, state, n, *optimizer._gather(idx, table, state, n), 0)[0]
-            for n in range(state.n)]
-    return np.array(rows).reshape(state.n, state.k_plus).T
+_Table = optimizer._DeltaTable
+
+
+def _kernel_rows(idx, z, w):
+    """N x K flip deltas and masses of every node, scored by a kernel on fresh patterns."""
+    table = _Table(idx, ModelState.from_factors(z, w, 0.5))
+    return map(np.array, zip(*(table.scores(n) for n in range(len(z)))))
 
 
 def _mass_rows(idx, state):
-    """K x N mass of every node's flips, summed entry by entry from its definition in _sweep."""
+    """N x K mass of every node's flips, summed entry by entry from its definition in _sweep."""
     n_nodes, k_plus = state.z.shape
     sign = 1.0 - 2.0 * state.z
-    mass = np.zeros((k_plus, n_nodes))
+    mass = np.zeros((n_nodes, k_plus))
     for n in range(n_nodes):
         for j in range(n_nodes):
             for i, jj, cache in ((n, j, state.left_cache[j]), (j, n, state.right_cache[j])):
-                if idx.offdiag[i, jj]:
+                if idx.kind[i, jj]:
                     a, shift = state.logits[i, jj], sign[n] * cache
-                    mass[:, n] += (softplus(a + shift) + softplus(a)
-                                   + idx.positive[i, jj] * np.abs(shift) + 1.0)
+                    mass[n] += (softplus(a + shift) + softplus(a)
+                                + (idx.kind[i, jj] == 2) * np.abs(shift) + 1.0)
         if idx.diag_observed[n]:
             left, right, w_diag = state.left_cache[n], state.right_cache[n], np.diagonal(state.w)
             a = state.logits[n, n]
-            mass[:, n] += (softplus(a + sign[n] * (left + right) + w_diag) + softplus(a)
-                           + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0)
+            mass[n] += (softplus(a + sign[n] * (left + right) + w_diag) + softplus(a)
+                        + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0)
     return mass
 
 
-class _CheckedTable(optimizer._DeltaTable):
+class _CheckedTable(_Table):
     """The sweep's delta table, checked when built and after each kernel visit.
 
-    A visit follows each node's accepted flips, so every state the screen
-    reads is checked: each entry lies within its bound of a fresh kernel
-    row, the table never claims to be closer to the kernel than the
-    kernel's own rounding, and mass follows its definition. A built table
-    starts every entry at exactly beta * mass, the kernel reset's rule.
+    A visit follows each node's accepted flips, so every Z the screen reads
+    is checked: each entry lies within its bound of a fresh kernel row,
+    scored on patterns counted afresh; the bound never claims the table is
+    closer to the kernel than twice the kernel's own rounding, beta * mass;
+    and the kernel's mass follows its definition. A built table starts
+    every bound at 2 beta * mass, the kernel reset's rule.
     """
 
     def __init__(self, idx, state):
         super().__init__(idx, state)
-        self.state = state  # the sweep flips this very state in place
-        assert np.array_equal(self.error, self.beta * self.mass)
-        self.check(state)
+        np.testing.assert_allclose(self.bound, 2.0 * self.beta * self.check(), rtol=1e-9)
 
     def reset(self, *args):
         super().reset(*args)
-        self.check(self.state)
+        self.check()
 
-    def check(self, state):
-        bound = self.error + self.beta * self.mass
-        assert (np.abs(self.delta - _kernel_rows(self.idx, state)) <= bound).all()
-        assert (self.error >= self.beta * self.mass).all()
-        np.testing.assert_allclose(self.mass, _mass_rows(self.idx, state), rtol=1e-9)
+    def check(self):
+        kernel, mass = _kernel_rows(self.idx, self.z, self.w)
+        assert (np.abs(self.delta - kernel) <= self.bound).all()
+        assert (self.bound >= 2.0 * self.beta * mass * (1.0 - 1e-9)).all()
+        rebuilt = ModelState.from_factors(self.z, self.w, 0.5)
+        np.testing.assert_allclose(mass, _mass_rows(self.idx, rebuilt), rtol=1e-9)
+        return mass
+
+
+def _assert_rebuilt(state):
+    rebuilt = ModelState.from_factors(state.z, state.w, state.lam)
+    for name in ("logits", "left_cache", "right_cache"):
+        assert np.array_equal(getattr(state, name), getattr(rebuilt, name)), name
 
 
 class TestSweepKernel:
-    """The screened sweep against the one-flip-at-a-time oracle."""
+    """The screened pattern sweep against the one-flip-at-a-time oracles."""
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances())
@@ -284,7 +295,7 @@ class TestSweepKernel:
     def test_scan_matches_oracle_without_mutating(self, problem):
         y, mask, state = problem
         before = state.copy()
-        expected = oracle_sweep(y, mask, state.copy(), apply=False)
+        expected = oracle_pattern_sweep(y, mask, state.copy(), apply=False)
         assert optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=False) == expected
         for name in ("z", "w", "logits", "left_cache", "right_cache"):
             assert np.array_equal(getattr(state, name), getattr(before, name)), name
@@ -299,9 +310,9 @@ class TestSweepKernel:
         np.fill_diagonal(observed, diagonal)
         mask = ObservationMask(state.n, observed)
         # patched flips leave the caches within rounding of Z and W; the
-        # sweep rebuilds them before it builds the table
+        # sweep reads neither
         for n, k in patches if state.k_plus else ():
-            optimizer._apply_flip(state, n % state.n, k % state.k_plus)
+            _apply_flip(state, n % state.n, k % state.k_plus)
         _oracle_fixed_point(y, mask, state)
         tables = []
         with pytest.MonkeyPatch.context() as patch:
@@ -312,12 +323,14 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("bump", [1e-9, 1e-6])
     def test_sweep_starts_from_rebuilt_caches(self, monkeypatch, rng, bump):
-        # caches moved off Z and W: one logit by hand, then patched flips; the
-        # table reads pattern values at one node each, the kernel every node
+        # caches moved off Z and W, one logit by hand and then patched flips:
+        # the sweep reads Z and W only, so it flips as on the rebuilt state,
+        # leaves the caches alone when it flips nothing and rebuilds them
+        # when it flips
         y, mask, state = random_instance(rng, 10, 3)
         state.logits[0, 1] += bump
         for n, k in ((2, 0), (5, 2), (7, 1)):
-            optimizer._apply_flip(state, n, k)
+            _apply_flip(state, n, k)
         rebuilt = ModelState.from_factors(state.z, state.w, state.lam)
         tables = []
         monkeypatch.setattr(optimizer, "_DeltaTable",
@@ -325,15 +338,16 @@ class TestSweepKernel:
         idx = optimizer._MaskIndex(y, mask)
 
         scanned = state.copy()
-        expected_flag = oracle_sweep(y, mask, rebuilt.copy(), apply=False)
+        expected_flag = oracle_pattern_sweep(y, mask, rebuilt.copy(), apply=False)
         assert optimizer._sweep(idx, scanned, apply=False) == expected_flag
         for name in ("z", "w", "logits", "left_cache", "right_cache"):
-            assert np.array_equal(getattr(scanned, name), getattr(rebuilt, name)), name
+            assert np.array_equal(getattr(scanned, name), getattr(state, name)), name
 
         expected = rebuilt.copy()
-        assert oracle_sweep(y, mask, expected, apply=True)
+        assert oracle_pattern_sweep(y, mask, expected, apply=True)
         assert optimizer._sweep(idx, state, apply=True)
         assert np.array_equal(state.z, expected.z)
+        _assert_rebuilt(state)
         assert len(tables) == 2
 
     def test_saturated_scan_reaches_a_fixed_point(self):
@@ -357,6 +371,36 @@ class TestSweepKernel:
         assert np.array_equal(swept.z, state.z)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_kernel_within_beta_mass_of_the_entrywise_deltas(self, problem):
+        # both sum the same exact delta of the pattern logits, each within
+        # half its rounding bound beta * mass
+        y, mask, state = problem
+        if state.k_plus == 0:
+            return
+        idx = optimizer._MaskIndex(y, mask)
+        delta, mass = _kernel_rows(idx, state.z, state.w)
+        entrywise = np.array([[oracle_flip_score(y, mask, state, n, k) for k in range(state.k_plus)]
+                              for n in range(state.n)])
+        beta = optimizer._rounding_beta(state.n)
+        assert (np.abs(delta - entrywise[..., 0]) <= beta * mass).all()
+        np.testing.assert_allclose(mass, entrywise[..., 1], rtol=1e-9)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_fixed_point_has_no_recomputed_improvement(self, problem):
+        # the kernel rejected every flip, delta + beta * mass >= -FLIP_TOLERANCE,
+        # and a recomputed delta is within beta * mass of the kernel's
+        y, mask, state = problem
+        idx = optimizer._MaskIndex(y, mask)
+        optimizer._sweep(idx, state, apply=True)
+        if state.k_plus == 0:
+            return
+        _, mass = _kernel_rows(idx, state.z, state.w)
+        bound = optimizer.FLIP_TOLERANCE + 2.0 * optimizer._rounding_beta(state.n) * mass
+        assert (exhaustive_flip_improvements(y, mask, state) >= -bound).all()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances(w_max=8.0))
     def test_public_delta_matches_recompute(self, problem):
         y, mask, state = problem
@@ -364,6 +408,20 @@ class TestSweepKernel:
             for k in range(state.k_plus):
                 assert delta_objective_flip(y, mask, state, n, k) == pytest.approx(
                     oracle_flip_delta(y, mask, state, n, k), abs=1e-8)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=sweep_instances(w_max=8.0), seed=st.integers(0, 2**32 - 1))
+    def test_steps_leave_rebuilt_caches(self, problem, seed):
+        # a flipping sweep, a birth and a whole fit leave exactly the caches
+        # from_factors builds, never patched ones
+        y, mask, state = problem
+        idx = optimizer._MaskIndex(y, mask)
+        optimizer._sweep(idx, state, apply=True)
+        _assert_rebuilt(state)
+        config = FitConfig(seed=seed, rel_tol=1e-4, max_outer_iters=3)
+        _assert_rebuilt(optimizer.propose_feature(idx, y, mask, state, config,
+                                                  np.random.default_rng(seed)))
+        _assert_rebuilt(fit(y, mask, config).final_state)
 
 
 class TestOptimizeW:
@@ -766,7 +824,7 @@ class TestTrajectory:
 
         def sweep(_idx, state, apply):
             calls.append(apply)
-            return oracle_sweep(y, mask, state, apply)
+            return oracle_pattern_sweep(y, mask, state, apply)
 
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "_sweep", sweep)
