@@ -157,15 +157,18 @@ def init_state(n: int, config: FitConfig, rng: np.random.Generator | None = None
 class _MaskIndex:
     """The mask and y as the sweep reads them, built once per fit.
 
-    ``kind[i, j]`` is 0 if the entry (i, j) is unobserved or on the
-    diagonal, 1 if it is observed with y = 0 and 2 if with y = 1.
-    ``diag_observed`` and ``diag_y`` describe each (n, n). The mask and y
-    never change during a run.
+    ``at[m, 0, s, n]`` says whether node n's entry at node m is observed,
+    on n's row side (s = 0, the entry (n, m)) or its column side (s = 1,
+    the entry (m, n)), and ``at[m, 1, s, n]`` whether it also has y = 1;
+    the diagonal counts as unobserved. ``diag_observed`` and ``diag_y``
+    describe each (n, n). The mask and y never change during a run.
     """
 
     def __init__(self, y: AdjacencyMatrix, mask: ObservationMask):
-        self.kind = np.where(mask.observed, 1 + (y.entries == 1), 0).astype(np.int8)
-        np.fill_diagonal(self.kind, 0)
+        observed = mask.observed.copy()
+        np.fill_diagonal(observed, False)
+        self.at = np.stack([np.stack([entries.T, entries], axis=1)
+                            for entries in (observed, observed & (y.entries == 1))], axis=1)
         self.diag_observed = np.diagonal(mask.observed).copy()
         self.diag_y = np.diagonal(y.entries).astype(float)
 
@@ -201,8 +204,8 @@ class _DeltaTable:
     softplus. ``partner[k, 2q]`` and ``partner[k, 2q + 1]`` are pattern q's
     left and right cache entries, so flipping z[n, k] moves the logit of an
     entry at a partner in column j by +-partner[k, j].
-    ``counts[n, 0, j]`` counts n's observed entries with a partner in
-    column j and ``counts[n, 1, j]`` those with y = 1.
+    ``counts[0, j, n]`` counts n's observed entries with a partner in
+    column j and ``counts[1, j, n]`` those with y = 1.
 
     A flip that makes a new row of Z appends it, with the logits and cache
     entries a rebuild gives it, bit for bit. The first ``n_pat`` patterns
@@ -227,11 +230,9 @@ class _DeltaTable:
         self.sp_logits = softplus(self.logits)
         self.partner = np.stack([left.T, right.T], axis=2).reshape(k_plus, 2 * n_pat)
         onehot = (self.pat[:, None] == np.arange(n_pat)).astype(float)
-        self.counts = np.empty((n_nodes, 2, 2 * n_pat))
-        for kind in range(2):
-            observed = (idx.kind > kind).astype(float)
-            self.counts[:, kind, 0::2] = observed @ onehot
-            self.counts[:, kind, 1::2] = observed.T @ onehot
+        entries = idx.at.reshape(n_nodes, 4, n_nodes)
+        self.counts = np.stack([onehot.T @ entries[:, j] for j in range(4)], axis=1).reshape(
+            n_pat, 2, 2, n_nodes).transpose(1, 0, 2, 3).reshape(2, 2 * n_pat, n_nodes)
         self._grow()
 
         # per pattern, its nodes' partner terms contracted with their counts by
@@ -242,9 +243,9 @@ class _DeltaTable:
                           np.cumsum(np.bincount(self.pat))[:-1])
         for p, members in enumerate(groups):
             shifts, sp_x, sp_a = self._shifted(p)
-            c, pos = self.counts[members, :, :2 * n_pat].transpose(1, 0, 2)
-            self.delta[members] = c @ (sp_x - sp_a).T - pos @ shifts.T
-            mass[members] = c @ (sp_x + sp_a + 1.0).T + pos @ np.abs(shifts).T
+            c, pos = self.counts[:, :2 * n_pat, members]
+            self.delta[members] = ((sp_x - sp_a) @ c - shifts @ pos).T
+            mass[members] = ((sp_x + sp_a + 1.0) @ c + np.abs(shifts) @ pos).T
             diag = members[idx.diag_observed[members]]
             if diag.size:
                 terms, diag_mass = self._diag_terms(p, idx.diag_y[diag, None])
@@ -261,7 +262,7 @@ class _DeltaTable:
         self.logits, self.sp_logits = (np.pad(t, ((0, extra), (0, 2 * extra)))
                                        for t in (self.logits, self.sp_logits))
         self.partner = np.pad(self.partner, ((0, 0), (0, 2 * extra)))
-        self.counts = np.pad(self.counts, ((0, 0), (0, 0), (0, 2 * extra)))
+        self.counts = np.pad(self.counts, ((0, 0), (0, 2 * extra), (0, 0)))
 
     def _shifted(self, p: int):
         """Shifts s, sp(a + s) and sp(a), K x 2P, of the partner logits a of a node at pattern p."""
@@ -294,7 +295,7 @@ class _DeltaTable:
         """
         p = self.pat[n]
         shifts, sp_x, sp_a = self._shifted(p)
-        c, pos = self.counts[n, :, :2 * self.n_pat]
+        c, pos = self.counts[:, :2 * self.n_pat, n]
         delta = (c * (sp_x - sp_a) - pos * shifts).sum(axis=1)
         mass = (c * (sp_x + sp_a + 1.0) + pos * np.abs(shifts)).sum(axis=1)
         if self.idx.diag_observed[n]:
@@ -335,8 +336,9 @@ class _DeltaTable:
         Node n's entries at m are (n, m), on its row side, and (m, n), on its
         column side. Their terms depend only on n's pattern and m's, so they
         are scored once per pattern of n, with m before and after, and
-        gathered by node pattern and by the kind of n's entry at m. A node
-        with an entry at m is reopened if its screen no longer holds.
+        gathered by node pattern and by the kind of n's entry at m
+        (unobserved, y = 0, y = 1). A node with an entry at m is reopened if
+        its screen no longer holds.
         """
         n_pat, p_new = self.n_pat, self.pat[m]
         columns = [2 * p_old, 2 * p_old + 1, 2 * p_new, 2 * p_new + 1]
@@ -345,22 +347,22 @@ class _DeltaTable:
         sp_a = self.sp_logits[:n_pat, columns, None]
         sp_x = softplus(self.logits[:n_pat, columns, None] + shifts)
         delta, mass = sp_x - sp_a, 2.0 * self.beta * (sp_x[:, 2:] + sp_a[:, 2:] + 1.0)
-        # axes: kind of n's entry at m, n's pattern, side, (delta move, 2 beta mass after), feature
+        # axes: kind of n's entry at m (unobserved, y = 0, y = 1), n's pattern, side,
+        # (delta move, 2 beta mass after), feature
         moves = np.zeros((3, n_pat, 2, 2, self.z.shape[1]))
         np.subtract(delta[:, 2:], delta[:, :2], out=moves[1, :, :, 0])
         np.subtract(moves[1, :, :, 0], shifts[:, 2:] - shifts[:, :2], out=moves[2, :, :, 0])
         moves[1, :, :, 1] = mass
         np.add(mass, 2.0 * self.beta * np.abs(shifts[:, 2:]), out=moves[2, :, :, 1])
-        kinds = np.stack([self.idx.kind[:, m], self.idx.kind[m]], axis=1)
-        rows = moves[kinds, self.pat[:, None], (0, 1)].sum(axis=1)
+        at = self.idx.at[m]
+        kind = np.add(at[0], at[1], dtype=np.intp)
+        rows = moves[kind[0], self.pat, 0] + moves[kind[1], self.pat, 1]
         self.delta += rows[:, 0]
         self.bound += rows[:, 1] + _UNIT_ROUNDOFF * np.abs(self.delta)
-        # counts[:, 0, column]: observed entries (kind >= 1); counts[:, 1, column]: y = 1 (kind 2)
-        moved = kinds[:, None, :] > np.array([[0], [1]])
-        self.counts[:, :, columns[0]:columns[0] + 2] -= moved
-        self.counts[:, :, columns[2]:columns[2] + 2] += moved
+        self.counts[:, columns[0]:columns[0] + 2] -= at
+        self.counts[:, columns[2]:columns[2] + 2] += at
         # a node with no observed entry at m sees no change: it keeps its state
-        self.open = np.where(kinds.any(axis=1), self._flagged(), self.open)
+        self.open = np.where(kind.any(axis=0), self._flagged(), self.open)
 
     def reset(self, n: int, delta, mass) -> None:
         """Take node n's row from the kernel's scores of every k in the current Z.

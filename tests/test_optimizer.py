@@ -231,10 +231,11 @@ def _mass_rows(idx, state):
     for n in range(n_nodes):
         for j in range(n_nodes):
             for i, jj, cache in ((n, j, state.left_cache[j]), (j, n, state.right_cache[j])):
-                if idx.kind[i, jj]:
+                observed, positive = idx.at[i, :, 1, jj]  # the entry (i, jj)
+                if observed:
                     a, shift = state.logits[i, jj], sign[n] * cache
                     mass[n] += (softplus(a + shift) + softplus(a)
-                                + (idx.kind[i, jj] == 2) * np.abs(shift) + 1.0)
+                                + positive * np.abs(shift) + 1.0)
         if idx.diag_observed[n]:
             left, right, w_diag = state.left_cache[n], state.right_cache[n], np.diagonal(state.w)
             a = state.logits[n, n]
