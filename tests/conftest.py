@@ -155,45 +155,53 @@ def sweep_patterns(z) -> list:
     return [tuple(row) for row in _group_patterns(z)[0]]
 
 
+def oracle_pattern_score(y, mask, z, w, patterns: list, n: int, k: int):
+    """Delta and mass of flipping z[n, k], from partner counts taken afresh, in the kernel's arithmetic.
+
+    It recomputes the pattern logit table (model._pattern_caches) of the
+    rows in ``patterns`` and counts n's partners by pattern from z, then
+    sums the flip's terms over the partner columns in the kernel's order:
+    for each pattern q, its row side, then its column side. ``patterns``
+    lists the rows of z in the sweep's pattern order, which fixes that
+    order: sweep_patterns(z), then each new row as a flip first makes it.
+    """
+    n_nodes, n_pat = len(z), len(patterns)
+    right, left, logits = _pattern_caches(np.array(patterns), w)
+    pat = np.array([patterns.index(tuple(row)) for row in z])
+    obs = mask.observed & ~np.eye(n_nodes, dtype=bool)
+    c, c_pos = (np.stack([np.bincount(pat[m[n]], minlength=n_pat),
+                          np.bincount(pat[m[:, n]], minlength=n_pat)], axis=1).ravel().astype(float)
+                for m in (obs, obs & (y.entries == 1)))
+    p, sign = pat[n], 1.0 - 2.0 * z[n, k]
+    a = np.stack([logits[p], logits[:, p]], axis=1).ravel()
+    s = sign * np.stack([left[:, k], right[:, k]], axis=1).ravel()
+    sp_x, sp_a = softplus(a + s), softplus(a)
+    delta = (c * (sp_x - sp_a) - c_pos * s).sum()
+    mass = (c * (sp_x + sp_a + 1.0) + c_pos * np.abs(s)).sum()
+    if mask.observed[n, n]:
+        da = sign * (left[p, k] + right[p, k]) + w[k, k]
+        sp_x, sp_a = softplus(logits[p, p] + da), softplus(logits[p, p])
+        delta += -float(y.entries[n, n]) * da + sp_x - sp_a
+        mass += sp_x + sp_a + abs(left[p, k]) + abs(right[p, k]) + abs(w[k, k]) + 1.0
+    return delta, mass
+
+
 def oracle_pattern_sweep_pass(y, mask, state, apply: bool, patterns: list) -> bool:
-    """The sweep pass scoring one (n, k) at a time from freshly counted patterns.
+    """The sweep pass scoring one (n, k) at a time with oracle_pattern_score.
 
     Row-major order and the kernel's acceptance rule: a flip improves when
-    delta + beta * mass < -FLIP_TOLERANCE. Before every (n, k) it recomputes
-    the pattern logit table (model._pattern_caches) and counts n's partners
-    by pattern from Z, then scores the flip with the kernel's arithmetic.
-    ``patterns`` lists the rows of Z in the sweep's pattern order, which
-    fixes the order of the kernel's sums: sweep_patterns(z), then each new
-    row as a flip first makes it. Pass one list to every pass of a sweep.
-    Flips state.z in place and reads no cache. With apply=False the scan
-    stops at the first improving flip.
+    delta + beta * mass < -FLIP_TOLERANCE. ``patterns`` is the sweep's
+    pattern list (see oracle_pattern_score); pass one list to every pass of
+    a sweep, and a flip that makes a new row appends it. Flips state.z in
+    place and reads no cache. With apply=False the scan stops at the first
+    improving flip.
     """
-    z, w = state.z, state.w
-    n_nodes, k_plus = z.shape
-    beta = optimizer._rounding_beta(n_nodes)
-    obs = mask.observed & ~np.eye(n_nodes, dtype=bool)
-    pos = obs & (y.entries == 1)
+    z = state.z
+    beta = optimizer._rounding_beta(len(z))
     improved = False
-    for n in range(n_nodes):
-        for k in range(k_plus):
-            n_pat = len(patterns)
-            right, left, logits = _pattern_caches(np.array(patterns), w)
-            pat = np.array([patterns.index(tuple(row)) for row in z])
-            c, c_pos = (np.concatenate([np.bincount(pat[m[n]], minlength=n_pat),
-                                        np.bincount(pat[m[:, n]], minlength=n_pat)]).astype(float)
-                        for m in (obs, pos))
-            p, sign = pat[n], 1.0 - 2.0 * z[n, k]
-            a = np.concatenate([logits[p], logits[:, p]])
-            s = sign * np.concatenate([left[:, k], right[:, k]])
-            sp_x, sp_a = softplus(a + s), softplus(a)
-            delta = (c * (sp_x - sp_a) - c_pos * s).sum()
-            mass = (c * (sp_x + sp_a + 1.0) + c_pos * np.abs(s)).sum()
-            if mask.observed[n, n]:
-                da = sign * (left[p, k] + right[p, k]) + w[k, k]
-                sp_x, sp_a = softplus(logits[p, p] + da), softplus(logits[p, p])
-                delta += -float(y.entries[n, n]) * da + sp_x - sp_a
-                mass += (sp_x + sp_a + abs(left[p, k]) + abs(right[p, k]) + abs(w[k, k])
-                         + 1.0)
+    for n in range(z.shape[0]):
+        for k in range(z.shape[1]):
+            delta, mass = oracle_pattern_score(y, mask, z, state.w, patterns, n, k)
             if delta + beta * mass < -FLIP_TOLERANCE:
                 if not apply:
                     return True

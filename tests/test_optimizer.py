@@ -40,6 +40,7 @@ from conftest import (
     oracle_flip_score,
     oracle_nll,
     oracle_optimize_w,
+    oracle_pattern_score,
     oracle_pattern_sweep,
     oracle_pattern_sweep_pass,
     oracle_sweep_pass,
@@ -370,6 +371,19 @@ class TestSweepKernel:
         assert passes < 100, "no one-flip fixed point within 100 passes"
         sweep_to_fixed_point(y, mask, swept)
         assert np.array_equal(swept.z, state.z)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_kernel_rows_are_the_pattern_oracle_bit_for_bit(self, problem):
+        y, mask, state = problem
+        if state.k_plus == 0:
+            return
+        delta, mass = _kernel_rows(optimizer._MaskIndex(y, mask), state.z, state.w)
+        patterns = sweep_patterns(state.z)
+        expected = np.array([[oracle_pattern_score(y, mask, state.z, state.w, patterns, n, k)
+                              for k in range(state.k_plus)] for n in range(state.n)])
+        assert np.array_equal(delta, expected[..., 0])
+        assert np.array_equal(mass, expected[..., 1])
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances())
