@@ -156,7 +156,7 @@ def sweep_patterns(z) -> list:
 
 
 def oracle_pattern_score(y, mask, z, w, patterns: list, n: int, k: int):
-    """Delta and mass of flipping z[n, k], from partner counts taken afresh, in the kernel's arithmetic.
+    """Delta and mass of flipping z[n, k] from fresh partner counts, in the kernel's arithmetic.
 
     It recomputes the pattern logit table (model._pattern_caches) of the
     rows in ``patterns`` and counts n's partners by pattern from z, then
