@@ -1,0 +1,141 @@
+"""Print the CPU seconds and calls of each fit phase, summed over the benchmark's seed 100-102 fits.
+
+    python3 scripts/fit_phases.py
+
+For every fit workload of ``perfbench`` and every seed in 100..102, each
+instance is generated, split and fitted through ``evaluate_split`` exactly
+as the benchmark does, with BLAS on one thread. The package's functions are
+wrapped from outside, as ``perfbench/spans.py`` does, and no package code
+changes. Each CPU second (``time.process_time``) goes to the innermost
+phase running, so the rows add up to the total:
+
+- main sweep: ``_sweep`` to a fixed point called by ``fit``;
+- convergence scan: ``fit``'s read-only ``_sweep``;
+- candidate sweep and candidate W step: ``_sweep`` and ``optimize_w``
+  inside ``propose_feature``; birth other: the rest of ``propose_feature``;
+- W step: ``optimize_w`` called by ``fit``;
+- pattern statistics: building ``_PairStats``, wherever it happens;
+- objective: ``objective`` outside its pattern statistics;
+- cache builds: ``ModelState.rebuild_caches``, wherever it happens;
+- fit other: the rest of ``fit`` (pruning, births' bookkeeping);
+- scoring: the rest of ``evaluate_split`` (held-out scores and AUC).
+
+Run it on two versions and compare the tables; timings vary by a few
+percent between runs on a loaded machine.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import sys  # noqa: E402
+import time  # noqa: E402
+from collections import Counter, defaultdict  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from laftr import evaluation, graph, model, optimizer  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+FIT_WORKLOADS = [name for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
+SEEDS = range(100, 103)
+PHASES = ("main sweep", "convergence scan", "candidate sweep", "candidate W step", "birth other",
+          "W step", "pattern statistics", "objective", "cache builds", "fit other", "scoring")
+
+
+class Phases:
+    """Exclusive CPU seconds and call counts per phase, kept on a stack of running phases."""
+
+    def __init__(self):
+        self.seconds = defaultdict(float)
+        self.calls = Counter()
+        self.stack: list[str] = []
+        self.mark = 0.0
+
+    def wrap(self, fn, phase_of, root=False):
+        """fn timed as the phase ``phase_of(running phases, *args, **kwargs)`` names.
+
+        Only a root phase starts a stack; outside one (generating an
+        instance, say) fn runs untimed.
+        """
+        def timed(*args, **kwargs):
+            if not (root or self.stack):
+                return fn(*args, **kwargs)
+            phase = phase_of(self.stack, *args, **kwargs)
+            self._switch(phase)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._switch(None)
+        return timed
+
+    def _switch(self, entering):
+        now = time.process_time()
+        if self.stack:
+            self.seconds[self.stack[-1]] += now - self.mark
+        if entering is None:
+            self.stack.pop()
+        else:
+            self.stack.append(entering)
+            self.calls[entering] += 1
+        self.mark = now
+
+
+def _sweep_phase(stack, _idx, _state, apply):
+    if "birth other" in stack:
+        return "candidate sweep"
+    return "main sweep" if apply else "convergence scan"
+
+
+def _install(phases: Phases) -> None:
+    """Wrap every phase's function where the package calls it from."""
+    def fixed(name):
+        return lambda *_args, **_kwargs: name
+
+    targets = [
+        (optimizer, "_sweep", _sweep_phase),
+        (optimizer, "optimize_w",
+         lambda stack, *a, **k: "candidate W step" if "birth other" in stack else "W step"),
+        (optimizer, "propose_feature", fixed("birth other")),
+        (optimizer, "objective", fixed("objective")),
+        (evaluation, "fit", fixed("fit other")),
+        (model.ModelState, "rebuild_caches", fixed("cache builds")),
+        (model._PairStats, "__init__", fixed("pattern statistics")),
+    ]
+    for owner, name, phase_of in targets:
+        setattr(owner, name, phases.wrap(getattr(owner, name), phase_of))
+    evaluation.evaluate_split = phases.wrap(evaluation.evaluate_split, fixed("scoring"), root=True)
+
+
+def measure(phases: Phases, workload) -> tuple[dict, dict]:
+    """Seconds and calls per phase over the workload's fits of seeds 100..102."""
+    phases.seconds.clear()
+    phases.calls.clear()
+    for seed in SEEDS:
+        for inst_seed in workloads.instance_seeds(seed, workload.instances):
+            _, _, y = workload.generate(inst_seed)
+            train, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
+                                                   workload.tie_symmetric)
+            evaluation.evaluate_split(y, train, test, workload.config(inst_seed))
+    return dict(phases.seconds), dict(phases.calls)
+
+
+def main() -> None:
+    phases = Phases()
+    _install(phases)
+    results = {name: measure(phases, workloads.WORKLOADS[name]) for name in FIT_WORKLOADS}
+    print(f"{'phase':<20}" + "".join(f"{name + ' cpu_s':>20}{'calls':>8}" for name in results))
+    for phase in (*PHASES, "total"):
+        row = f"{phase:<20}"
+        for seconds, calls in results.values():
+            if phase == "total":
+                row += f"{sum(seconds.values()):>20.3f}{'':>8}"
+            else:
+                row += f"{seconds.get(phase, 0.0):>20.3f}{calls.get(phase, 0):>8}"
+        print(row)
+
+
+if __name__ == "__main__":
+    main()

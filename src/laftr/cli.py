@@ -80,19 +80,24 @@ def _is_finite_number(value) -> bool:
 def load_model(path: str) -> tuple[ModelState, dict]:
     """Read a model JSON file back into a ModelState (caches rebuilt).
 
-    The file must hold a JSON object; ``k`` must equal the column count of
-    ``z``, ``w`` must be a K x K nested list of finite numbers and
-    ``lambda`` a finite number >= 0; otherwise a ParseError names the
-    offending field.
+    The file must hold a JSON object; ``z`` must be a nested list of 0/1
+    rows of equal length, ``k`` must equal their length, ``w`` must be a
+    K x K nested list of finite numbers and ``lambda`` a finite number
+    >= 0; otherwise a ParseError names the offending field.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ParseError(f"model file must hold a JSON object, got {type(payload).__name__}")
-    z = np.asarray(payload["z"], dtype=float)
+    try:
+        z = np.asarray(payload["z"], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError("model field 'z' must be a nested list of rows of equal length") from None
     k = payload["k"]
     if z.ndim != 2 or k != z.shape[1]:
         raise ParseError(f"model field 'k' is {k!r} but 'z' has shape {z.shape}")
+    if not np.isin(z, (0.0, 1.0)).all():
+        raise ParseError("model field 'z' must hold only 0 and 1")
     w = payload["w"]
     if not (isinstance(w, list) and len(w) == k
             and all(isinstance(row, list) and len(row) == k for row in w)):

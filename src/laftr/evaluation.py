@@ -25,10 +25,16 @@ __all__ = [
 
 
 def predict_links(state: ModelState, pairs) -> list[float]:
-    """Link probability for each (i, j) pair, in order."""
+    """Link probability for each (i, j) pair, in order.
+
+    ``pairs`` must be shaped (M, 2), or be empty; anything else is a
+    ValueError.
+    """
     pairs = np.asarray(pairs)
     if pairs.size == 0:
         return []
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must be shaped (M, 2), got {pairs.shape}")
     return link_probability(state, pairs[:, 0], pairs[:, 1]).tolist()
 
 

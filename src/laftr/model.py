@@ -20,7 +20,7 @@ memberships get bitwise-equal logits, whatever the BLAS thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def _pattern_caches(patterns: np.ndarray, w: np.ndarray):
 class ModelState:
     """Binary memberships Z, interaction weights W, and derived caches.
 
-    Caches (kept coherent by every mutating operation in the optimizer):
+    Caches, built from (Z, W) on first read:
 
     - ``logits``:      N x N, logits[i, j] = z_i^T W z_j
     - ``left_cache``:  N x K, left_cache[j, k] = W[k, :] . z_j   (= Z W^T)
@@ -105,7 +105,14 @@ class ModelState:
 
     rebuild_caches expands them from the patterns of Z, so equal rows of Z
     tie exactly in every cache. They are never patched: every optimizer step
-    that changes Z or W ends by rebuilding them.
+    that changes Z or W ends by marking them stale (discard_caches), and the
+    next read rebuilds them, with the bits a rebuild right after the step
+    would give. No fitting step reads them, so a fit builds them at most
+    once, when its initial state is made.
+
+    from_factors checks the factors and builds the caches at once. The
+    constructor, ModelState(z, w, lam), takes float arrays as they are,
+    unchecked, and leaves the caches to the first read.
 
     K = 0 (Z with zero columns) is a legal state: all logits are 0 and every
     pair gets probability 0.5.
@@ -114,9 +121,7 @@ class ModelState:
     z: np.ndarray
     w: np.ndarray
     lam: float
-    logits: np.ndarray
-    left_cache: np.ndarray
-    right_cache: np.ndarray
+    _caches: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -125,6 +130,18 @@ class ModelState:
     @property
     def k_plus(self) -> int:
         return self.z.shape[1]
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self._built()[0]
+
+    @property
+    def left_cache(self) -> np.ndarray:
+        return self._built()[1]
+
+    @property
+    def right_cache(self) -> np.ndarray:
+        return self._built()[2]
 
     @classmethod
     def from_factors(cls, z: np.ndarray, w: np.ndarray, lam: float) -> "ModelState":
@@ -139,31 +156,36 @@ class ModelState:
             raise ValueError("z entries must be 0 or 1")
         if lam < 0:
             raise ValueError(f"lambda must be >= 0, got {lam}")
-        state = cls(z=z.copy(), w=w.copy(), lam=float(lam),
-                    logits=None, left_cache=None, right_cache=None)  # type: ignore[arg-type]
+        state = cls(z.copy(), w.copy(), float(lam))
         state.rebuild_caches()
         return state
 
     def rebuild_caches(self) -> None:
-        """Recompute the caches from the patterns of Z and W, expanded to the nodes.
+        """Compute the caches from the patterns of Z and W, expanded to the nodes.
 
         The sums run in a fixed order (see _pattern_caches): their bits do
-        not depend on the BLAS thread count or on all-zero columns of Z.
+        not depend on the BLAS thread count, on all-zero columns of Z or on
+        when the build runs, only on Z and W.
         """
         patterns, _, inverse = _group_patterns(self.z)
         right, left, table = _pattern_caches(patterns, self.w)
-        self.right_cache, self.left_cache = right[inverse], left[inverse]
-        self.logits = table.take(inverse, axis=0).take(inverse, axis=1)
+        self._caches = (table.take(inverse, axis=0).take(inverse, axis=1),
+                        left[inverse], right[inverse])
+
+    def discard_caches(self) -> None:
+        """Mark the caches stale after Z or W changed; the next read rebuilds them."""
+        self._caches = None
+
+    def _built(self) -> tuple:
+        if self._caches is None:
+            self.rebuild_caches()
+        return self._caches
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            z=self.z.copy(),
-            w=self.w.copy(),
-            lam=self.lam,
-            logits=self.logits.copy(),
-            left_cache=self.left_cache.copy(),
-            right_cache=self.right_cache.copy(),
-        )
+        state = ModelState(self.z.copy(), self.w.copy(), self.lam)
+        if self._caches is not None:
+            state._caches = tuple(cache.copy() for cache in self._caches)
+        return state
 
 
 def link_probability(state: ModelState, i, j):
@@ -252,18 +274,22 @@ class _PairStats:
         return h.reshape((k_plus,) * 4).transpose(0, 2, 1, 3).reshape(k_plus**2, k_plus**2)
 
 
-def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
+def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
+                            stats: _PairStats | None = None) -> float:
     """Masked Bernoulli cross-entropy, via the softplus form.
 
     Per observed entry: -y_ij * a_ij + softplus(a_ij), which equals
     -y log p - (1-y) log(1-p) and stays finite for saturated logits. It is
     summed by pattern pair over rebuild_caches' logit table of (Z, W); the
-    logit cache is not read.
+    logit cache is not read. ``stats``, if given, are the _PairStats of
+    (y, mask, state.z), which the caller already holds.
     """
-    stats = _PairStats(y, mask, state.z)
+    if stats is None:
+        stats = _PairStats(y, mask, state.z)
     return stats.loss(_pattern_caches(stats.patterns, state.w)[2])
 
 
-def objective(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> float:
-    """negative_log_likelihood plus the community-count penalty K * lambda^2."""
-    return negative_log_likelihood(y, mask, state) + state.k_plus * state.lam**2
+def objective(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
+              stats: _PairStats | None = None) -> float:
+    """negative_log_likelihood (with its ``stats``) plus the community-count penalty K * lambda^2."""
+    return negative_log_likelihood(y, mask, state, stats) + state.k_plus * state.lam**2

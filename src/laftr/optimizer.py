@@ -6,7 +6,9 @@ communities nobody belongs to, then propose growing the model by one
 community and keep the grown model only if it lowers the objective; an
 iteration that would end the fit draws more proposals first. Every move is
 a descent move, so the objective trace is non-increasing and the loop
-reaches a local minimum in finitely many iterations.
+reaches a local minimum in finitely many iterations. The sweep of an
+iteration that follows an accepted birth is skipped: the candidate's own
+sweep has just left that state at a one-flip fixed point.
 
 Coordinate moves are scored on membership patterns. For fixed W a logit
 depends only on the rows of Z of its two nodes, so with P distinct rows
@@ -35,9 +37,8 @@ every flip of the others. When node m changes pattern, the other nodes'
 partner counts move by one at m's pattern before and after, and their rows
 move by the terms of their entries at m, scored once per pattern. The
 sweep reads Z, W and the mask only; a new row of Z gets a row and column
-of the logit table with the bits a rebuild gives, and the caches are
-rebuilt once when the sweep ends. The screen changes no flip, and so no
-fit.
+of the logit table with the bits a rebuild gives. The screen changes no
+flip, and so no fit.
 
 The W step works on patterns too: for fixed Z the observed entries collapse
 into pattern pairs, so the W-subproblem is a logistic fit with K^2
@@ -46,8 +47,14 @@ parameters over P x P pairs weighted by their observed and positive counts
 pass over the observed entries. It is solved by damped Newton: a step
 builds the K^2 x K^2 Hessian in O(P^2 K^2 + P K^4) and solves it, never
 visiting the N^2 entries, and a W step typically takes about ten such
-steps. Its trial logits are BLAS products that are never stored; on exit
-ModelState.rebuild_caches stores the logits, in a fixed order.
+steps. Its trial logits are BLAS products that are never stored. After
+the prune, the objective sums over the same pattern-pair counts, since
+dropping all-zero columns keeps the grouping of Z, and the counts an
+accepted birth's objective gathered serve the next W step.
+
+No fitting step reads the state's N x N caches (ModelState): a step that
+changes Z or W only marks them stale, and the first read after the fit
+builds them, with the bits a rebuild after every step would give.
 """
 
 from __future__ import annotations
@@ -192,6 +199,13 @@ def delta_objective_flip(
     return float(_DeltaTable(_MaskIndex(y, mask), state).scores(n)[0][k])
 
 
+def _enlarged(table: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` with ``table`` copied into the leading corner."""
+    out = np.zeros(shape, dtype=table.dtype)
+    out[tuple(map(slice, table.shape))] = table
+    return out
+
+
 class _DeltaTable:
     """The sweep's pattern tables, and its screen: every node's flip deltas with a bound.
 
@@ -256,13 +270,13 @@ class _DeltaTable:
 
     def _grow(self) -> None:
         """Double the pattern capacity of every table."""
-        extra = len(self.patterns)
-        self.patterns, self.signs = (np.pad(t, ((0, extra), (0, 0)))
+        cap, k_plus = self.patterns.shape
+        self.patterns, self.signs = (_enlarged(t, (2 * cap, k_plus))
                                      for t in (self.patterns, self.signs))
-        self.logits, self.sp_logits = (np.pad(t, ((0, extra), (0, 2 * extra)))
+        self.logits, self.sp_logits = (_enlarged(t, (2 * cap, 4 * cap))
                                        for t in (self.logits, self.sp_logits))
-        self.partner = np.pad(self.partner, ((0, 0), (0, 2 * extra)))
-        self.counts = np.pad(self.counts, ((0, 0), (0, 2 * extra), (0, 0)))
+        self.partner = _enlarged(self.partner, (k_plus, 4 * cap))
+        self.counts = _enlarged(self.counts, (2, 4 * cap, self.counts.shape[2]))
 
     def _shifted(self, p: int):
         """Shifts s, sp(a + s) and sp(a), K x 2P, of the partner logits a of a node at pattern p."""
@@ -383,7 +397,7 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     With apply=True it sweeps to a one-flip fixed point: every provably
     improving flip is taken, passes repeat until one takes none, and the
     return value says whether any flip happened; if one did, the state's
-    caches are rebuilt on exit. With apply=False it is one pass that stops
+    caches are marked stale. With apply=False it is one pass that stops
     at the first improving flip and leaves the state unchanged. It reads Z,
     W and the mask only, never the caches.
 
@@ -456,16 +470,18 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
             break
         improved = True
     if improved:
-        state.rebuild_caches()
+        state.discard_caches()
     return improved
 
 
-def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> ModelState:
+def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
+               stats: _PairStats | None = None) -> ModelState:
     """Damped Newton on W for fixed Z (the objective is convex here).
 
     The subproblem is a logistic fit with K^2 parameters over the P x P
     pattern pairs of _PairStats, built with one pass over the observed
-    entries; its iterates are those of Newton over the individual entries,
+    entries unless the caller passes ``stats``, those of (y, mask,
+    state.z); its iterates are those of Newton over the individual entries,
     up to summation order. Each step solves (H + mu I) d = -g for the
     K^2 x K^2 Hessian H, with Levenberg damping mu = 1e-8 max(1, tr H / K^2),
     and falls back to d = -g if the solve fails or d is not a descent
@@ -480,11 +496,12 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> 
     Stops when the gradient infinity-norm drops below W_GRAD_TOL, after
     W_MAX_STEPS, or when a step can no longer make measurable progress.
     On near-separable data the optimum is at infinity and the last of
-    these, the stall guard, ends the step. Caches are rebuilt on exit.
+    these, the stall guard, ends the step. The caches are marked stale.
     """
     if state.k_plus == 0:
         return state
-    stats = _PairStats(y, mask, state.z)
+    if stats is None:
+        stats = _PairStats(y, mask, state.z)
     basis = stats.observed_basis()
     w = state.w.copy()
     n_params = w.size
@@ -530,7 +547,7 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> 
             break
         f = f_new
     state.w = w
-    state.rebuild_caches()
+    state.discard_caches()
     return state
 
 
@@ -548,7 +565,8 @@ def propose_feature(
     node; borders W with Gaussian(0, sigma_w^2) entries (new row first, then
     the new column); then takes the W step on the full W and sweeps the candidate's
     coordinates to a fixed point, using fit's index ``idx`` of (y, mask).
-    The input state is not mutated.
+    The input state is not mutated, and the candidate's caches are left to
+    their first read.
     """
     n_nodes = state.n
     k = state.k_plus
@@ -564,7 +582,7 @@ def propose_feature(
     w_new[k, :] = border[: k + 1]
     w_new[:k, k] = border[k + 1 :]
 
-    candidate = ModelState.from_factors(z_new, w_new, state.lam)
+    candidate = ModelState(z_new, w_new, state.lam)
     optimize_w(y, mask, candidate)
     _sweep(idx, candidate, apply=True)
     return candidate
@@ -573,9 +591,9 @@ def propose_feature(
 def prune_empty_features(state: ModelState) -> ModelState:
     """Drop all-zero membership columns (and their W rows/columns) in place.
 
-    Inert columns add exact zeros to every sum of rebuild_caches, which
-    rebuilds the caches here, so a rebuilt state keeps its logits bit for
-    bit; only the penalty drops, by lam^2 per removed column.
+    Inert columns add exact zeros to every sum of rebuild_caches, so the
+    caches, marked stale here, rebuild to the same logits bit for bit; only
+    the penalty drops, by lam^2 per removed column.
     """
     occupancy = state.z.sum(axis=0)
     keep = occupancy > 0
@@ -583,7 +601,7 @@ def prune_empty_features(state: ModelState) -> ModelState:
         return state
     state.z = state.z[:, keep]
     state.w = state.w[np.ix_(keep, keep)]
-    state.rebuild_caches()
+    state.discard_caches()
     return state
 
 
@@ -606,11 +624,26 @@ def fit(
     minimum. It also stops at max_outer_iters. A non-finite objective at
     the end of an outer iteration raises NumericalError.
 
+    After an accepted birth the next iteration does not sweep: the
+    candidate's sweep has just left the state at a fixed point. A sweep
+    there would start from a table built in another pattern order, so it
+    could differ only by taking a flip that lowers the objective by less
+    than FLIP_TOLERANCE + 2 beta * mass (see _sweep), one the candidate's
+    last pass did not take.
+
+    Z is grouped into pattern pairs (_PairStats) once per grouping: the W
+    step and the post-prune objective share one grouping, with the pruned
+    columns dropped (pruning removes only all-zero columns, so the grouping
+    of Z, its np.unique order and its counts stay the same), and an
+    accepted candidate's grouping, made for its objective, serves the next
+    iteration, whose Z is the candidate's.
+
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
     after each outer iteration with the cumulative wall-clock time of the
-    fit, not counting the time spent in earlier on_iteration calls. Every
-    step leaves the state's caches rebuilt from (Z, W), the returned
-    state's too.
+    fit, not counting the time spent in earlier on_iteration calls. No step
+    reads the state's caches; each one that changes Z or W marks them
+    stale, so a read of any state, the returned one too, builds them from
+    its (Z, W) with the bits from_factors gives.
 
     Deterministic for a fixed config: one RNG stream seeded with config.seed
     drives initialization and every birth proposal.
@@ -624,28 +657,34 @@ def fit(
     t_start = time.perf_counter()
     callback_s = 0.0
     q = objective(y, mask, state)
+    settled, stats = False, None
 
     for iteration in range(config.max_outer_iters):
         t_iter = time.perf_counter()
         q_start = q
 
-        _sweep(idx, state, apply=True)
-        optimize_w(y, mask, state)
+        if not settled:
+            _sweep(idx, state, apply=True)
+            stats = _PairStats(y, mask, state.z)
+        optimize_w(y, mask, state, stats)
+        stats.patterns = stats.patterns[:, state.z.any(axis=0)]  # the columns prune keeps
         state = prune_empty_features(state)
 
-        q = objective(y, mask, state)
+        q = objective(y, mask, state, stats)
         stalled = (q_start - q) / max(abs(q_start), 1e-12) < config.rel_tol
         # one birth, and BIRTH_RETRIES more if the iteration would otherwise stop
         births = 1 + BIRTH_RETRIES if stalled else 1
         birth_accepted = False
         for proposed in range(1, births + 1):
             candidate = propose_feature(idx, y, mask, state, config, rng)
-            q_candidate = objective(y, mask, candidate)
+            candidate_stats = _PairStats(y, mask, candidate.z)
+            q_candidate = objective(y, mask, candidate, candidate_stats)
             if q_candidate < q - FLIP_TOLERANCE:
-                state, q, birth_accepted = candidate, q_candidate, True
+                state, q, stats, birth_accepted = candidate, q_candidate, candidate_stats, True
                 break
         report.births_proposed.append(proposed)
         report.accepted_births.append(birth_accepted)
+        settled = birth_accepted
 
         if not math.isfinite(q):
             raise NumericalError(f"non-finite objective {q} after outer iteration {iteration}", state)

@@ -292,7 +292,7 @@ def scaled_log_partition(eta_tilde, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def oracle_optimize_w(y, mask, state):
+def oracle_optimize_w(y, mask, state, stats=None):
     """optimize_w's damped Newton, run over the individual observed entries.
 
     Same damping, solve span, descent fallback, Armijo rule, stall guard
@@ -301,7 +301,7 @@ def oracle_optimize_w(y, mask, state):
     N x N residual matrix R, and the Hessian sums v x x^T over the entries,
     with x = z_i (x) z_j the entry's K^2 features and v = sigma(a)(1 -
     sigma(a)). The solve runs in the span of those features, read off their
-    Gram matrix.
+    Gram matrix. ``stats``, optimize_w's pattern-pair statistics, is not read.
     """
     if state.k_plus == 0:
         return state

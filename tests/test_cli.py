@@ -432,13 +432,16 @@ class TestExitCodes:
         ('"w": [["1"]]', "'w'"),
         ('"lambda": "x"', "'lambda'"),
         ('"lambda": null', "'lambda'"),
+        ('"z": [[null], [0]]', "'z'"),              # loaded as NaN
+        ('"z": [[1], [0, 1]]', "'z'"),              # ragged
+        ('"z": "ab"', "'z'"),
         (None, "JSON object"),                       # a top-level array
     ])
     def test_bad_model_values_are_data_errors(self, tmp_path, capsys, command, text, field):
-        fields = {'"w"': '"w": [[1.5]]', '"lambda"': '"lambda": 0.5'}
+        fields = {'"z"': '"z": [[1], [0]]', '"w"': '"w": [[1.5]]', '"lambda"': '"lambda": 0.5'}
         if text is not None:
             fields[text.split(":")[0]] = text
-        body = ", ".join(['"k": 1', '"z": [[1], [0]]', *fields.values()])
+        body = ", ".join(['"k": 1', *fields.values()])
         model_path = tmp_path / "m.json"
         model_path.write_text("[1, 2]" if text is None else "{" + body + "}")
         pairs_path = tmp_path / "pairs.txt"

@@ -54,6 +54,12 @@ class TestPredictLinks:
         with pytest.raises(IndexError):
             predict_links(state, [(0, 9)])
 
+    @pytest.mark.parametrize("pairs", [[(1, 2, 3), (0, 1, 2)], [(0,), (1,)], (0, 1), [[(0, 1)]]])
+    def test_pairs_not_shaped_m_by_2(self, rng, pairs):
+        _, _, state = random_instance(rng, 4, 2)
+        with pytest.raises(ValueError, match=r"\(M, 2\)"):
+            predict_links(state, pairs)
+
     def test_negative_index_is_not_wrapped(self, rng):
         _, _, state = random_instance(rng, 4, 2)
         with pytest.raises(IndexError):

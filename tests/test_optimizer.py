@@ -844,11 +844,78 @@ class TestTrajectory:
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "_sweep", sweep)
             expected = fit(y, mask, config)
-        # one sweep to a fixed point per iteration (fit's) and one per birth
+        # one sweep to a fixed point per birth and one per iteration (fit's),
+        # except an iteration after an accepted birth, whose state is settled
         assert calls.count(True) == (len(expected.objective_trace)
+                                     - sum(expected.accepted_births[:-1])
                                      + sum(expected.births_proposed))
         got = fit(y, mask, config)
         assert got.objective_trace == expected.objective_trace
         assert got.k_trace == expected.k_trace
         assert got.accepted_births == expected.accepted_births
         assert np.array_equal(got.final_state.z, expected.final_state.z)
+
+
+class TestSkippedWork:
+    """fit skips the sweep of a settled state and builds no cache it does not read."""
+
+    @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_state_after_an_accepted_birth_is_settled(self, problem, seed):
+        # the sweep fit skips after an accepted birth would flip nothing
+        y, mask, config = problem(seed)
+        idx = optimizer._MaskIndex(y, mask)
+        scans = []
+        report = fit(y, mask, config, on_iteration=lambda _it, state, _s: scans.append(
+            optimizer._sweep(idx, state, apply=False)))
+        settled = [scan for scan, accepted in zip(scans, report.accepted_births) if accepted]
+        assert settled
+        assert not any(settled)
+
+    @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
+    def test_fit_builds_the_caches_at_most_once(self, monkeypatch, problem):
+        y, mask, config = problem(0)
+        builds = []
+        rebuild = ModelState.rebuild_caches
+
+        def counted(state):
+            builds.append(state)
+            rebuild(state)
+
+        monkeypatch.setattr(ModelState, "rebuild_caches", counted)
+        report = fit(y, mask, config)
+        assert len(builds) <= 1
+        _assert_rebuilt(report.final_state)
+
+    @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
+    def test_one_pattern_grouping_per_z(self, monkeypatch, problem):
+        # the start's objective, each swept main state (its W step and its
+        # objective share one), each candidate's W step and objective; an
+        # accepted candidate's serves the next iteration
+        y, mask, config = problem(0)
+        groupings = []
+        init = _PairStats.__init__
+
+        def counted(stats, *args):
+            groupings.append(stats)
+            init(stats, *args)
+
+        monkeypatch.setattr(_PairStats, "__init__", counted)
+        report = fit(y, mask, config)
+        swept = len(report.objective_trace) - sum(report.accepted_births[:-1])
+        assert len(groupings) == 1 + swept + 2 * sum(report.births_proposed)
+
+    def test_reads_after_each_step_match_a_fresh_build(self, rng):
+        # each step runs on built caches; the read after it is a fresh build's
+        y, mask, state = random_instance(rng, 12, 3)
+        _assert_rebuilt(state)
+        optimize_w(y, mask, state)
+        _assert_rebuilt(state)
+        assert optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+        _assert_rebuilt(state)
+        state.z[:, 1] = 0.0
+        state.discard_caches()
+        _assert_rebuilt(state)
+        prune_empty_features(state)
+        assert state.k_plus == 2
+        _assert_rebuilt(state)
