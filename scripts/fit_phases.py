@@ -16,7 +16,6 @@ phase running, so the rows add up to the total:
 - W step: ``optimize_w`` called by ``fit``;
 - pattern statistics: building ``_PairStats``, wherever it happens;
 - objective: ``objective`` outside its pattern statistics;
-- cache builds: ``ModelState.rebuild_caches``, wherever it happens;
 - fit other: the rest of ``fit`` (pruning, births' bookkeeping);
 - scoring: the rest of ``evaluate_split`` (held-out scores and AUC).
 
@@ -42,7 +41,7 @@ from perfbench import workloads  # noqa: E402
 FIT_WORKLOADS = [name for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
 SEEDS = range(100, 103)
 PHASES = ("main sweep", "convergence scan", "candidate sweep", "candidate W step", "birth other",
-          "W step", "pattern statistics", "objective", "cache builds", "fit other", "scoring")
+          "W step", "pattern statistics", "objective", "fit other", "scoring")
 
 
 class Phases:
@@ -101,7 +100,6 @@ def _install(phases: Phases) -> None:
         (optimizer, "propose_feature", fixed("birth other")),
         (optimizer, "objective", fixed("objective")),
         (evaluation, "fit", fixed("fit other")),
-        (model.ModelState, "rebuild_caches", fixed("cache builds")),
         (model._PairStats, "__init__", fixed("pattern statistics")),
     ]
     for owner, name, phase_of in targets:

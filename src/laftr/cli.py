@@ -78,12 +78,12 @@ def _is_finite_number(value) -> bool:
 
 
 def load_model(path: str) -> tuple[ModelState, dict]:
-    """Read a model JSON file back into a ModelState (caches rebuilt).
+    """Read a model JSON file back into a ModelState.
 
     The file must hold a JSON object; ``z`` must be a nested list of 0/1
-    rows of equal length, ``k`` must equal their length, ``w`` must be a
-    K x K nested list of finite numbers and ``lambda`` a finite number
-    >= 0; otherwise a ParseError names the offending field.
+    rows of equal length, ``k`` must be an integer equal to their length,
+    ``w`` must be a K x K nested list of finite numbers and ``lambda`` a
+    finite number >= 0; otherwise a ParseError names the offending field.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -94,6 +94,8 @@ def load_model(path: str) -> tuple[ModelState, dict]:
     except (TypeError, ValueError):
         raise ParseError("model field 'z' must be a nested list of rows of equal length") from None
     k = payload["k"]
+    if type(k) is not int:  # JSON true and 2.0 load as bool and float
+        raise ParseError(f"model field 'k' must be an integer, got {k!r}")
     if z.ndim != 2 or k != z.shape[1]:
         raise ParseError(f"model field 'k' is {k!r} but 'z' has shape {z.shape}")
     if not np.isin(z, (0.0, 1.0)).all():

@@ -63,7 +63,7 @@ def sample_edges(z: np.ndarray, w: np.ndarray, seed) -> AdjacencyMatrix:
     """Draw a directed graph from fixed factors: y_ij ~ Bernoulli(sigma(z_i W z_j)).
 
     The diagonal is fixed at 0 to match the no-self-link convention. The
-    logits are those ModelState.from_factors stores for the same factors.
+    logits are those ModelState.logits gives for the same factors.
     """
     rng = _as_rng(seed)
     probs = sigmoid(ModelState.from_factors(z, w, 0.0).logits)

@@ -2,7 +2,7 @@
 
 An adjacency matrix is dense N x N with entries in {0, 1}; the datasets this
 package targets are at most a few thousand nodes, so dense storage keeps the
-downstream cached arithmetic simple. Observation masks record which entries
+downstream arithmetic simple. Observation masks record which entries
 are visible to the fitter (train) versus held out (test); the diagonal is
 excluded by default since self-links are meaningless for these graphs.
 """

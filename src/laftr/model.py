@@ -12,15 +12,17 @@ penalty charges lambda^2 per community, which is what stops the trivial
 one-community-per-node solution.
 
 A logit depends only on the membership rows of its two nodes. Z is grouped
-into its P distinct rows (patterns) in one place, every stored logit comes
-from one P x P pattern-pair table summed in a fixed order without BLAS, and
-the objective sums that table by pattern pair: nodes with equal
-memberships get bitwise-equal logits, whatever the BLAS thread count.
+into its P distinct rows (patterns) in one place, every logit and link
+probability is read from one P x P pattern-pair table summed in a fixed
+order without BLAS, and the objective sums that table by pattern pair:
+nodes with equal memberships get bitwise-equal logits, whatever the BLAS
+thread count. A state holds Z, W and lambda only; nothing derived from
+them is stored, so no step has to keep anything in step with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,27 +94,15 @@ def _pattern_caches(patterns: np.ndarray, w: np.ndarray):
 
 @dataclass
 class ModelState:
-    """Binary memberships Z, interaction weights W, and derived caches.
+    """Binary memberships Z, interaction weights W and the penalty weight lambda.
 
-    Caches, built from (Z, W) on first read:
+    ``logits`` (N x N, logits[i, j] = z_i^T W z_j) is derived from (Z, W) on
+    each read: the P x P pattern logit table (_pattern_caches) expanded to
+    the nodes, so equal rows of Z tie exactly. It is read-only; a change to
+    Z or W shows in the next read. No fitting step reads it.
 
-    - ``logits``:      N x N, logits[i, j] = z_i^T W z_j
-    - ``left_cache``:  N x K, left_cache[j, k] = W[k, :] . z_j   (= Z W^T)
-    - ``right_cache``: N x K, right_cache[i, k] = z_i . W[:, k]  (= Z W)
-
-    Flipping z[n, k] shifts logit row n by +-left_cache[:, k] and column n
-    by +-right_cache[:, k] (plus w[k, k] at (n, n)).
-
-    rebuild_caches expands them from the patterns of Z, so equal rows of Z
-    tie exactly in every cache. They are never patched: every optimizer step
-    that changes Z or W ends by marking them stale (discard_caches), and the
-    next read rebuilds them, with the bits a rebuild right after the step
-    would give. No fitting step reads them, so a fit builds them at most
-    once, when its initial state is made.
-
-    from_factors checks the factors and builds the caches at once. The
-    constructor, ModelState(z, w, lam), takes float arrays as they are,
-    unchecked, and leaves the caches to the first read.
+    from_factors checks the factors and copies them. The constructor,
+    ModelState(z, w, lam), takes float arrays as they are, unchecked.
 
     K = 0 (Z with zero columns) is a legal state: all logits are 0 and every
     pair gets probability 0.5.
@@ -121,7 +111,6 @@ class ModelState:
     z: np.ndarray
     w: np.ndarray
     lam: float
-    _caches: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -133,15 +122,10 @@ class ModelState:
 
     @property
     def logits(self) -> np.ndarray:
-        return self._built()[0]
-
-    @property
-    def left_cache(self) -> np.ndarray:
-        return self._built()[1]
-
-    @property
-    def right_cache(self) -> np.ndarray:
-        return self._built()[2]
+        table, inverse = _node_pattern_logits(self)
+        logits = table.take(inverse, axis=0).take(inverse, axis=1)
+        logits.flags.writeable = False
+        return logits
 
     @classmethod
     def from_factors(cls, z: np.ndarray, w: np.ndarray, lam: float) -> "ModelState":
@@ -156,50 +140,37 @@ class ModelState:
             raise ValueError("z entries must be 0 or 1")
         if lam < 0:
             raise ValueError(f"lambda must be >= 0, got {lam}")
-        state = cls(z.copy(), w.copy(), float(lam))
-        state.rebuild_caches()
-        return state
-
-    def rebuild_caches(self) -> None:
-        """Compute the caches from the patterns of Z and W, expanded to the nodes.
-
-        The sums run in a fixed order (see _pattern_caches): their bits do
-        not depend on the BLAS thread count, on all-zero columns of Z or on
-        when the build runs, only on Z and W.
-        """
-        patterns, _, inverse = _group_patterns(self.z)
-        right, left, table = _pattern_caches(patterns, self.w)
-        self._caches = (table.take(inverse, axis=0).take(inverse, axis=1),
-                        left[inverse], right[inverse])
-
-    def discard_caches(self) -> None:
-        """Mark the caches stale after Z or W changed; the next read rebuilds them."""
-        self._caches = None
-
-    def _built(self) -> tuple:
-        if self._caches is None:
-            self.rebuild_caches()
-        return self._caches
+        return cls(z.copy(), w.copy(), float(lam))
 
     def copy(self) -> "ModelState":
-        state = ModelState(self.z.copy(), self.w.copy(), self.lam)
-        if self._caches is not None:
-            state._caches = tuple(cache.copy() for cache in self._caches)
-        return state
+        return ModelState(self.z.copy(), self.w.copy(), self.lam)
+
+
+def _node_pattern_logits(state: ModelState):
+    """The P x P pattern logit table of (Z, W) and each node's pattern index into it.
+
+    The sums run in a fixed order (see _pattern_caches): the bits depend
+    only on Z and W, not on the BLAS thread count or on all-zero columns.
+    """
+    patterns, _, inverse = _group_patterns(state.z)
+    return _pattern_caches(patterns, state.w)[2], inverse
 
 
 def link_probability(state: ModelState, i, j):
-    """sigma(z_i^T W z_j), read from the logit cache.
+    """sigma(z_i^T W z_j), read from the pattern logit table.
 
     ``i`` and ``j`` are node indices or integer index arrays (broadcast
     together); an int pair gives a float, arrays give an array of
-    probabilities. Negative indices are rejected, not wrapped.
+    probabilities. Negative indices are rejected, not wrapped. The values
+    are those of ``state.logits[i, j]``, bit for bit, without building the
+    N x N logits.
     """
     i, j = np.asarray(i), np.asarray(j)
     n = state.n
     if not ((i >= 0) & (i < n) & (j >= 0) & (j < n)).all():
         raise IndexError(f"pair index out of range for n={n}")
-    p = sigmoid(state.logits[i, j])
+    table, inverse = _node_pattern_logits(state)
+    p = sigmoid(table[inverse[i], inverse[j]])
     return float(p) if p.ndim == 0 else p
 
 
@@ -280,9 +251,10 @@ def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: Mo
 
     Per observed entry: -y_ij * a_ij + softplus(a_ij), which equals
     -y log p - (1-y) log(1-p) and stays finite for saturated logits. It is
-    summed by pattern pair over rebuild_caches' logit table of (Z, W); the
-    logit cache is not read. ``stats``, if given, are the _PairStats of
-    (y, mask, state.z), which the caller already holds.
+    summed by pattern pair over the pattern logit table of (Z, W) that
+    ModelState.logits expands; the N x N logits are never built. ``stats``,
+    if given, are the _PairStats of (y, mask, state.z), which the caller
+    already holds.
     """
     if stats is None:
         stats = _PairStats(y, mask, state.z)

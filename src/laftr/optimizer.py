@@ -14,8 +14,8 @@ Coordinate moves are scored on membership patterns. For fixed W a logit
 depends only on the rows of Z of its two nodes, so with P distinct rows
 (patterns) every observed logit is an entry of the P x P pattern logit
 table that the objective also sums. Flipping z[n, k] shifts the logit of an
-entry (n, j) by +-left_cache[j, k] and of (i, n) by +-right_cache[i, k],
-and those too depend only on the other node's pattern. Node n's K flip
+entry (n, j) by +-W[k, :] . z_j and of (i, n) by +-z_i . W[:, k], and
+those too depend only on the other node's pattern. Node n's K flip
 deltas are therefore sums over its 2P partner patterns (row side and column
 side): the number of its observed entries with that partner times a
 softplus difference, minus the number with y = 1 times the shift, plus the
@@ -37,8 +37,8 @@ every flip of the others. When node m changes pattern, the other nodes'
 partner counts move by one at m's pattern before and after, and their rows
 move by the terms of their entries at m, scored once per pattern. The
 sweep reads Z, W and the mask only; a new row of Z gets a row and column
-of the logit table with the bits a rebuild gives. The screen changes no
-flip, and so no fit.
+of the logit table with the bits model._pattern_caches gives it. The
+screen changes no flip, and so no fit.
 
 The W step works on patterns too: for fixed Z the observed entries collapse
 into pattern pairs, so the W-subproblem is a logistic fit with K^2
@@ -51,10 +51,6 @@ steps. Its trial logits are BLAS products that are never stored. After
 the prune, the objective sums over the same pattern-pair counts, since
 dropping all-zero columns keeps the grouping of Z, and the counts an
 accepted birth's objective gathered serve the next W step.
-
-No fitting step reads the state's N x N caches (ModelState): a step that
-changes Z or W only marks them stale, and the first read after the fit
-builds them, with the bits a rebuild after every step would give.
 """
 
 from __future__ import annotations
@@ -119,15 +115,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0:
+        # `not x > 0` rejects NaN too
+        if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.sigma_w <= 0:
+        if not self.sigma_w > 0:
             raise ValueError(f"sigma_w must be positive, got {self.sigma_w}")
         if self.k_init < 1:
             raise ValueError(f"k_init must be >= 1, got {self.k_init}")
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
@@ -215,20 +212,21 @@ class _DeltaTable:
     interleave the sides: column 2q + s is a partner at pattern q on side s.
     ``logits[p, 2q]`` and ``logits[p, 2q + 1]`` are the pattern logits
     (_pattern_caches' table) of (p, q) and (q, p), and ``sp_logits`` their
-    softplus. ``partner[k, 2q]`` and ``partner[k, 2q + 1]`` are pattern q's
-    left and right cache entries, so flipping z[n, k] moves the logit of an
+    softplus. ``partner[k, 2q]`` and ``partner[k, 2q + 1]`` are W[k, :] . q
+    and q . W[:, k] for pattern q, so flipping z[n, k] moves the logit of an
     entry at a partner in column j by +-partner[k, j].
     ``counts[0, j, n]`` counts n's observed entries with a partner in
     column j and ``counts[1, j, n]`` those with y = 1.
 
-    A flip that makes a new row of Z appends it, with the logits and cache
-    entries a rebuild gives it, bit for bit. The first ``n_pat`` patterns
-    are in use; the tables' capacity doubles when they fill.
+    A flip that makes a new row of Z appends it, with the logits and
+    partner entries _pattern_caches gives it, bit for bit. The first
+    ``n_pat`` patterns are in use; the tables' capacity doubles when they
+    fill.
 
     ``delta[n, k]`` approximates the kernel's delta (scores) for flipping
     z[n, k] in the current Z and is within ``bound[n, k]`` of it; _sweep
     derives the bound. ``open`` marks the nodes the sweep must still visit.
-    Z is the state's, flipped in place; the caches are not read.
+    Z is the state's, flipped in place.
     """
 
     def __init__(self, idx: _MaskIndex, state: ModelState):
@@ -287,8 +285,8 @@ class _DeltaTable:
     def _diag_terms(self, p: int, y_nn):
         """Delta and mass terms of the entry (n, n) in the flips of n at pattern p, y_nn its y.
 
-        The diagonal logit is quadratic in z[n, k]: both cache entries shift
-        it, plus the d^2 = 1 self-term w[k, k]. The mass adds |left| +
+        The diagonal logit is quadratic in z[n, k]: both partner entries
+        shift it, plus the d^2 = 1 self-term w[k, k]. The mass adds |left| +
         |right| + |w[k, k]|, which bounds the shift and so its rounding and
         its y term.
         """
@@ -396,10 +394,9 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
 
     With apply=True it sweeps to a one-flip fixed point: every provably
     improving flip is taken, passes repeat until one takes none, and the
-    return value says whether any flip happened; if one did, the state's
-    caches are marked stale. With apply=False it is one pass that stops
-    at the first improving flip and leaves the state unchanged. It reads Z,
-    W and the mask only, never the caches.
+    return value says whether any flip happened. With apply=False it is one
+    pass that stops at the first improving flip and leaves the state
+    unchanged. It reads Z, W and the mask only.
 
     The flips are exactly those of visiting every node in every pass with
     the kernel (_DeltaTable.scores): node n's K flips are scored at once on
@@ -469,8 +466,6 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
         if not flipped or not apply:
             break
         improved = True
-    if improved:
-        state.discard_caches()
     return improved
 
 
@@ -496,7 +491,7 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
     Stops when the gradient infinity-norm drops below W_GRAD_TOL, after
     W_MAX_STEPS, or when a step can no longer make measurable progress.
     On near-separable data the optimum is at infinity and the last of
-    these, the stall guard, ends the step. The caches are marked stale.
+    these, the stall guard, ends the step.
     """
     if state.k_plus == 0:
         return state
@@ -547,7 +542,6 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
             break
         f = f_new
     state.w = w
-    state.discard_caches()
     return state
 
 
@@ -565,8 +559,7 @@ def propose_feature(
     node; borders W with Gaussian(0, sigma_w^2) entries (new row first, then
     the new column); then takes the W step on the full W and sweeps the candidate's
     coordinates to a fixed point, using fit's index ``idx`` of (y, mask).
-    The input state is not mutated, and the candidate's caches are left to
-    their first read.
+    The input state is not mutated.
     """
     n_nodes = state.n
     k = state.k_plus
@@ -591,9 +584,9 @@ def propose_feature(
 def prune_empty_features(state: ModelState) -> ModelState:
     """Drop all-zero membership columns (and their W rows/columns) in place.
 
-    Inert columns add exact zeros to every sum of rebuild_caches, so the
-    caches, marked stale here, rebuild to the same logits bit for bit; only
-    the penalty drops, by lam^2 per removed column.
+    Inert columns add exact zeros to every sum of the pattern logit table
+    (model._pattern_caches), so the logits keep their bits; only the
+    penalty drops, by lam^2 per removed column.
     """
     occupancy = state.z.sum(axis=0)
     keep = occupancy > 0
@@ -601,7 +594,6 @@ def prune_empty_features(state: ModelState) -> ModelState:
         return state
     state.z = state.z[:, keep]
     state.w = state.w[np.ix_(keep, keep)]
-    state.discard_caches()
     return state
 
 
@@ -640,10 +632,7 @@ def fit(
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
     after each outer iteration with the cumulative wall-clock time of the
-    fit, not counting the time spent in earlier on_iteration calls. No step
-    reads the state's caches; each one that changes Z or W marks them
-    stale, so a read of any state, the returned one too, builds them from
-    its (Z, W) with the bits from_factors gives.
+    fit, not counting the time spent in earlier on_iteration calls.
 
     Deterministic for a fixed config: one RNG stream seeded with config.seed
     drives initialization and every birth proposal.

@@ -10,14 +10,15 @@ time, from partner counts taken afresh from Z, in the order the screened,
 batched sweep must reproduce flip for flip; it reads the pattern logits
 from model._pattern_caches, whose bits the sweep's growing table must
 keep. The entrywise sweep oracle sums each flip's delta over the
-individual observed entries, which the pattern kernel must match within
-its rounding bound. The split, scoring and file oracles are the
-one-entry-at-a-time and one-line-at-a-time loops whose output (and, for
-the parsers, whose ParseError message and line) the array versions must
-reproduce exactly.
+individual observed entries, read from N x N logits and N x K row caches
+of its own (oracle_caches) that it patches flip by flip, which the
+pattern kernel must match within its rounding bound. The split, scoring
+and file oracles are the one-entry-at-a-time and one-line-at-a-time loops
+whose output (and, for the parsers, whose ParseError message and line)
+the array versions must reproduce exactly.
 
 The math helpers below them serve only as references for package code:
-the exact W-gradient, the cache-coherence check, the Bernoulli Bregman
+the exact W-gradient, the logit-coherence check, the Bernoulli Bregman
 divergence (whose sum over observed entries the objective must equal) and
 the scaled log-partition (whose derivatives the package's softplus must
 give). Fitting uses none of them. ``sweep_to_fixed_point`` is the one
@@ -88,64 +89,80 @@ def _softplus_scalar(a: float) -> float:
     return max(a, 0.0) + math.log1p(math.exp(max(-abs(a), -500.0)))
 
 
-def _apply_flip(state: ModelState, n: int, k: int) -> None:
-    """Flip z[n, k] and patch logits row/column n and cache row n in place."""
+def oracle_caches(z, w):
+    """N x N logits, N x K left = Z W^T and right = Z W, with the bits of ModelState.logits.
+
+    All three expand the pattern tables of model._pattern_caches to the
+    nodes, so equal rows of z tie exactly. The arrays are the caller's to
+    patch (_flip_patched).
+    """
+    patterns, _, inverse = _group_patterns(z)
+    right, left, table = _pattern_caches(patterns, w)
+    return table.take(inverse, axis=0).take(inverse, axis=1), left[inverse], right[inverse]
+
+
+def _flip_patched(state: ModelState, caches, n: int, k: int) -> None:
+    """Flip z[n, k] and patch the oracle caches' logit row/column n and cache row n in place."""
+    logits, left, right = caches
     d = 1.0 - 2.0 * state.z[n, k]
-    state.logits[n, :] += d * state.left_cache[:, k]
-    state.logits[:, n] += d * state.right_cache[:, k]
+    logits[n, :] += d * left[:, k]
+    logits[:, n] += d * right[:, k]
     # the two updates above already contributed d*(left + right) at (n, n)
-    state.logits[n, n] += state.w[k, k]
-    state.left_cache[n, :] += d * state.w[:, k]
-    state.right_cache[n, :] += d * state.w[k, :]
+    logits[n, n] += state.w[k, k]
+    left[n, :] += d * state.w[:, k]
+    right[n, :] += d * state.w[k, :]
     state.z[n, k] += d
 
 
-def oracle_flip_score(y, mask, state, n, k):
+def oracle_flip_score(y, mask, state, caches, n, k):
     """Delta and mass (see optimizer._sweep) of flipping z[n, k], entry by entry on the caches.
 
     The delta sums over the observed entries of row and column n, read from
-    the state's logit and cache values, with a scalar diagonal term.
+    ``caches`` (oracle_caches of the state, or those patched since), with a
+    scalar diagonal term.
     """
     obs, yv, w = mask.observed, y.entries, state.w
+    logits, left_cache, right_cache = caches
     js = np.flatnonzero(obs[n])
     js = js[js != n]
     is_ = np.flatnonzero(obs[:, n])
     is_ = is_[is_ != n]
     y_all = np.concatenate([yv[n, js], yv[is_, n]]).astype(float)
-    a_all = np.concatenate([state.logits[n, js], state.logits[is_, n]])
+    a_all = np.concatenate([logits[n, js], logits[is_, n]])
     d = 1.0 - 2.0 * state.z[n, k]
-    da = d * np.concatenate([state.left_cache[js, k], state.right_cache[is_, k]])
+    da = d * np.concatenate([left_cache[js, k], right_cache[is_, k]])
     sp_new, sp_old = float(softplus(a_all + da).sum()), float(softplus(a_all).sum())
     delta = sp_new - sp_old - float(y_all @ da)
     mass = sp_new + sp_old + float(y_all @ np.abs(da)) + len(y_all)
     if obs[n, n]:
-        left, right = state.left_cache[n, k], state.right_cache[n, k]
-        a_nn, da_nn = float(state.logits[n, n]), d * (left + right) + w[k, k]
+        left, right = left_cache[n, k], right_cache[n, k]
+        a_nn, da_nn = float(logits[n, n]), d * (left + right) + w[k, k]
         sp_x, sp_nn = _softplus_scalar(a_nn + da_nn), _softplus_scalar(a_nn)
         delta += -float(yv[n, n]) * da_nn + sp_x - sp_nn
         mass += sp_x + sp_nn + abs(left) + abs(right) + abs(w[k, k]) + 1.0
     return delta, mass
 
 
-def oracle_sweep_pass(y, mask, state, apply: bool) -> bool:
+def oracle_sweep_pass(y, mask, state, caches, apply: bool) -> bool:
     """The sweep pass scoring one (n, k) at a time, entry by entry on patched caches.
 
     Row-major order; a flip improves when its delta plus beta times its mass
     (the delta's rounding bound, see optimizer._sweep) is below
-    -FLIP_TOLERANCE, and an accepted flip patches the caches (_apply_flip).
-    With apply=True every improving flip is taken; with apply=False the scan
-    stops at the first improving flip.
+    -FLIP_TOLERANCE, and an accepted flip patches ``caches`` (oracle_caches
+    of the state, kept across passes) by _flip_patched. With apply=True
+    every improving flip is taken; with apply=False the scan stops at the
+    first improving flip.
     """
     n_nodes, k_plus = state.z.shape
     beta = optimizer._rounding_beta(n_nodes)
     improved = False
     for n in range(n_nodes):
         for k in range(k_plus):
-            delta, mass = oracle_flip_score(y, mask, state, n, k)
+            delta, mass = oracle_flip_score(y, mask, state, caches, n, k)
             if delta + beta * mass < -FLIP_TOLERANCE:
                 if not apply:
                     return True
-                _apply_flip(state, n, k)
+                _flip_patched(state, caches, n, k)
                 improved = True
     return improved
 
@@ -193,8 +210,7 @@ def oracle_pattern_sweep_pass(y, mask, state, apply: bool, patterns: list) -> bo
     delta + beta * mass < -FLIP_TOLERANCE. ``patterns`` is the sweep's
     pattern list (see oracle_pattern_score); pass one list to every pass of
     a sweep, and a flip that makes a new row appends it. Flips state.z in
-    place and reads no cache. With apply=False the scan stops at the first
-    improving flip.
+    place. With apply=False the scan stops at the first improving flip.
     """
     z = state.z
     beta = optimizer._rounding_beta(len(z))
@@ -216,8 +232,7 @@ def oracle_pattern_sweep(y, mask, state, apply: bool) -> bool:
     """oracle_pattern_sweep_pass to a fixed point (apply=True), or one read-only pass.
 
     The reference for the package's screened sweep: with apply=True it
-    reports whether any pass flipped anything and, if one did, rebuilds the
-    caches.
+    reports whether any pass flipped anything.
     """
     patterns = sweep_patterns(state.z)
     if not apply:
@@ -225,8 +240,6 @@ def oracle_pattern_sweep(y, mask, state, apply: bool) -> bool:
     improved = False
     while oracle_pattern_sweep_pass(y, mask, state, True, patterns):
         improved = True
-    if improved:
-        state.rebuild_caches()
     return improved
 
 
@@ -245,12 +258,9 @@ def nll_gradient_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState)
     return state.z.T @ residual @ state.z
 
 
-def max_cache_error(state: ModelState) -> float:
-    """Largest absolute deviation of any cache entry of ``state`` from its definition."""
-    errs = [np.abs((state.z @ state.w) @ state.z.T - state.logits).max(initial=0.0),
-            np.abs(state.z @ state.w.T - state.left_cache).max(initial=0.0),
-            np.abs(state.z @ state.w - state.right_cache).max(initial=0.0)]
-    return float(max(errs))
+def max_logit_error(state: ModelState) -> float:
+    """Largest absolute deviation of any logit of ``state`` from z_i^T W z_j."""
+    return float(np.abs((state.z @ state.w) @ state.z.T - state.logits).max(initial=0.0))
 
 
 def bernoulli_bregman(x, q):
@@ -356,7 +366,6 @@ def oracle_optimize_w(y, mask, state, stats=None):
             break
         f = f_new
     state.w = w
-    state.rebuild_caches()
     return state
 
 
@@ -462,7 +471,7 @@ def parse_outcome(parse, text, *args, as_lines=False):
 
 
 def oracle_link_probabilities(state: ModelState, pairs) -> list[float]:
-    """Per-pair scalar sigmoid of the cached logits, in input order."""
+    """Per-pair scalar sigmoid of the state's logits, in input order."""
     return [float(sigmoid(state.logits[i, j])) for i, j in pairs]
 
 

@@ -435,13 +435,16 @@ class TestExitCodes:
         ('"z": [[null], [0]]', "'z'"),              # loaded as NaN
         ('"z": [[1], [0, 1]]', "'z'"),              # ragged
         ('"z": "ab"', "'z'"),
+        ('"k": 1.0', "'k'"),
+        ('"k": true', "'k'"),
         (None, "JSON object"),                       # a top-level array
     ])
     def test_bad_model_values_are_data_errors(self, tmp_path, capsys, command, text, field):
-        fields = {'"z"': '"z": [[1], [0]]', '"w"': '"w": [[1.5]]', '"lambda"': '"lambda": 0.5'}
+        fields = {'"z"': '"z": [[1], [0]]', '"k"': '"k": 1', '"w"': '"w": [[1.5]]',
+                  '"lambda"': '"lambda": 0.5'}
         if text is not None:
             fields[text.split(":")[0]] = text
-        body = ", ".join(['"k": 1', *fields.values()])
+        body = ", ".join(fields.values())
         model_path = tmp_path / "m.json"
         model_path.write_text("[1, 2]" if text is None else "{" + body + "}")
         pairs_path = tmp_path / "pairs.txt"
@@ -497,3 +500,8 @@ class TestExitCodes:
         code = run_cli("fit", "--input", str(planted_file),
                        "--out", str(tmp_path / "m.json"), "--lambda", "-1")
         assert code == 2
+        # NaN fails every comparison, so it must be rejected, not run to the cap
+        code = run_cli("fit", "--input", str(planted_file),
+                       "--out", str(tmp_path / "m.json"), "--rel-tol", "nan")
+        assert code == 2
+        assert not (tmp_path / "m.json").exists()

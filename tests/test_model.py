@@ -15,18 +15,22 @@ from hypothesis.extra.numpy import arrays
 import laftr
 from laftr import (
     AdjacencyMatrix,
+    FitConfig,
     ModelState,
     ObservationMask,
+    evaluate_split,
     link_probability,
     negative_log_likelihood,
     objective,
+    predict_links,
     prune_empty_features,
     sigmoid,
     softplus,
+    split_observations,
 )
 from conftest import (
     bernoulli_bregman,
-    max_cache_error,
+    max_logit_error,
     nll_gradient_w,
     oracle_link_probabilities,
     oracle_nll,
@@ -294,7 +298,7 @@ class TestStateInvariants:
 
     def test_cache_coherence_on_construction(self, rng):
         _, _, state = random_instance(rng, 8, 3)
-        assert max_cache_error(state) < 1e-9
+        assert max_logit_error(state) < 1e-9
 
     def test_rejects_mismatched_w(self):
         with pytest.raises(ValueError):
@@ -318,14 +322,12 @@ def repeated_row_states(draw):
 
 
 def assert_equal_rows_tie(state):
-    """Nodes with equal membership rows have bitwise-equal caches, logits and scores."""
+    """Nodes with equal membership rows have bitwise-equal logits and scores."""
     _, first, inv = np.unique(state.z, axis=0, return_index=True, return_inverse=True)
     i, j = np.nonzero(np.ones((state.n, state.n), dtype=bool))
     probs = link_probability(state, i, j).reshape(state.n, state.n)
     for square in (state.logits, probs):
         assert square.tobytes() == square[np.ix_(first, first)][np.ix_(inv, inv)].tobytes()
-    for cache in (state.left_cache, state.right_cache):
-        assert cache.tobytes() == cache[first][inv].tobytes()
 
 
 def _wide_state_with_inert_column():
@@ -362,6 +364,26 @@ class TestOneLogitPath:
         prune_empty_features(state)
         assert_equal_rows_tie(state)
         assert state.logits.tobytes() == logits.tobytes()
+
+    def test_logits_are_read_only_and_scoring_never_builds_them(self, monkeypatch):
+        # logits are built afresh on each read: a write would change only a
+        # temporary copy, so it raises; scoring reads the pattern table
+        y, _, state = random_instance(np.random.default_rng(4), 8, 3)
+        with pytest.raises(ValueError):
+            state.logits[0, 1] += 1.0
+        i, j = np.nonzero(np.ones((8, 8), dtype=bool))
+        expected = sigmoid(state.logits)[i, j]
+        train, test = split_observations(y, 0.7, 0)
+        config = FitConfig(seed=0, max_outer_iters=3)
+        auc = evaluate_split(y, train, test, config)[0]
+
+        def no_logits(_state):
+            raise AssertionError("scoring built the N x N logits")
+
+        monkeypatch.setattr(ModelState, "logits", property(no_logits))
+        assert link_probability(state, i, j).tobytes() == expected.tobytes()
+        assert predict_links(state, np.stack([i, j], axis=1)) == expected.tolist()
+        assert evaluate_split(y, train, test, config)[0] == auc
 
     def test_logits_do_not_depend_on_the_blas_thread_count(self):
         src = str(Path(laftr.__file__).resolve().parent.parent)
