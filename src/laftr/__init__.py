@@ -30,9 +30,11 @@ from .graph import (
     load_dense_matrix,
     load_edge_list,
     load_mask,
+    load_pairs,
     split_observations,
     write_dense,
     write_mask,
+    write_predictions,
 )
 from .model import (
     ModelState,
@@ -76,6 +78,7 @@ __all__ = [
     "load_dense_matrix",
     "load_edge_list",
     "load_mask",
+    "load_pairs",
     "negative_log_likelihood",
     "objective",
     "optimize_w",
@@ -91,4 +94,5 @@ __all__ = [
     "split_observations",
     "write_dense",
     "write_mask",
+    "write_predictions",
 ]

@@ -1,5 +1,10 @@
 """Command-line surface: fit, predict, eval, cv, generate, communities.
 
+This module holds the command line only: the flags, the commands' CSV and
+JSON reports, and the model JSON. The graph, mask, pair and predictions
+file formats are read and written by laftr.graph; the fit flags and their
+defaults are FitConfig's fields.
+
 Artifacts are plain text (JSON/CSV) written atomically (temp file, then
 rename) so a crash never leaves a half-written output. Every output embeds
 the seeds that produced it; none embeds a timestamp, so identical
@@ -11,7 +16,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import functools
+import dataclasses
 import json
 import math
 import os
@@ -54,10 +59,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_matrix(path: str, fmt: str, n: int | None = None) -> AdjacencyMatrix:
+def _load_matrix(path: str, fmt: str) -> AdjacencyMatrix:
     with open(path, encoding="utf-8") as handle:
         if fmt == "edges":
-            return graph.load_edge_list(handle, n=n)
+            return graph.load_edge_list(handle)
         return graph.load_dense_matrix(handle)
 
 
@@ -89,6 +94,9 @@ def load_model(path: str) -> tuple[ModelState, dict]:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ParseError(f"model file must hold a JSON object, got {type(payload).__name__}")
+    for key in ("z", "k", "w", "lambda"):
+        if key not in payload:
+            raise ParseError(f"model file lacks the field {key!r}")
     try:
         z = np.asarray(payload["z"], dtype=float)
     except (TypeError, ValueError):
@@ -115,28 +123,31 @@ def load_model(path: str) -> tuple[ModelState, dict]:
 
 
 def _fit_config_from_args(args) -> FitConfig:
-    return FitConfig(
-        lam=args.lam,
-        sigma_w=args.sigma_w,
-        k_init=args.k_init,
-        max_outer_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-    )
+    return FitConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FitConfig)})
 
 
 def _add_fit_flags(parser) -> None:
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                        help="per-community penalty weight (default 0.5)")
-    parser.add_argument("--sigma-w", type=float, default=1.0,
-                        help="stddev of Gaussian W initialization (default 1.0)")
-    parser.add_argument("--k-init", type=int, default=1,
-                        help="initial community count (default 1)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--max-iters", type=int, default=100,
-                        help="outer iteration cap (default 100)")
-    parser.add_argument("--rel-tol", type=float, default=1e-6,
-                        help="relative objective improvement stop (default 1e-6)")
+    """One flag per FitConfig field, stored under the field's name, with its default."""
+    parser.add_argument("--lambda", dest="lam", type=float, default=FitConfig.lam,
+                        help="per-community penalty weight (default %(default)s)")
+    parser.add_argument("--sigma-w", type=float, default=FitConfig.sigma_w,
+                        help="stddev of Gaussian W initialization (default %(default)s)")
+    parser.add_argument("--k-init", type=int, default=FitConfig.k_init,
+                        help="initial community count (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=FitConfig.seed,
+                        help="RNG seed (default %(default)s)")
+    parser.add_argument("--max-iters", dest="max_outer_iters", metavar="MAX_ITERS", type=int,
+                        default=FitConfig.max_outer_iters,
+                        help="outer iteration cap (default %(default)s)")
+    parser.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol,
+                        help="relative objective improvement stop (default %(default)s)")
+
+
+def _add_split_flags(parser) -> None:
+    parser.add_argument("--train-fraction", type=float, default=0.8,
+                        help="fraction of entries observed in training (default %(default)s)")
+    parser.add_argument("--tie-symmetric", choices=("auto", "yes", "no"), default="auto",
+                        help="mirrored entries share a split (default: auto from the data)")
 
 
 def _add_input_flags(parser) -> None:
@@ -172,10 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True,
                         help="output prefix: writes <out>.csv, <out>.json, <out>.split<seed>.mask")
     p_eval.add_argument("--splits", type=int, default=5, help="number of splits (default 5)")
-    p_eval.add_argument("--train-fraction", type=float, default=0.8,
-                        help="fraction of entries observed in training (default 0.8)")
-    p_eval.add_argument("--tie-symmetric", choices=("auto", "yes", "no"), default="auto",
-                        help="mirrored entries share a split (default: auto from the data)")
+    _add_split_flags(p_eval)
     _add_fit_flags(p_eval)
 
     p_cv = sub.add_parser("cv", help="cross-validate the penalty weight")
@@ -184,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--lambda-grid", required=True,
                       help="comma-separated penalty values, e.g. 0.1,0.5,1.0")
     p_cv.add_argument("--folds", type=int, default=5, help="fold count (default 5)")
-    p_cv.add_argument("--train-fraction", type=float, default=0.8,
-                      help="observed fraction before folding (default 0.8)")
-    p_cv.add_argument("--tie-symmetric", choices=("auto", "yes", "no"), default="auto")
+    _add_split_flags(p_cv)
     _add_fit_flags(p_cv)
 
     p_gen = sub.add_parser("generate", help="sample a synthetic graph")
@@ -238,70 +244,6 @@ def dump_communities(model_payload: dict, labels: list[str] | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def _load_pairs(stream, n: int) -> np.ndarray:
-    """Parse 'i j' or 'i,j' lines into an (M, 2) array of node indices below ``n``.
-
-    Blank lines and '#' comments are skipped. As in graph.load_dense_matrix,
-    array masks accept the plain lines and every other line goes through
-    ``_pair``, which accepts or rejects it token by token.
-    """
-    data, buf, bounds = graph._read_lines(stream)
-    digit = (buf >= ord("0")) & (buf <= ord("9"))
-    edges = np.diff(digit.view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    counts = np.diff(np.searchsorted(starts, bounds))  # digit runs per line
-    width = len(str(max(n - 1, 0)))
-    values = np.zeros(starts.size, dtype=np.int64)
-    for k in range(width):  # the k-th digit from the right of every run
-        pos = ends - 1 - k
-        inside = pos >= starts
-        values[inside] += (buf[pos[inside]] - ord("0")) * np.int64(10**k)
-
-    slow = counts != 2
-    slow[graph._lines_of(bounds, ~(digit | graph._SPACE[buf] | (buf == ord(","))))] = True
-    token_line = np.repeat(np.arange(slow.size), counts)
-    # a run longer than n - 1's digits has leading zeros or is out of range: _pair decides
-    slow[token_line[(ends - starts > width) | (values >= n)]] = True
-    pairs = np.empty((slow.size, 2), dtype=np.int64)
-    pairs[~slow] = values[~slow[token_line]].reshape(-1, 2)
-    is_pair = ~slow
-    for k, pair in graph._parse_lines(data, bounds, np.flatnonzero(slow),
-                                      functools.partial(_pair, n=n)).items():
-        pairs[k] = pair
-        is_pair[k] = True
-    return pairs[is_pair]
-
-
-def _pair(line: str, lineno: int, n: int) -> tuple[int, int]:
-    """One stripped data line of a pairs file, parsed token by token."""
-    parts = line.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ParseError(f"expected 'i j', got {line!r}", lineno)
-    try:
-        i, j = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"non-integer pair in {line!r}", lineno) from None
-    if not (0 <= i < n and 0 <= j < n):
-        raise ParseError(f"pair index out of range (n={n}) in {line!r}", lineno)
-    return i, j
-
-
-def _predictions_csv(pairs: np.ndarray, probs: list[float], n: int) -> str:
-    """The predictions CSV: an 'i,j,probability' header, then one row per pair.
-
-    The rows' "i,j," prefixes are laid out as arrays; one %-format call
-    then writes every probability as %.17g, which round-trips a float.
-    """
-    digits = graph._digit_table(n)
-    width = digits.shape[1]
-    out = np.zeros((len(pairs), 2 * width + 8), dtype=np.uint8)
-    out[:, :width] = np.take(digits, pairs[:, 0], axis=0)
-    out[:, width] = ord(",")
-    out[:, width + 1:2 * width + 1] = np.take(digits, pairs[:, 1], axis=0)
-    out[:, 2 * width + 1:] = np.frombuffer(b",%.17g\n", dtype=np.uint8)
-    return "i,j,probability\n" + graph._unpad(out) % tuple(probs)
-
-
 def _tie_symmetric_arg(value: str) -> bool | None:
     return {"auto": None, "yes": True, "no": False}[value]
 
@@ -343,9 +285,9 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     state, _ = load_model(args.model)
     with open(args.input, encoding="utf-8") as handle:
-        pairs = _load_pairs(handle, state.n)
+        pairs = graph.load_pairs(handle, state.n)
     probs = predict_links(state, pairs)
-    _atomic_write(args.out, _predictions_csv(pairs, probs, state.n))
+    _atomic_write(args.out, graph.write_predictions(pairs, probs, state.n))
     print(f"predict: {len(pairs)} pairs -> {args.out}")
     return EXIT_OK
 

@@ -9,6 +9,8 @@ which the tests use as an oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import AdjacencyMatrix
@@ -37,8 +39,8 @@ def sample_ibp(n: int, alpha: float, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     rng = _as_rng(seed)
 
     rows: list[np.ndarray] = []
@@ -78,8 +80,8 @@ def sample_lfrm(
     n: int, alpha: float, sigma_w: float, seed
 ) -> tuple[np.ndarray, np.ndarray, AdjacencyMatrix]:
     """Full generative draw: Z from the buffet prior, Gaussian W, Bernoulli edges."""
-    if sigma_w <= 0:
-        raise ValueError(f"sigma_w must be positive, got {sigma_w}")
+    if not 0 < sigma_w < math.inf:
+        raise ValueError(f"sigma_w must be positive and finite, got {sigma_w}")
     rng = _as_rng(seed)
     z = sample_ibp(n, alpha, rng)
     k = z.shape[1]

@@ -1,14 +1,19 @@
-"""Loading, representing, and splitting binary relational data.
+"""Loading, representing, and splitting binary relational data, and its text formats.
 
 An adjacency matrix is dense N x N with entries in {0, 1}; the datasets this
 package targets are at most a few thousand nodes, so dense storage keeps the
 downstream arithmetic simple. Observation masks record which entries
 are visible to the fitter (train) versus held out (test); the diagonal is
 excluded by default since self-links are meaningless for these graphs.
+
+Every text format of the package is read and written here: the dense
+matrix, the edge list, the mask file, and the pair file and predictions
+CSV of ``laftr predict``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
@@ -26,6 +31,8 @@ __all__ = [
     "write_dense",
     "write_mask",
     "load_mask",
+    "load_pairs",
+    "write_predictions",
 ]
 
 
@@ -135,10 +142,26 @@ def _parse_lines(data: bytes, bounds: np.ndarray, lines: np.ndarray, parse_line)
     return parsed
 
 
-def _digit_table(n: int) -> np.ndarray:
-    """Row v holds the decimal digits of v, left-aligned and padded with zero bytes."""
-    width = len(str(max(n - 1, 0)))
-    return np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+def _index_width(n: int) -> int:
+    """Decimal digits of the largest node index below ``n``."""
+    return len(str(max(n - 1, 0)))
+
+
+def _pair_rows(rows: np.ndarray, cols: np.ndarray, n: int, sep: bytes, tail: bytes) -> np.ndarray:
+    """Fixed-width uint8 rows "<rows[m]><sep><cols[m]><tail>" for indices below ``n``.
+
+    Each index is laid out left-aligned in _index_width(n) bytes, padded
+    with zero bytes that _unpad removes.
+    """
+    width = _index_width(n)
+    digits = np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+    out = np.zeros((len(rows), 2 * width + 1 + len(tail)), dtype=np.uint8)
+    out[:, :width] = np.take(digits, rows, axis=0)
+    out[:, width] = ord(sep)
+    out[:, width + 1:2 * width + 1] = np.take(digits, cols, axis=0)
+    for k, byte in enumerate(tail, start=2 * width + 1):  # a scalar per column fills fastest
+        out[:, k] = byte
+    return out
 
 
 def _unpad(rows: np.ndarray) -> str:
@@ -298,15 +321,8 @@ def write_mask(train: ObservationMask, test: ObservationMask) -> str:
     n = train.n
     rows = np.repeat(np.arange(n, dtype=np.int32), either.sum(axis=1))
     cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[either]
-    digits = _digit_table(n)
-    width = digits.shape[1]
-    out = np.zeros((rows.size, 2 * width + 4), dtype=np.uint8)
-    out[:, :width] = np.take(digits, rows, axis=0)
-    out[:, width + 1:-3] = np.take(digits, cols, axis=0)
-    out[:, width] = out[:, -3] = ord(" ")
-    out[:, -2] = train.observed[either]
-    out[:, -2] += ord("0")
-    out[:, -1] = ord("\n")
+    out = _pair_rows(rows, cols, n, b" ", b" 0\n")
+    out[:, -2] += train.observed[either]
     return _unpad(out) or "\n"
 
 
@@ -334,3 +350,64 @@ def load_mask(stream: Iterable[str] | TextIO, n: int) -> tuple[ObservationMask, 
             raise ParseError(f"conflicting flag for pair ({i}, {j}) in {line!r}", lineno)
         (train if flag == 1 else test)[i, j] = True
     return ObservationMask(n, train), ObservationMask(n, test)
+
+
+def load_pairs(stream: Iterable[str] | TextIO, n: int) -> np.ndarray:
+    """Parse a pair file, 'i j' or 'i,j' lines, into an (M, 2) int64 array of indices below ``n``.
+
+    Blank lines and '#' comments are skipped. As in load_dense_matrix,
+    array masks accept the plain lines and every other line goes through
+    ``_pair``, which accepts or rejects it token by token; a bad line is a
+    ParseError that names it.
+    """
+    data, buf, bounds = _read_lines(stream)
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    edges = np.diff(digit.view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    counts = np.diff(np.searchsorted(starts, bounds))  # digit runs per line
+    width = _index_width(n)
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(width):  # the k-th digit from the right of every run
+        pos = ends - 1 - k
+        inside = pos >= starts
+        values[inside] += (buf[pos[inside]] - ord("0")) * np.int64(10**k)
+
+    slow = counts != 2
+    slow[_lines_of(bounds, ~(digit | _SPACE[buf] | (buf == ord(","))))] = True
+    token_line = np.repeat(np.arange(slow.size), counts)
+    # a run longer than n - 1's digits has leading zeros or is out of range: _pair decides
+    slow[token_line[(ends - starts > width) | (values >= n)]] = True
+    pairs = np.empty((slow.size, 2), dtype=np.int64)
+    pairs[~slow] = values[~slow[token_line]].reshape(-1, 2)
+    is_pair = ~slow
+    for k, pair in _parse_lines(data, bounds, np.flatnonzero(slow),
+                                functools.partial(_pair, n=n)).items():
+        pairs[k] = pair
+        is_pair[k] = True
+    return pairs[is_pair]
+
+
+def _pair(line: str, lineno: int, n: int) -> tuple[int, int]:
+    """One stripped data line of a pair file, parsed token by token."""
+    parts = line.replace(",", " ").split()
+    if len(parts) != 2:
+        raise ParseError(f"expected 'i j', got {line!r}", lineno)
+    try:
+        i, j = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"non-integer pair in {line!r}", lineno) from None
+    if not (0 <= i < n and 0 <= j < n):
+        raise ParseError(f"pair index out of range (n={n}) in {line!r}", lineno)
+    return i, j
+
+
+def write_predictions(pairs: np.ndarray, probs, n: int) -> str:
+    """The predictions CSV: an 'i,j,probability' header, then one row per pair.
+
+    ``pairs`` is (M, 2) of indices below ``n`` and ``probs`` their M
+    probabilities. The rows' "i,j," prefixes are laid out as arrays; one
+    %-format call then writes every probability as %.17g, which
+    round-trips a float.
+    """
+    out = _pair_rows(pairs[:, 0], pairs[:, 1], n, b",", b",%.17g\n")
+    return "i,j,probability\n" + _unpad(out) % tuple(probs)

@@ -101,7 +101,8 @@ class ModelState:
     the nodes, so equal rows of Z tie exactly. It is read-only; a change to
     Z or W shows in the next read. No fitting step reads it.
 
-    from_factors checks the factors and copies them. The constructor,
+    from_factors checks the factors (0/1 Z, a finite K x K W, lambda >= 0,
+    infinity included) and copies them. The constructor,
     ModelState(z, w, lam), takes float arrays as they are, unchecked.
 
     K = 0 (Z with zero columns) is a legal state: all logits are 0 and every
@@ -138,7 +139,9 @@ class ModelState:
             raise ValueError(f"w must be {k}x{k} to match z, got {w.shape}")
         if not np.isin(z, (0.0, 1.0)).all():
             raise ValueError("z entries must be 0 or 1")
-        if lam < 0:
+        if not np.isfinite(w).all():
+            raise ValueError("w entries must be finite")
+        if not lam >= 0:  # rejects NaN too; an infinite lambda is legal
             raise ValueError(f"lambda must be >= 0, got {lam}")
         return cls(z.copy(), w.copy(), float(lam))
 

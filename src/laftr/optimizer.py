@@ -118,8 +118,8 @@ class FitConfig:
         # `not x > 0` rejects NaN too
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.sigma_w > 0:
-            raise ValueError(f"sigma_w must be positive, got {self.sigma_w}")
+        if not 0 < self.sigma_w < math.inf:
+            raise ValueError(f"sigma_w must be positive and finite, got {self.sigma_w}")
         if self.k_init < 1:
             raise ValueError(f"k_init must be >= 1, got {self.k_init}")
         if self.max_outer_iters < 1:

@@ -27,6 +27,11 @@ class TestSampleIbp:
         with pytest.raises(ValueError):
             sample_ibp(5, -0.5, seed=0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be"):
+            sample_ibp(5, alpha, seed=0)
+
     def test_deterministic(self):
         assert np.array_equal(sample_ibp(20, 1.5, seed=3), sample_ibp(20, 1.5, seed=3))
 
@@ -122,6 +127,11 @@ class TestSampleLfrm:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             sample_lfrm(10, 1.0, 0.0, seed=0)
+
+    @pytest.mark.parametrize("sigma_w", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, sigma_w):
+        with pytest.raises(ValueError, match="sigma_w must be"):
+            sample_lfrm(10, 1.0, sigma_w, seed=0)
 
 
 class TestPlantedHelpers:

@@ -14,12 +14,14 @@ from laftr import (
     load_dense_matrix,
     load_edge_list,
     load_mask,
+    load_pairs,
     split_observations,
     write_dense,
     write_mask,
 )
 from conftest import (
     oracle_load_dense_matrix,
+    oracle_load_pairs,
     oracle_split_observations,
     oracle_write_dense,
     oracle_write_mask,
@@ -326,6 +328,47 @@ class TestMaskFile:
         train, test = load_mask(io.StringIO("0 1 1\n0 1 1\n1 0 0\n1 0 0\n"), 2)
         assert train.observed.tolist() == [[False, True], [False, False]]
         assert test.observed.tolist() == [[False, False], [True, False]]
+
+
+@st.composite
+def pair_lines(draw, n):
+    """'i j' / 'i,j' lines in varied spacing, with blank and comment lines between."""
+    index = st.integers(0, n - 1)
+    token = st.one_of(index.map(str), index.map(lambda v: f"0{v}"), index.map(lambda v: f"+{v}"))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t\r", "# 1 2", " #"]), max_size=2))
+        sep = draw(st.sampled_from([" ", ",", " , ", "\t", ",,", " ,\t", "\x0c"]))
+        lead = draw(st.sampled_from(["", " ", ","]))
+        trail = draw(st.sampled_from(["", " ", "\r", ","]))
+        lines.append(lead + draw(token) + sep + draw(token) + trail)
+    return lines
+
+
+class TestPairsFile:
+    """The pair file of `laftr predict`: the array parser against the line-by-line oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 9, 10, 11, 999, 1000, 1500]))
+    def test_accepted_files_parse_alike(self, data, n):
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(data.draw(pair_lines(n))) + data.draw(st.sampled_from(["", eol]))
+        got = parse_outcome(load_pairs, text, n)
+        want = parse_outcome(oracle_load_pairs, text, n)
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 12, 100]))
+    def test_injected_faults_fail_alike(self, data, n):
+        lines = data.draw(pair_lines(n))
+        bad = data.draw(st.sampled_from(["5", "1 2 3", "a b", "1.5 0", ",", "0 1 #",
+                                         f"0 {n}", f"{n + 7},0", "-1 0", "0 -0x1"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        text = "\n".join(lines) + "\n"
+        want = parse_outcome(oracle_load_pairs, text, n)
+        assert isinstance(want, tuple)
+        assert parse_outcome(load_pairs, text, n) == want
 
 
 class TestObservationMask:

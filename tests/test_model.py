@@ -308,6 +308,17 @@ class TestStateInvariants:
         with pytest.raises(ValueError):
             ModelState.from_factors(np.full((2, 1), 0.5), np.zeros((1, 1)), 0.5)
 
+    @pytest.mark.parametrize("w, lam", [
+        (np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5), (1.0, np.nan), (1.0, -1.0),
+    ])
+    def test_rejects_non_finite_w_and_bad_lambda(self, w, lam):
+        with pytest.raises(ValueError):
+            ModelState.from_factors(np.ones((2, 1)), np.full((1, 1), w), lam)
+
+    def test_infinite_lambda_is_legal(self):
+        state = ModelState.from_factors(np.ones((2, 1)), np.ones((1, 1)), np.inf)
+        assert state.lam == np.inf
+
 
 @st.composite
 def repeated_row_states(draw):

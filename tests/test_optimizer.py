@@ -67,6 +67,7 @@ class TestFitConfig:
             {"lam": float("nan")},
             {"sigma_w": float("nan")},
             {"rel_tol": float("nan")},
+            {"sigma_w": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
