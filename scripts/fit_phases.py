@@ -19,6 +19,13 @@ phase running, so the rows add up to the total:
 - fit other: the rest of ``fit`` (pruning, births' bookkeeping);
 - scoring: the rest of ``evaluate_split`` (held-out scores and AUC).
 
+Below the phases it prints three counts of the sweep's delta table
+(``optimizer._DeltaTable``), with ``built/used`` for the two caches:
+
+- kernel calls: ``scores`` calls;
+- move tables: ``_move_table`` builds against ``move`` calls (moves made);
+- kernel terms: ``_partner_terms`` builds against kernel calls.
+
 Run it on two versions and compare the tables; timings vary by a few
 percent between runs on a loaded machine.
 """
@@ -40,6 +47,7 @@ from perfbench import workloads  # noqa: E402
 
 FIT_WORKLOADS = [name for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
 SEEDS = range(100, 103)
+COUNTED = ("scores", "move", "_move_table", "_partner_terms")
 PHASES = ("main sweep", "convergence scan", "candidate sweep", "candidate W step", "birth other",
           "W step", "pattern statistics", "objective", "fit other", "scoring")
 
@@ -50,6 +58,7 @@ class Phases:
     def __init__(self):
         self.seconds = defaultdict(float)
         self.calls = Counter()
+        self.counts = Counter()
         self.stack: list[str] = []
         self.mark = 0.0
 
@@ -69,6 +78,13 @@ class Phases:
             finally:
                 self._switch(None)
         return timed
+
+    def count(self, fn, name):
+        """fn, counting its calls under ``name``."""
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
     def _switch(self, entering):
         now = time.process_time()
@@ -105,19 +121,22 @@ def _install(phases: Phases) -> None:
     for owner, name, phase_of in targets:
         setattr(owner, name, phases.wrap(getattr(owner, name), phase_of))
     evaluation.evaluate_split = phases.wrap(evaluation.evaluate_split, fixed("scoring"), root=True)
+    for name in COUNTED:
+        setattr(optimizer._DeltaTable, name, phases.count(getattr(optimizer._DeltaTable, name), name))
 
 
-def measure(phases: Phases, workload) -> tuple[dict, dict]:
-    """Seconds and calls per phase over the workload's fits of seeds 100..102."""
+def measure(phases: Phases, workload) -> tuple[dict, dict, dict]:
+    """Seconds and calls per phase, and the table's counts, over the workload's seed 100..102 fits."""
     phases.seconds.clear()
     phases.calls.clear()
+    phases.counts.clear()
     for seed in SEEDS:
         for inst_seed in workloads.instance_seeds(seed, workload.instances):
             _, _, y = workload.generate(inst_seed)
             train, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
                                                    workload.tie_symmetric)
             evaluation.evaluate_split(y, train, test, workload.config(inst_seed))
-    return dict(phases.seconds), dict(phases.calls)
+    return dict(phases.seconds), dict(phases.calls), dict(phases.counts)
 
 
 def main() -> None:
@@ -127,11 +146,20 @@ def main() -> None:
     print(f"{'phase':<20}" + "".join(f"{name + ' cpu_s':>20}{'calls':>8}" for name in results))
     for phase in (*PHASES, "total"):
         row = f"{phase:<20}"
-        for seconds, calls in results.values():
+        for seconds, calls, _ in results.values():
             if phase == "total":
                 row += f"{sum(seconds.values()):>20.3f}{'':>8}"
             else:
                 row += f"{seconds.get(phase, 0.0):>20.3f}{calls.get(phase, 0):>8}"
+        print(row)
+    print()
+    print(f"{'delta table':<20}" + "".join(f"{name + ' built/used':>28}" for name in results))
+    for label, built, used in (("kernel calls", "scores", None), ("move tables", "_move_table", "move"),
+                               ("kernel terms", "_partner_terms", "scores")):
+        row = f"{label:<20}"
+        for *_, counts in results.values():
+            cell = str(counts.get(built, 0))
+            row += f"{cell + (f'/{counts.get(used, 0)}' if used else ''):>28}"
         print(row)
 
 

@@ -102,5 +102,7 @@ def planted_blocks(n: int, k: int) -> np.ndarray:
 
 
 def block_weights(k: int, on: float = 6.0, off: float = -6.0) -> np.ndarray:
-    """Interaction matrix with ``on`` on the diagonal and ``off`` elsewhere."""
+    """Interaction matrix with ``on`` on the diagonal and ``off`` elsewhere; both must be finite."""
+    if not (math.isfinite(on) and math.isfinite(off)):
+        raise ValueError(f"block weights must be finite, got on={on}, off={off}")
     return np.full((k, k), off) + (on - off) * np.eye(k)

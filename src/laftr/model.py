@@ -23,6 +23,7 @@ them is stored, so no step has to keep anything in step with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,7 +186,11 @@ class _PairStats:
     z_j = patterns[q], and ``positives[p, q]`` the number of those with
     y_ij = 1; both are 0 on unobserved pattern pairs. The cross-entropy of
     the observed entries is then exactly sum(count * softplus(a) -
-    positives * a) over the P x P pair logits a.
+    positives * a) over the P x P pair logits a. The W step's Hessians
+    share one P x K^2 pair-outer matrix (``_outer``), built from
+    ``patterns`` on first use; fit narrows ``patterns`` to the columns its
+    prune keeps only after the W step, for the objective, which never
+    reads it.
     """
 
     def __init__(self, y: AdjacencyMatrix, mask: ObservationMask, z: np.ndarray):
@@ -213,14 +218,15 @@ class _PairStats:
         """
         return float((self.count * softplus(a)).sum() - (self.positives * a).sum())
 
-    def gradient(self, a: np.ndarray) -> np.ndarray:
-        """W-gradient of the loss: patterns^T R patterns, R = count * sigma(a) - positives."""
-        residual = self.count * sigmoid(a) - self.positives
-        return self.patterns.T @ residual @ self.patterns
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """W-gradient of the loss at pair probabilities p = sigma(a): patterns^T R patterns.
 
-    def hessian(self, a: np.ndarray) -> np.ndarray:
-        """K^2 x K^2 W-Hessian of the loss, rows and columns in w.ravel() order."""
-        p = sigmoid(a)
+        R = count * p - positives.
+        """
+        return self.patterns.T @ (self.count * p - self.positives) @ self.patterns
+
+    def hessian(self, p: np.ndarray) -> np.ndarray:
+        """K^2 x K^2 W-Hessian of the loss at pair probabilities p = sigma(a), in w.ravel() order."""
         return self._pair_gram(self.count * p * (1.0 - p))
 
     def observed_basis(self) -> np.ndarray:
@@ -243,9 +249,14 @@ class _PairStats:
         from ((k, m), (l, n)).
         """
         k_plus = self.patterns.shape[1]
-        outer = (self.patterns[:, :, None] * self.patterns[:, None, :]).reshape(-1, k_plus**2)
-        h = outer.T @ v @ outer
+        h = self._outer.T @ v @ self._outer
         return h.reshape((k_plus,) * 4).transpose(0, 2, 1, 3).reshape(k_plus**2, k_plus**2)
+
+    @cached_property
+    def _outer(self) -> np.ndarray:
+        """O, the P x K^2 row-wise outer products of the patterns, built on first use."""
+        k_plus = self.patterns.shape[1]
+        return (self.patterns[:, :, None] * self.patterns[:, None, :]).reshape(-1, k_plus**2)
 
 
 def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,

@@ -35,10 +35,13 @@ its distance from the kernel's value. Only nodes whose row minus its bound
 falls below -FLIP_TOLERANCE go through the kernel; the kernel would reject
 every flip of the others. When node m changes pattern, the other nodes'
 partner counts move by one at m's pattern before and after, and their rows
-move by the terms of their entries at m, scored once per pattern. The
-sweep reads Z, W and the mask only; a new row of Z gets a row and column
-of the logit table with the bits model._pattern_caches gives it. The
-screen changes no flip, and so no fit.
+move by the terms of their entries at m, scored once per pattern. A
+visit whose screen row alone proves which flip comes first takes it
+without the kernel. W is fixed for a sweep, so its table keeps the
+kernel's per-pattern terms and the move terms of each pattern pair until
+a flip makes a new row of Z. The sweep reads Z, W and the mask only; a
+new row of Z gets a row and column of the logit table with the bits
+model._pattern_caches gives it. The screen changes no flip, and so no fit.
 
 The W step works on patterns too: for fixed Z the observed entries collapse
 into pattern pairs, so the W-subproblem is a logistic fit with K^2
@@ -64,7 +67,7 @@ import numpy as np
 from .errors import NumericalError
 from .graph import AdjacencyMatrix, ObservationMask
 from .model import (ModelState, _group_patterns, _PairStats, _pattern_caches, _pattern_logits,
-                    objective, softplus)
+                    objective, sigmoid, softplus)
 
 __all__ = [
     "FitConfig",
@@ -227,6 +230,14 @@ class _DeltaTable:
     z[n, k] in the current Z and is within ``bound[n, k]`` of it; _sweep
     derives the bound. ``open`` marks the nodes the sweep must still visit.
     Z is the state's, flipped in place.
+
+    W is fixed for the table's life and a pattern's row, logits and partner
+    entries never change once made, so two caches keep what depends on
+    nothing else: ``terms[p]``, the kernel's partner terms of a node at
+    pattern p (_partner_terms), and ``moves[p_old, p_new]``, the move table
+    of a node going from pattern p_old to p_new (_move_table). Both span the
+    first ``n_pat`` patterns, so flip empties them when it appends one: an
+    entry of the old width is never read again.
     """
 
     def __init__(self, idx: _MaskIndex, state: ModelState):
@@ -237,6 +248,7 @@ class _DeltaTable:
         self.signs = 1.0 - 2.0 * self.patterns
         self.n_pat = n_pat = len(self.patterns)
         self.index = {row.tobytes(): p for p, row in enumerate(self.patterns)}
+        self.terms, self.moves = {}, {}
         right, left, table = _pattern_caches(self.patterns, self.w)
         self.logits = np.stack([table, table.T], axis=2).reshape(n_pat, 2 * n_pat)
         self.sp_logits = softplus(self.logits)
@@ -297,19 +309,29 @@ class _DeltaTable:
         return (-y_nn * da + sp_x - sp_a,
                 sp_x + sp_a + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0)
 
+    def _partner_terms(self, p: int) -> np.ndarray:
+        """The kernel's 2 x 2 x K x 2P partner terms of a node at pattern p.
+
+        Axes: (delta, mass), (count, positive count) weight, feature,
+        partner column. The delta terms are sp(a + s) - sp(a) and -s, the
+        mass terms sp(a + s) + sp(a) + 1 and |s|.
+        """
+        shifts, sp_x, sp_a = self._shifted(p)
+        return np.array([[sp_x - sp_a, -shifts], [sp_x + sp_a + 1.0, np.abs(shifts)]])
+
     def scores(self, n: int):
         """The kernel: node n's deltas of flipping z[n, k] for every k, and their masses.
 
-        One softplus pass over the K x 2P partner terms, weighted by n's
-        counts and summed by numpy reductions, never by BLAS, so the bits do
-        not depend on the thread count. Row k depends on nothing but its own
-        terms.
+        One pass over the K x 2P partner terms of n's pattern (cached in
+        ``terms``), weighted by n's counts and summed by numpy reductions,
+        never by BLAS, so the bits do not depend on the thread count. Row k
+        depends on nothing but its own terms.
         """
         p = self.pat[n]
-        shifts, sp_x, sp_a = self._shifted(p)
-        c, pos = self.counts[:, :2 * self.n_pat, n]
-        delta = (c * (sp_x - sp_a) - pos * shifts).sum(axis=1)
-        mass = (c * (sp_x + sp_a + 1.0) + pos * np.abs(shifts)).sum(axis=1)
+        if p not in self.terms:
+            self.terms[p] = self._partner_terms(p)
+        weighted = self.terms[p] * self.counts[:, :2 * self.n_pat, n][:, None]
+        delta, mass = (weighted[:, 0] + weighted[:, 1]).sum(axis=2)
         if self.idx.diag_observed[n]:
             terms, diag_mass = self._diag_terms(p, self.idx.diag_y[n])
             delta += terms
@@ -337,42 +359,54 @@ class _DeltaTable:
             self.sp_logits[:p + 1, 2 * p:2 * p + 2] = softplus(self.logits[:p + 1, 2 * p:2 * p + 2])
             self.index[key] = p
             self.n_pat = p + 1
+            self.terms.clear()
+            self.moves.clear()
         self.pat[n] = self.index[key]
 
     def _flagged(self) -> np.ndarray:
         return (self.delta - self.bound < -FLIP_TOLERANCE).any(axis=1)
 
-    def move(self, m: int, p_old: int) -> None:
-        """Move the other nodes' rows and counts from node m at pattern p_old to its pattern now.
+    def _move_table(self, p_old: int, p_new: int) -> np.ndarray:
+        """The terms of a node's entries at a node going from pattern p_old to p_new.
 
-        Node n's entries at m are (n, m), on its row side, and (m, n), on its
-        column side. Their terms depend only on n's pattern and m's, so they
-        are scored once per pattern of n, with m before and after, and
-        gathered by node pattern and by the kind of n's entry at m
-        (unobserved, y = 0, y = 1). A node with an entry at m is reopened if
-        its screen no longer holds.
+        Axes: kind of the node's entry (unobserved, y = 0, y = 1), its
+        pattern, its side, (delta move, 2 beta mass after), feature.
         """
-        n_pat, p_new = self.n_pat, self.pat[m]
+        n_pat = self.n_pat
         columns = [2 * p_old, 2 * p_old + 1, 2 * p_new, 2 * p_new + 1]
         # axes: n's pattern, m's column (before, then after), feature
         shifts = self.signs[:n_pat, None] * self.partner[:, columns].T
         sp_a = self.sp_logits[:n_pat, columns, None]
         sp_x = softplus(self.logits[:n_pat, columns, None] + shifts)
         delta, mass = sp_x - sp_a, 2.0 * self.beta * (sp_x[:, 2:] + sp_a[:, 2:] + 1.0)
-        # axes: kind of n's entry at m (unobserved, y = 0, y = 1), n's pattern, side,
-        # (delta move, 2 beta mass after), feature
         moves = np.zeros((3, n_pat, 2, 2, self.z.shape[1]))
         np.subtract(delta[:, 2:], delta[:, :2], out=moves[1, :, :, 0])
         np.subtract(moves[1, :, :, 0], shifts[:, 2:] - shifts[:, :2], out=moves[2, :, :, 0])
         moves[1, :, :, 1] = mass
         np.add(mass, 2.0 * self.beta * np.abs(shifts[:, 2:]), out=moves[2, :, :, 1])
+        return moves
+
+    def move(self, m: int, p_old: int) -> None:
+        """Move the other nodes' rows and counts from node m at pattern p_old to its pattern now.
+
+        Node n's entries at m are (n, m), on its row side, and (m, n), on its
+        column side. Their terms depend only on n's pattern and m's, so they
+        are scored once per pattern of n, with m before and after (a move
+        table, cached in ``moves``), and gathered by node pattern and by the
+        kind of n's entry at m (unobserved, y = 0, y = 1). A node with an
+        entry at m is reopened if its screen no longer holds.
+        """
+        p_new = self.pat[m]
+        if (p_old, p_new) not in self.moves:
+            self.moves[p_old, p_new] = self._move_table(p_old, p_new)
+        moves = self.moves[p_old, p_new]
         at = self.idx.at[m]
         kind = np.add(at[0], at[1], dtype=np.intp)
         rows = moves[kind[0], self.pat, 0] + moves[kind[1], self.pat, 1]
         self.delta += rows[:, 0]
         self.bound += rows[:, 1] + _UNIT_ROUNDOFF * np.abs(self.delta)
-        self.counts[:, columns[0]:columns[0] + 2] -= at
-        self.counts[:, columns[2]:columns[2] + 2] += at
+        self.counts[:, 2 * p_old:2 * p_old + 2] -= at
+        self.counts[:, 2 * p_new:2 * p_new + 2] += at
         # a node with no observed entry at m sees no change: it keeps its state
         self.open = np.where(kind.any(axis=0), self._flagged(), self.open)
 
@@ -436,6 +470,16 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
     node when the kernel's delta could fall below -FLIP_TOLERANCE; it does
     not subtract the kernel's own beta * mass, so it opens every node whose
     flip the kernel could accept.
+
+    A visit takes its first flip k from the screen row, without the kernel,
+    when every earlier k' has row - bound >= -FLIP_TOLERANCE and k has
+    row + 2 bound < -FLIP_TOLERANCE; otherwise the kernel decides. It is
+    the kernel's first flip: the kernel's delta at k' is at least row -
+    bound, so delta + beta * mass >= -FLIP_TOLERANCE rejects k'; at k it is
+    at most row + bound, and beta * mass <= bound / 2 since every bound is
+    at least 2 beta * mass, so delta + beta * mass <= row + 3/2 bound <
+    -FLIP_TOLERANCE accepts k. The kernel then scores n's new pattern and
+    the visit goes on from k + 1 as before.
     """
     if state.k_plus == 0:
         return False
@@ -446,7 +490,14 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
         n = 0
         while (ahead := np.flatnonzero(screen.open[n:])).size:
             n += int(ahead[0])
-            p_old, k = screen.pat[n], 0
+            p_old, row, bound, k = screen.pat[n], screen.delta[n], screen.bound[n], 0
+            first = int(np.argmax(row - bound < -FLIP_TOLERANCE))
+            if row[first] + 2.0 * bound[first] < -FLIP_TOLERANCE:
+                # the screen proves the kernel's first accepted flip is at first
+                if not apply:
+                    return True
+                screen.flip(n, first)
+                k = first + 1
             delta, mass = screen.scores(n)
             while (hits := np.flatnonzero((delta + screen.beta * mass)[k:] < -FLIP_TOLERANCE)).size:
                 if not apply:
@@ -507,10 +558,11 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
         raise NumericalError("non-finite objective entering the W step", state)
 
     for _ in range(W_MAX_STEPS):
-        grad = stats.gradient(a)
+        p = sigmoid(a)
+        grad = stats.gradient(p)
         if np.abs(grad).max() < W_GRAD_TOL:
             break
-        h = stats.hessian(a)
+        h = stats.hessian(p)
         damping = 1e-8 * max(1.0, np.trace(h) / n_params)
         h = basis.T @ h @ basis
         h[np.diag_indices(len(h))] += damping

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows against real files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -58,11 +59,15 @@ class TestGenerate:
     @pytest.mark.parametrize("flags", [
         ["--sigma-w", "nan"], ["--sigma-w", "inf"], ["--alpha", "nan"], ["--alpha", "inf"],
         ["--planted-k", "2", "--w-in", "nan"], ["--planted-k", "2", "--w-out", "nan"],
+        ["--planted-k", "2", "--w-in", "inf"], ["--planted-k", "2", "--w-out=-inf"],
     ])
     def test_non_finite_value_is_data_error(self, tmp_path, capsys, flags):
-        # NaN and inf would write an all-zero graph and a truth file that is not JSON
+        # NaN and inf would write an all-zero graph and a truth file that is not JSON;
+        # they are rejected before numpy computes with them
         out = tmp_path / "g.txt"
-        assert run_cli("generate", "--out", str(out), "--n", "6", *flags) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("generate", "--out", str(out), "--n", "6", *flags) == 2
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

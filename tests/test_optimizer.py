@@ -25,6 +25,7 @@ from laftr import (
     prune_empty_features,
     sample_edges,
     sample_lfrm,
+    sigmoid,
     softplus,
     split_observations,
 )
@@ -277,6 +278,99 @@ class _CheckedTable(_Table):
         return mass
 
 
+def _saturated_problem():
+    """A state hypothesis drew at W +-400 (the exact W value matters).
+
+    Every y = 1, one node is in feature 0, and W saturates every logit but two.
+    """
+    w = np.full((5, 5), 264.76327450055294)
+    w[0, 0] = w[0, 3] = 0.0
+    z = np.zeros((9, 5))
+    z[3, 0] = 1.0
+    observed = ~np.eye(9, dtype=bool)
+    observed[0, 4] = False
+    y, mask = AdjacencyMatrix(9, np.ones((9, 9))), ObservationMask(9, observed)
+    return y, mask, ModelState.from_factors(z, w, 0.5)
+
+
+class _ScreenCheckedTable(_Table):
+    """The sweep's delta table, checking every flip the screen takes without the kernel.
+
+    A flip of node n with no kernel call on n since the last visit ended
+    (reset) is screen-decided: a kernel on patterns counted afresh must
+    accept that k first in the same Z. ``decided`` collects them.
+    """
+
+    def __init__(self, idx, state, loose=False):
+        super().__init__(idx, state)
+        self.scored, self.decided = None, []
+        if loose:
+            # still a bound, but no longer tight: the even features' first
+            # flips are left to the kernel while the odd ones may be decided
+            self.bound[:, ::2] += np.abs(self.delta[:, ::2]) + 1.0
+
+    def scores(self, n):
+        self.scored = n
+        return super().scores(n)
+
+    def reset(self, *args):
+        super().reset(*args)
+        self.scored = None
+
+    def flip(self, n, k):
+        if self.scored != n:
+            fresh = _Table(self.idx, ModelState(self.z.copy(), self.w, 0.5))
+            delta, mass = fresh.scores(n)
+            accepted = np.flatnonzero(delta + fresh.beta * mass < -optimizer.FLIP_TOLERANCE)
+            assert accepted.size and accepted[0] == k
+            self.decided.append((n, k))
+        super().flip(n, k)
+
+
+class _CacheCheckedTable(_Table):
+    """The sweep's delta table, checking its caches against fresh computations.
+
+    Every reused kernel-term block and move table equals one computed
+    afresh, bit for bit, and a flip that appends a pattern leaves both
+    caches empty. ``reused`` counts the reuses and ``cleared`` the appends
+    that emptied a cache holding entries.
+    """
+
+    def __init__(self, idx, state):
+        super().__init__(idx, state)
+        self.reused = {"terms": 0, "moves": 0}
+        self.cleared = 0
+
+    def scores(self, n):
+        p = self.pat[n]
+        if p in self.terms:
+            assert np.array_equal(self.terms[p], self._partner_terms(p))
+            self.reused["terms"] += 1
+        return super().scores(n)
+
+    def move(self, m, p_old):
+        key = (p_old, self.pat[m])
+        if key in self.moves:
+            assert np.array_equal(self.moves[key], self._move_table(*key))
+            self.reused["moves"] += 1
+        super().move(m, p_old)
+
+    def flip(self, n, k):
+        n_pat, cached = self.n_pat, bool(self.terms or self.moves)
+        super().flip(n, k)
+        if self.n_pat > n_pat:
+            assert not self.terms and not self.moves
+            self.cleared += cached
+
+
+def _tables_of(patch, table_class):
+    """Patch table_class in as the sweep's table; the list collects every table built."""
+    tables = []
+    patch.setattr(optimizer, "_DeltaTable",
+                  lambda *args: tables.append(table_class(*args)) or tables[-1])
+    return tables
+
+
 class TestSweepKernel:
     """The screened pattern sweep against the one-flip-at-a-time oracles."""
 
@@ -313,24 +407,13 @@ class TestSweepKernel:
             n, k = n % state.n, k % state.k_plus
             state.z[n, k] = 1.0 - state.z[n, k]
         _oracle_fixed_point(y, mask, state)
-        tables = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optimizer, "_DeltaTable",
-                          lambda *args: tables.append(_CheckedTable(*args)) or tables[-1])
+            tables = _tables_of(patch, _CheckedTable)
             optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
         assert len(tables) == (state.k_plus > 0)
 
     def test_saturated_scan_reaches_a_fixed_point(self):
-        # a state hypothesis drew at W +-400 (the exact W value matters): every
-        # y = 1, one node in feature 0, W saturates every logit but two
-        w = np.full((5, 5), 264.76327450055294)
-        w[0, 0] = w[0, 3] = 0.0
-        z = np.zeros((9, 5))
-        z[3, 0] = 1.0
-        observed = ~np.eye(9, dtype=bool)
-        observed[0, 4] = False
-        y, mask = AdjacencyMatrix(9, np.ones((9, 9))), ObservationMask(9, observed)
-        state = ModelState.from_factors(z, w, 0.5)
+        y, mask, state = _saturated_problem()
         # the oracle under a pass cap, then the screened sweep to the same point
         swept = state.copy()
         caches = oracle_caches(state.z, state.w)
@@ -340,6 +423,55 @@ class TestSweepKernel:
         assert passes < 100, "no one-flip fixed point within 100 passes"
         sweep_to_fixed_point(y, mask, swept)
         assert np.array_equal(swept.z, state.z)
+
+    @pytest.mark.parametrize("loose", [False, True])
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_screen_decided_flips_are_the_kernel_flips(self, loose, problem):
+        y, mask, state = problem
+        with pytest.MonkeyPatch.context() as patch:
+            _tables_of(patch, lambda *args: _ScreenCheckedTable(*args, loose=loose))
+            optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+
+    def test_screen_decides_flips_on_the_saturated_state(self):
+        y, mask, state = _saturated_problem()
+        expected = state.copy()
+        sweep_to_fixed_point(y, mask, expected)
+        with pytest.MonkeyPatch.context() as patch:
+            tables = _tables_of(patch, _ScreenCheckedTable)
+            sweep_to_fixed_point(y, mask, state)
+        assert np.array_equal(state.z, expected.z)
+        assert tables[0].decided
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_cached_terms_and_moves_are_fresh_bit_for_bit(self, problem):
+        y, mask, state = problem
+        with pytest.MonkeyPatch.context() as patch:
+            _tables_of(patch, _CacheCheckedTable)
+            optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+
+    def test_caches_are_reused_and_emptied_when_a_pattern_appears(self, monkeypatch):
+        # a whole planted fit: its sweeps reuse both caches and append patterns
+        # to tables whose caches hold entries
+        y, mask, config = _planted_problem(0)
+        tables = _tables_of(monkeypatch, _CacheCheckedTable)
+        fit(y, mask, config)
+        assert all(sum(t.reused[name] for t in tables) for name in ("terms", "moves"))
+        assert sum(t.cleared for t in tables) > 0
+
+    def test_screen_saves_kernel_calls(self, monkeypatch):
+        # without the screen-decided flip every visit and every flip calls the
+        # kernel once; a visit ends in reset
+        y, mask, config = _planted_problem(0)
+        calls = {"scores": 0, "reset": 0, "flip": 0}
+        for name in calls:
+            def counted(table, *args, _name=name, _method=getattr(_Table, name)):
+                calls[_name] += 1
+                return _method(table, *args)
+            monkeypatch.setattr(_Table, name, counted)
+        fit(y, mask, config)
+        assert 0 < calls["scores"] < calls["reset"] + calls["flip"]
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances())
@@ -491,7 +623,7 @@ class TestPairStats:
         loss_scale = max(1.0, mask.count * (1.0 + np.abs(a).max(initial=0.0)))
         nll = oracle_nll(y, mask, state)
         assert abs(stats.loss(a) - nll) <= 1e-9 * loss_scale
-        np.testing.assert_allclose(stats.gradient(a), nll_gradient_w(y, mask, state),
+        np.testing.assert_allclose(stats.gradient(sigmoid(a)), nll_gradient_w(y, mask, state),
                                    rtol=0, atol=1e-9 * max(1, mask.count))
         assert stats.count.sum() == mask.count
         assert stats.positives.sum() == y.entries[mask.observed].sum()
