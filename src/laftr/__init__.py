@@ -12,6 +12,7 @@ from .errors import LaftrError, NumericalError, ParseError, UndefinedMetricError
 from .evaluation import (
     SplitResult,
     auc_from_scores,
+    class_counts,
     cross_validate_lambda,
     evaluate_split,
     predict_links,
@@ -69,6 +70,7 @@ __all__ = [
     "UndefinedMetricError",
     "auc_from_scores",
     "block_weights",
+    "class_counts",
     "cross_validate_lambda",
     "delta_objective_flip",
     "evaluate_split",

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import generator, graph
 from .errors import LaftrError, NumericalError, ParseError
-from .evaluation import _class_counts, auc_from_scores, cross_validate_lambda, predict_links, run_splits
+from .evaluation import auc_from_scores, class_counts, cross_validate_lambda, predict_links, run_splits
 from .graph import AdjacencyMatrix, ObservationMask
 from .model import ModelState, link_probability
 from .optimizer import FitConfig, fit
@@ -265,7 +265,7 @@ def _cmd_fit(args) -> int:
     if args.auc_trace:
         test_rows, test_cols = np.nonzero(test_mask.observed)
         test_labels = y.entries[test_rows, test_cols]
-        _class_counts(test_labels)  # fail before fitting, not at the first trace row
+        class_counts(test_labels)  # fail before fitting, not at the first trace row
 
         def on_iteration(_iteration, state, seconds):
             scores = link_probability(state, test_rows, test_cols)

@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UndefinedMetricError
 from .graph import AdjacencyMatrix, ObservationMask, split_observations
@@ -18,6 +17,7 @@ __all__ = [
     "SplitResult",
     "predict_links",
     "auc_from_scores",
+    "class_counts",
     "evaluate_split",
     "cross_validate_lambda",
     "run_splits",
@@ -38,10 +38,17 @@ def predict_links(state: ModelState, pairs) -> list[float]:
     return link_probability(state, pairs[:, 0], pairs[:, 1]).tolist()
 
 
-def _class_counts(labels: np.ndarray) -> tuple[int, int]:
-    """Positives and negatives among the labels; UndefinedMetricError unless both occur."""
+def class_counts(labels: np.ndarray) -> tuple[int, int]:
+    """Positives and negatives among the labels.
+
+    ValueError for a label other than 0 or 1; UndefinedMetricError unless
+    both classes occur.
+    """
+    labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != labels.size:
+        raise ValueError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUC needs both classes; got {n_pos} positives and {n_neg} negatives"
@@ -50,12 +57,30 @@ def _class_counts(labels: np.ndarray) -> tuple[int, int]:
 
 
 def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC: P(random positive outranks random negative), ties at half credit."""
+    """Mann-Whitney AUC: P(random positive outranks random negative), ties at half credit.
+
+    The rank sum of the positives comes from one argsort: equal scores form
+    a group (-0.0 equals 0.0), and the group at sorted positions
+    [start, end) has the average rank (start + end + 1) / 2. Twice that rank
+    sum is summed as an integer, so it is exact, and each float after it is
+    exact while M(M+1) < 2^53 for M scores; the AUC then has the bits of the
+    scipy ``rankdata`` formula (tests/conftest.py ``oracle_rank_auc``). A NaN
+    score gives nan.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    n_pos, n_neg = _class_counts(labels)
-    ranks = rankdata(scores)  # average ranks give tied pairs half credit
-    u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise ValueError(f"scores {scores.shape}, labels {labels.shape}: must be 1-D of equal length")
+    n_pos, n_neg = class_counts(labels)
+    order = np.argsort(scores)
+    ordered = scores[order]
+    if np.isnan(ordered[-1]):  # argsort puts NaN last
+        return float("nan")
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    group_pos = np.add.reduceat(labels[order] == 1, starts, dtype=np.int64)
+    twice_rank_sum = int(group_pos @ (starts + ends + 1))
+    u = (twice_rank_sum - n_pos * (n_pos + 1)) / 2
     return u / (n_pos * n_neg)
 
 
@@ -75,7 +100,7 @@ def evaluate_split(
         raise ValueError("train and test masks overlap")
     rows, cols = np.nonzero(test_mask.observed)
     labels = y.entries[rows, cols]
-    _class_counts(labels)
+    class_counts(labels)
     report = fit(y, train_mask, config)
     scores = link_probability(report.final_state, rows, cols)
     return auc_from_scores(scores, labels), report

@@ -285,6 +285,13 @@ def split_observations(
     (j, i) always land in the same partition and the fraction applies to the
     (N^2-N)/2 unordered pairs. Train gets floor(train_fraction * M) of the M
     eligible units; test gets the rest. Diagonal entries are never eligible.
+
+    The eligible units are the True entries of a boolean unit mask (the
+    strict upper triangle when tied, else the off-diagonal), and the
+    permutation is written through that mask. numpy visits a mask's True
+    entries in row-major order, the order of ``np.triu_indices`` and
+    ``np.nonzero``, so each unit keeps its permutation rank and every seed
+    keeps its split.
     """
     if not (0.0 < train_fraction <= 1.0):
         raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
@@ -293,11 +300,8 @@ def split_observations(
     n = adj.n
     rng = np.random.default_rng(seed)
 
-    if tie_symmetric:
-        rows, cols = np.triu_indices(n, 1)
-    else:
-        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    m = rows.size
+    units = np.triu(np.ones((n, n), dtype=bool), 1) if tie_symmetric else ~np.eye(n, dtype=bool)
+    m = np.count_nonzero(units)
     # guard against FP sitting a hair below an exact integer product
     n_train = int(math.floor(train_fraction * m + 1e-9))
     # the row-major unit order and the single permutation call fix which
@@ -306,9 +310,8 @@ def split_observations(
     is_train[rng.permutation(m)[:n_train]] = True
 
     train = np.zeros((n, n), dtype=bool)
-    test = np.zeros((n, n), dtype=bool)
-    train[rows, cols] = is_train
-    test[rows, cols] = ~is_train
+    train[units] = is_train
+    test = units & ~train
     if tie_symmetric:
         train |= train.T
         test |= test.T

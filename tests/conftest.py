@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the implementation's computation paths:
 the objective oracle uses direct -y log p - (1-y) log(1-p) sums instead of
-the softplus form, the AUC oracle enumerates positive/negative pairs, and
+the softplus form, the AUC oracle enumerates positive/negative pairs (and
+``oracle_rank_auc`` gives the scipy average-rank formula's exact bits), and
 gradient checks use central finite differences. The W-step oracle is the
 damped Newton over the individual observed entries that the pattern-pair W
 step must reproduce. The pattern sweep oracle scores one (n, k) flip at a
@@ -31,6 +32,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask, ParseError
 from laftr import optimizer
@@ -489,6 +491,16 @@ def oracle_auc(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def oracle_rank_auc(scores, labels) -> float:
+    """Mann-Whitney U from scipy's average ranks, the formula whose bits the AUC must keep."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    u = float(rankdata(scores)[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def random_instance(rng, n, k, density=0.4):

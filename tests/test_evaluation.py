@@ -1,8 +1,16 @@
 """AUC scoring, the split protocol, and lambda cross-validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import laftr
 from laftr import (
     AdjacencyMatrix,
     FitConfig,
@@ -21,7 +29,7 @@ from laftr import (
     split_observations,
 )
 from laftr import evaluation
-from conftest import oracle_auc, oracle_link_probabilities, random_instance
+from conftest import oracle_auc, oracle_link_probabilities, oracle_rank_auc, random_instance
 
 
 def planted_graph(n=30, blocks=2, seed=0):
@@ -66,6 +74,20 @@ class TestPredictLinks:
             predict_links(state, [(1, 2), (-1, 0)])
 
 
+@st.composite
+def tied_scores_and_labels(draw):
+    """Scores rounded to 1-2 decimals, with +-inf and -0.0 mixed in; labels of both classes."""
+    size = draw(st.integers(2, 500))
+    decimals = draw(st.sampled_from([1, 2]))
+    rounded = st.floats(-1.0, 1.0).map(lambda x: round(x, decimals))
+    special = st.sampled_from([np.inf, -np.inf, 0.0, -0.0])
+    scores = draw(st.lists(st.one_of(rounded, special), min_size=size, max_size=size))
+    labels = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    if min(labels) == max(labels):
+        labels[0] = 1 - labels[0]
+    return np.array(scores), np.array(labels)
+
+
 class TestAucRoc:
     def test_perfect_ranking(self):
         assert auc_from_scores([0.9, 0.1], [1, 0]) == 1.0
@@ -92,6 +114,25 @@ class TestAucRoc:
             assert auc_from_scores(scores, labels) == pytest.approx(
                 oracle_auc(scores, labels), abs=1e-12
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_scores_and_labels())
+    def test_bits_match_the_rank_formula(self, case):
+        scores, labels = case
+        assert auc_from_scores(scores, labels) == oracle_rank_auc(scores, labels)
+
+    def test_nan_score_gives_nan(self):
+        scores, labels = [0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0]
+        assert np.isnan(auc_from_scores(scores, labels))
+        assert np.isnan(oracle_rank_auc(scores, labels))
+
+    def test_label_other_than_0_or_1_is_an_error(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            auc_from_scores([0.1, 0.2, 0.3], [0, 2, 1])
+
+    def test_length_mismatch_is_an_error(self):
+        with pytest.raises(ValueError, match="1-D of equal length"):
+            auc_from_scores([0.1, 0.2, 0.3], [0, 1])
 
     def test_invariant_under_monotone_transforms(self, rng):
         scores = rng.uniform(0.01, 0.99, 80)
@@ -275,3 +316,12 @@ class TestRunSplits:
         again = run_splits(y, n_splits=3, train_fraction=0.8, config=config,
                            tie_symmetric=False)
         assert [r.auc for r in results] == [r.auc for r in again]
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(laftr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, laftr, laftr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert run.stdout.strip() == "[]"
