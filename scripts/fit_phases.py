@@ -10,7 +10,9 @@ changes. Each CPU second (``time.process_time``) goes to the innermost
 phase running, so the rows add up to the total:
 
 - main sweep: ``_sweep`` to a fixed point called by ``fit``;
-- convergence scan: ``fit``'s read-only ``_sweep``;
+- convergence scan: ``_sweep`` of the copy of the state that ``fit``
+  sweeps before it declares convergence (``fit`` copies a state for
+  nothing else, so the wrapped ``ModelState.copy`` marks the copies);
 - candidate sweep and candidate W step: ``_sweep`` and ``optimize_w``
   inside ``propose_feature``; birth other: the rest of ``propose_feature``;
 - W step: ``optimize_w`` called by ``fit``;
@@ -98,10 +100,18 @@ class Phases:
         self.mark = now
 
 
-def _sweep_phase(stack, _idx, _state, apply):
+def _sweep_phase(stack, _idx, state):
     if "birth other" in stack:
         return "candidate sweep"
-    return "main sweep" if apply else "convergence scan"
+    return "convergence scan" if getattr(state, "convergence_scan", False) else "main sweep"
+
+
+def _marked(copy):
+    def marked(state):
+        out = copy(state)
+        out.convergence_scan = True
+        return out
+    return marked
 
 
 def _install(phases: Phases) -> None:
@@ -120,6 +130,7 @@ def _install(phases: Phases) -> None:
     ]
     for owner, name, phase_of in targets:
         setattr(owner, name, phases.wrap(getattr(owner, name), phase_of))
+    model.ModelState.copy = _marked(model.ModelState.copy)
     evaluation.evaluate_split = phases.wrap(evaluation.evaluate_split, fixed("scoring"), root=True)
     for name in COUNTED:
         setattr(optimizer._DeltaTable, name, phases.count(getattr(optimizer._DeltaTable, name), name))

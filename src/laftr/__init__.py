@@ -15,6 +15,7 @@ from .evaluation import (
     class_counts,
     cross_validate_lambda,
     evaluate_split,
+    heldout_scorer,
     predict_links,
     run_splits,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "delta_objective_flip",
     "evaluate_split",
     "fit",
+    "heldout_scorer",
     "init_state",
     "link_probability",
     "load_dense_matrix",

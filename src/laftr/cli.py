@@ -27,9 +27,9 @@ import numpy as np
 
 from . import generator, graph
 from .errors import LaftrError, NumericalError, ParseError
-from .evaluation import auc_from_scores, class_counts, cross_validate_lambda, predict_links, run_splits
+from .evaluation import cross_validate_lambda, heldout_scorer, predict_links, run_splits
 from .graph import AdjacencyMatrix, ObservationMask
-from .model import ModelState, link_probability
+from .model import ModelState
 from .optimizer import FitConfig, fit
 
 EXIT_OK = 0
@@ -85,10 +85,11 @@ def _is_finite_number(value) -> bool:
 def load_model(path: str) -> tuple[ModelState, dict]:
     """Read a model JSON file back into a ModelState.
 
-    The file must hold a JSON object; ``z`` must be a nested list of 0/1
-    rows of equal length, ``k`` must be an integer equal to their length,
-    ``w`` must be a K x K nested list of finite numbers and ``lambda`` a
-    finite number >= 0; otherwise a ParseError names the offending field.
+    The file must hold a JSON object; ``z`` must be a nested list of rows
+    of equal length holding the numbers 0 and 1, ``k`` must be an integer
+    equal to their length, ``w`` must be a K x K nested list of finite
+    numbers and ``lambda`` a finite number >= 0; otherwise a ParseError
+    names the offending field.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -97,10 +98,13 @@ def load_model(path: str) -> tuple[ModelState, dict]:
     for key in ("z", "k", "w", "lambda"):
         if key not in payload:
             raise ParseError(f"model file lacks the field {key!r}")
-    try:
-        z = np.asarray(payload["z"], dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("model field 'z' must be a nested list of rows of equal length") from None
+    z = payload["z"]
+    if not (isinstance(z, list) and all(isinstance(row, list) for row in z)
+            and len({len(row) for row in z}) <= 1):
+        raise ParseError("model field 'z' must be a nested list of rows of equal length")
+    if not {type(v) for row in z for v in row} <= {int, float}:  # numpy would convert "1" and true
+        raise ParseError("model field 'z' must hold numbers")
+    z = np.asarray(z, dtype=float)
     k = payload["k"]
     if type(k) is not int:  # JSON true and 2.0 load as bool and float
         raise ParseError(f"model field 'k' must be an integer, got {k!r}")
@@ -218,15 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dump_communities(model_payload: dict, labels: list[str] | None = None) -> str:
-    """Text report of community memberships, smallest community first.
+def dump_communities(z: np.ndarray, labels: list[str] | None = None) -> str:
+    """Text report of the memberships in the N x K 0/1 matrix z, smallest community first.
 
     A node with several memberships appears under each of its communities;
     overlap is the point of the model.
     """
-    z = np.asarray(model_payload["z"])
-    k = int(model_payload["k"])
-    n = z.shape[0]
+    n, k = z.shape
     if labels is not None and len(labels) != n:
         raise ValueError(f"model has {n} nodes but {len(labels)} labels given")
     if k == 0:
@@ -263,13 +265,10 @@ def _cmd_fit(args) -> int:
     trace_rows: list[tuple[float, float]] = []
     on_iteration = None
     if args.auc_trace:
-        test_rows, test_cols = np.nonzero(test_mask.observed)
-        test_labels = y.entries[test_rows, test_cols]
-        class_counts(test_labels)  # fail before fitting, not at the first trace row
+        score = heldout_scorer(y, test_mask)  # fails before fitting, not at the first trace row
 
         def on_iteration(_iteration, state, seconds):
-            scores = link_probability(state, test_rows, test_cols)
-            trace_rows.append((seconds, auc_from_scores(scores, test_labels)))
+            trace_rows.append((seconds, score(state)))
 
     report = fit(y, train_mask, config, on_iteration=on_iteration)
     _atomic_write(args.out, _model_to_json(report.final_state, report.objective_trace, config.seed))
@@ -362,12 +361,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_communities(args) -> int:
-    _, payload = load_model(args.model)
+    state, _ = load_model(args.model)
     labels = None
     if args.labels:
         with open(args.labels, encoding="utf-8") as handle:
             labels = [line.rstrip("\n") for line in handle if line.strip()]
-    report = dump_communities(payload, labels)
+    report = dump_communities(state.z, labels)
     if args.out:
         _atomic_write(args.out, report)
     else:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .graph import AdjacencyMatrix, ObservationMask, split_observations
+from .graph import AdjacencyMatrix, ObservationMask, _deal_units, split_observations
 from .model import ModelState, link_probability
 from .optimizer import FitConfig, FitReport, fit
 
@@ -18,6 +18,7 @@ __all__ = [
     "predict_links",
     "auc_from_scores",
     "class_counts",
+    "heldout_scorer",
     "evaluate_split",
     "cross_validate_lambda",
     "run_splits",
@@ -84,6 +85,18 @@ def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
+def heldout_scorer(y: AdjacencyMatrix, test_mask: ObservationMask):
+    """The held-out AUC as a function of a state, for the entries of the test mask.
+
+    It gathers the test entries and their labels once; single-class labels
+    raise UndefinedMetricError here, before anything is fitted.
+    """
+    rows, cols = np.nonzero(test_mask.observed)
+    labels = y.entries[rows, cols]
+    class_counts(labels)
+    return lambda state: auc_from_scores(link_probability(state, rows, cols), labels)
+
+
 def evaluate_split(
     y: AdjacencyMatrix,
     train_mask: ObservationMask,
@@ -98,12 +111,9 @@ def evaluate_split(
     """
     if (train_mask.observed & test_mask.observed).any():
         raise ValueError("train and test masks overlap")
-    rows, cols = np.nonzero(test_mask.observed)
-    labels = y.entries[rows, cols]
-    class_counts(labels)
+    score = heldout_scorer(y, test_mask)
     report = fit(y, train_mask, config)
-    scores = link_probability(report.final_state, rows, cols)
-    return auc_from_scores(scores, labels), report
+    return score(report.final_state), report
 
 
 def cross_validate_lambda(
@@ -116,9 +126,10 @@ def cross_validate_lambda(
 ) -> tuple[float, list[tuple[float, float]]]:
     """k-fold cross-validation of the penalty weight over the observed train entries.
 
-    Entries are permuted with the given seed and dealt into ``folds`` nearly
-    equal folds. A symmetric mask is dealt by unordered pairs {i, j}
-    instead, so no fold trains on the mirror of an entry it validates on.
+    The observed entries are dealt into ``folds`` nearly equal folds by
+    split_observations' routine (graph._deal_units) with the given seed. A
+    symmetric mask is dealt by unordered pairs {i, j}, its upper triangle,
+    so no fold trains on the mirror of an entry it validates on.
     Each grid value is scored by mean validation AUC over the usable folds
     (folds whose validation labels are single-class are skipped with a
     warning). Returns the best value (ties go to the smaller lambda)
@@ -132,23 +143,15 @@ def cross_validate_lambda(
 
     observed = train_mask.observed
     symmetric = np.array_equal(observed, observed.T)
-    units = np.argwhere(np.triu(observed) if symmetric else observed)
-    rng = np.random.default_rng(seed)
-    fold_chunks = np.array_split(rng.permutation(len(units)), folds)
+    dealt = _deal_units(np.triu(observed) if symmetric else observed, folds, seed, symmetric)
 
     # fold usability depends only on the labels, not on lambda
     usable: list[tuple[ObservationMask, ObservationMask]] = []
-    for f, chunk in enumerate(fold_chunks):
-        rows, cols = units[chunk, 0], units[chunk, 1]
-        val = np.zeros((y.n, y.n), dtype=bool)
-        val[rows, cols] = True
-        if symmetric:
-            val[cols, rows] = True
-        if chunk.size == 0 or len(np.unique(y.entries[val])) < 2:
+    for f, val in enumerate(dealt):
+        if len(np.unique(y.entries[val])) < 2:
             warnings.warn(f"fold {f} skipped: single-class validation labels")
             continue
-        tr = observed & ~val
-        usable.append((ObservationMask(y.n, tr), ObservationMask(y.n, val)))
+        usable.append((ObservationMask(y.n, observed & ~val), ObservationMask(y.n, val)))
     if not usable:
         raise UndefinedMetricError("every cross-validation fold was single-class")
 

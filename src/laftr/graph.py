@@ -273,6 +273,34 @@ def write_dense(adj: AdjacencyMatrix) -> str:
     return out.tobytes().decode("ascii") or "\n"
 
 
+def _deal_units(units: np.ndarray, sections, seed: int, mirror: bool) -> list[np.ndarray]:
+    """Deal the True entries of the boolean unit mask ``units`` into disjoint parts, reproducibly.
+
+    The units, in row-major order (that of ``np.argwhere``), are permuted by
+    one ``np.random.default_rng(seed).permutation`` call and the permutation
+    is cut as ``np.array_split(permutation, sections)`` cuts it: ``sections``
+    is a part count, for nearly equal parts, or a list of cut points. Part f
+    is a boolean mask of the units at the ranks of cut f. With ``mirror``,
+    each part also holds the transpose of each of its units. The unit order
+    and the single permutation call fix which units a seed deals where;
+    changing either changes every saved split and fold.
+    """
+    m = np.count_nonzero(units)
+    chunks = np.array_split(np.random.default_rng(seed).permutation(m), sections)
+    parts, rest = [], units
+    # each part is scattered through the unit mask but the last, which is what
+    # the others leave: a split then costs one scatter
+    for chunk in chunks[:-1]:
+        dealt = np.zeros(m, dtype=bool)
+        dealt[chunk] = True
+        part = np.zeros(units.shape, dtype=bool)
+        part[units] = dealt
+        rest = rest & ~part
+        parts.append(part)
+    parts.append(rest)
+    return [part | part.T for part in parts] if mirror else parts
+
+
 def split_observations(
     adj: AdjacencyMatrix,
     train_fraction: float,
@@ -287,34 +315,20 @@ def split_observations(
     eligible units; test gets the rest. Diagonal entries are never eligible.
 
     The eligible units are the True entries of a boolean unit mask (the
-    strict upper triangle when tied, else the off-diagonal), and the
-    permutation is written through that mask. numpy visits a mask's True
-    entries in row-major order, the order of ``np.triu_indices`` and
-    ``np.nonzero``, so each unit keeps its permutation rank and every seed
-    keeps its split.
+    strict upper triangle when tied, else the off-diagonal), dealt by
+    _deal_units into the first floor(train_fraction * M) ranks of the
+    permutation and the rest; cross_validate_lambda deals its folds with
+    the same routine.
     """
     if not (0.0 < train_fraction <= 1.0):
         raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
     if tie_symmetric is None:
         tie_symmetric = adj.symmetric_hint
     n = adj.n
-    rng = np.random.default_rng(seed)
-
     units = np.triu(np.ones((n, n), dtype=bool), 1) if tie_symmetric else ~np.eye(n, dtype=bool)
-    m = np.count_nonzero(units)
     # guard against FP sitting a hair below an exact integer product
-    n_train = int(math.floor(train_fraction * m + 1e-9))
-    # the row-major unit order and the single permutation call fix which
-    # units a seed trains on; changing either changes every saved split
-    is_train = np.zeros(m, dtype=bool)
-    is_train[rng.permutation(m)[:n_train]] = True
-
-    train = np.zeros((n, n), dtype=bool)
-    train[units] = is_train
-    test = units & ~train
-    if tie_symmetric:
-        train |= train.T
-        test |= test.T
+    n_train = int(math.floor(train_fraction * np.count_nonzero(units) + 1e-9))
+    train, test = _deal_units(units, [n_train], seed, tie_symmetric)
     return ObservationMask(n, train), ObservationMask(n, test)
 
 

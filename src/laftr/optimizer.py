@@ -423,14 +423,16 @@ class _DeltaTable:
         self.open[n] = bool((delta - self.bound[n] < -FLIP_TOLERANCE).any())
 
 
-def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
+def _sweep(idx: _MaskIndex, state: ModelState) -> bool:
     """Row-major passes over all (n, k) on the patterns of Z, screened by a maintained delta table.
 
-    With apply=True it sweeps to a one-flip fixed point: every provably
-    improving flip is taken, passes repeat until one takes none, and the
-    return value says whether any flip happened. With apply=False it is one
-    pass that stops at the first improving flip and leaves the state
-    unchanged. It reads Z, W and the mask only.
+    Sweeps to a one-flip fixed point: every provably improving flip is
+    taken, passes repeat until one takes none, and the return value says
+    whether any flip happened. It reads Z, W and the mask only and flips
+    state.z in place. The first flip a sweep takes is scored on Z as it
+    stands, so sweeping a copy tells whether a state is a one-flip fixed
+    point and leaves the state as it is; fit asks that before it declares
+    convergence.
 
     The flips are exactly those of visiting every node in every pass with
     the kernel (_DeltaTable.scores): node n's K flips are scored at once on
@@ -494,14 +496,10 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
             first = int(np.argmax(row - bound < -FLIP_TOLERANCE))
             if row[first] + 2.0 * bound[first] < -FLIP_TOLERANCE:
                 # the screen proves the kernel's first accepted flip is at first
-                if not apply:
-                    return True
                 screen.flip(n, first)
                 k = first + 1
             delta, mass = screen.scores(n)
             while (hits := np.flatnonzero((delta + screen.beta * mass)[k:] < -FLIP_TOLERANCE)).size:
-                if not apply:
-                    return True
                 k += int(hits[0])
                 screen.flip(n, k)
                 delta, mass = screen.scores(n)
@@ -514,10 +512,9 @@ def _sweep(idx: _MaskIndex, state: ModelState, apply: bool) -> bool:
                 # the kernel just rejected every flip of n in this very Z
                 screen.open[n] = False
             n += 1
-        if not flipped or not apply:
-            break
+        if not flipped:
+            return improved
         improved = True
-    return improved
 
 
 def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
@@ -629,7 +626,7 @@ def propose_feature(
 
     candidate = ModelState(z_new, w_new, state.lam)
     optimize_w(y, mask, candidate)
-    _sweep(idx, candidate, apply=True)
+    _sweep(idx, candidate)
     return candidate
 
 
@@ -663,10 +660,12 @@ def fit(
     iteration's relative improvement is below rel_tol and that proposal is
     rejected, up to BIRTH_RETRIES more single-node births are drawn from
     the same RNG stream, and the first that lowers the objective is kept.
-    The run converges when no flip provably improves and R+1 births were
-    rejected (R = BIRTH_RETRIES), so the returned state is a one-flip local
-    minimum. It also stops at max_outer_iters. A non-finite objective at
-    the end of an outer iteration raises NumericalError.
+    The run converges when R+1 births were rejected (R = BIRTH_RETRIES) and
+    a sweep of a copy of the state takes no flip, so the returned state is
+    a one-flip local minimum. Sweeping a copy leaves the state the trace
+    describes, also when the copy takes a flip and the fit then stops at
+    max_outer_iters. A non-finite objective at the end of an outer
+    iteration raises NumericalError.
 
     After an accepted birth the next iteration does not sweep: the
     candidate's sweep has just left the state at a fixed point. A sweep
@@ -705,7 +704,7 @@ def fit(
         q_start = q
 
         if not settled:
-            _sweep(idx, state, apply=True)
+            _sweep(idx, state)
             stats = _PairStats(y, mask, state.z)
         optimize_w(y, mask, state, stats)
         stats.patterns = stats.patterns[:, state.z.any(axis=0)]  # the columns prune keeps
@@ -737,12 +736,11 @@ def fit(
             on_iteration(iteration, state, t_callback - t_start - callback_s)
             callback_s += time.perf_counter() - t_callback
 
-        if stalled and not birth_accepted:
-            # declare convergence only from a genuine one-flip local minimum:
-            # the W update may have shifted some coordinate's best value
-            if not _sweep(idx, state, apply=False):
-                report.converged = True
-                break
+        # converged only at a one-flip local minimum, as the W step may have moved
+        # a coordinate's best value; the copy keeps the state the trace describes
+        if stalled and not birth_accepted and not _sweep(idx, state.copy()):
+            report.converged = True
+            break
 
     report.final_state = state
     return report

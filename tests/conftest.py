@@ -145,15 +145,14 @@ def oracle_flip_score(y, mask, state, caches, n, k):
     return delta, mass
 
 
-def oracle_sweep_pass(y, mask, state, caches, apply: bool) -> bool:
+def oracle_sweep_pass(y, mask, state, caches) -> bool:
     """The sweep pass scoring one (n, k) at a time, entry by entry on patched caches.
 
     Row-major order; a flip improves when its delta plus beta times its mass
     (the delta's rounding bound, see optimizer._sweep) is below
-    -FLIP_TOLERANCE, and an accepted flip patches ``caches`` (oracle_caches
-    of the state, kept across passes) by _flip_patched. With apply=True
-    every improving flip is taken; with apply=False the scan stops at the
-    first improving flip.
+    -FLIP_TOLERANCE, and every improving flip is taken and patches
+    ``caches`` (oracle_caches of the state, kept across passes) by
+    _flip_patched.
     """
     n_nodes, k_plus = state.z.shape
     beta = optimizer._rounding_beta(n_nodes)
@@ -162,8 +161,6 @@ def oracle_sweep_pass(y, mask, state, caches, apply: bool) -> bool:
         for k in range(k_plus):
             delta, mass = oracle_flip_score(y, mask, state, caches, n, k)
             if delta + beta * mass < -FLIP_TOLERANCE:
-                if not apply:
-                    return True
                 _flip_patched(state, caches, n, k)
                 improved = True
     return improved
@@ -230,15 +227,12 @@ def oracle_pattern_sweep_pass(y, mask, state, apply: bool, patterns: list) -> bo
     return improved
 
 
-def oracle_pattern_sweep(y, mask, state, apply: bool) -> bool:
-    """oracle_pattern_sweep_pass to a fixed point (apply=True), or one read-only pass.
+def oracle_pattern_sweep(y, mask, state) -> bool:
+    """oracle_pattern_sweep_pass to a fixed point; True if any pass flipped anything.
 
-    The reference for the package's screened sweep: with apply=True it
-    reports whether any pass flipped anything.
+    The reference for the package's screened sweep, optimizer._sweep.
     """
     patterns = sweep_patterns(state.z)
-    if not apply:
-        return oracle_pattern_sweep_pass(y, mask, state, False, patterns)
     improved = False
     while oracle_pattern_sweep_pass(y, mask, state, True, patterns):
         improved = True
@@ -247,7 +241,7 @@ def oracle_pattern_sweep(y, mask, state, apply: bool) -> bool:
 
 def sweep_to_fixed_point(y, mask, state) -> bool:
     """The package's screened sweep run to a one-flip fixed point; True if anything flipped."""
-    return optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+    return optimizer._sweep(optimizer._MaskIndex(y, mask), state)
 
 
 def nll_gradient_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> np.ndarray:
@@ -392,6 +386,27 @@ def oracle_split_observations(adj: AdjacencyMatrix, train_fraction, seed, tie_sy
         if tie_symmetric:
             target[j, i] = True
     return ObservationMask(n, train), ObservationMask(n, test)
+
+
+def oracle_cv_folds(y: AdjacencyMatrix, train_mask: ObservationMask, folds: int, seed: int):
+    """cross_validate_lambda's (train, validation) mask of every fold, dealt from an argwhere unit list.
+
+    A symmetric mask is dealt by its upper triangle and each validation
+    fold mirrored; single-class folds are kept, not skipped.
+    """
+    observed = train_mask.observed
+    symmetric = np.array_equal(observed, observed.T)
+    units = np.argwhere(np.triu(observed) if symmetric else observed)
+    rng = np.random.default_rng(seed)
+    out = []
+    for chunk in np.array_split(rng.permutation(len(units)), folds):
+        rows, cols = units[chunk, 0], units[chunk, 1]
+        val = np.zeros((y.n, y.n), dtype=bool)
+        val[rows, cols] = True
+        if symmetric:
+            val[cols, rows] = True
+        out.append((observed & ~val, val))
+    return out
 
 
 def oracle_write_mask(train: ObservationMask, test: ObservationMask) -> str:

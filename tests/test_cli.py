@@ -262,14 +262,14 @@ class TestCommunities:
                    "w": np.zeros((3, 3)).tolist(), "objective_trace": [0.0], "seed": 0}
         model_path = tmp_path / "m.json"
         model_path.write_text(json.dumps(payload))
-        report = dump_communities(payload)
+        report = dump_communities(np.array(payload["z"], dtype=float))
         assert report.count("size 1") == 3
 
     def test_overlapping_node_listed_in_both(self):
         payload = {"k": 2, "lambda": 0.5,
                    "z": [[1, 1], [1, 0], [0, 1]],
                    "w": np.zeros((2, 2)).tolist(), "objective_trace": [], "seed": 0}
-        report = dump_communities(payload, labels=["ada", "bob", "cyd"])
+        report = dump_communities(np.array(payload["z"], dtype=float), labels=["ada", "bob", "cyd"])
         lines = report.strip().splitlines()
         assert sum("ada" in line for line in lines) == 2
 
@@ -277,7 +277,7 @@ class TestCommunities:
         payload = {"k": 2, "lambda": 0.5,
                    "z": [[1, 1], [1, 0], [1, 0]],
                    "w": np.zeros((2, 2)).tolist(), "objective_trace": [], "seed": 0}
-        lines = dump_communities(payload).strip().splitlines()
+        lines = dump_communities(np.array(payload["z"], dtype=float)).strip().splitlines()
         assert "community 1 (size 1)" in lines[0]
         assert "community 0 (size 3)" in lines[1]
 
@@ -287,13 +287,13 @@ class TestCommunities:
         model_path = tmp_path / "m.json"
         model_path.write_text(json.dumps(payload))
         assert run_cli("communities", "--model", str(model_path)) == 0
-        assert "zero active features" in dump_communities(payload)
+        assert "zero active features" in dump_communities(np.array(payload["z"], dtype=float))
 
     def test_label_count_mismatch(self):
         payload = {"k": 1, "lambda": 0.5, "z": [[1], [1]],
                    "w": [[0.0]], "objective_trace": [], "seed": 0}
         with pytest.raises(ValueError, match="labels"):
-            dump_communities(payload, labels=["only-one"])
+            dump_communities(np.array(payload["z"], dtype=float), labels=["only-one"])
 
     def test_cli_reads_fit_output(self, tmp_path, planted_file):
         model_path = tmp_path / "model.json"
@@ -418,6 +418,8 @@ class TestExitCodes:
         ('"z": [[null], [0]]', "'z'"),              # loaded as NaN
         ('"z": [[1], [0, 1]]', "'z'"),              # ragged
         ('"z": "ab"', "'z'"),
+        ('"z": [["1"], ["0"]]', "'z'"),             # numpy converts the strings
+        ('"z": [[true], [false]]', "'z'"),          # and the booleans
         ('"k": 1.0', "'k'"),
         ('"k": true', "'k'"),
         (None, "JSON object"),                       # a top-level array

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from laftr import (
     split_observations,
 )
 from laftr import evaluation
-from conftest import oracle_auc, oracle_link_probabilities, oracle_rank_auc, random_instance
+from conftest import (oracle_auc, oracle_cv_folds, oracle_link_probabilities, oracle_rank_auc,
+                      random_instance)
 
 
 def planted_graph(n=30, blocks=2, seed=0):
@@ -298,6 +300,34 @@ class TestCrossValidateLambda:
             assert not (val & tr.T).any()
             assert np.array_equal(tr | val, train.observed)
         assert sum(val.sum() for _, val in folds) == train.count
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 25), density=st.sampled_from([0.2, 0.6, 1.0]),
+           symmetric=st.booleans(), folds=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_folds_are_the_oracle_folds_bit_for_bit(self, n, density, symmetric, folds, seed):
+        rng = np.random.default_rng(seed)
+        y = AdjacencyMatrix(n, rng.random((n, n)) < 0.4)
+        observed = rng.random((n, n)) < density  # the diagonal too
+        train = ObservationMask(n, observed | observed.T if symmetric else observed)
+        handed = []
+
+        def record(_y, tr, val, _config):
+            handed.append((tr.observed, val.observed))
+            return 0.5, None
+
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(evaluation, "evaluate_split", record)
+            warnings.simplefilter("ignore")  # single-class folds are skipped with a warning
+            try:
+                evaluation.cross_validate_lambda(y, train, [0.5], folds, seed, FitConfig())
+            except UndefinedMetricError:
+                pass
+        want = [(tr, val) for tr, val in oracle_cv_folds(y, train, folds, seed)
+                if len(np.unique(y.entries[val])) == 2]
+        assert len(handed) == len(want)
+        for (tr, val), (want_tr, want_val) in zip(handed, want):
+            assert np.array_equal(tr, want_tr)
+            assert np.array_equal(val, want_val)
 
     def test_empty_grid_rejected(self):
         y = planted_graph(n=10, seed=9)

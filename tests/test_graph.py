@@ -19,6 +19,7 @@ from laftr import (
     write_dense,
     write_mask,
 )
+from laftr.graph import _deal_units
 from conftest import (
     oracle_load_dense_matrix,
     oracle_load_pairs,
@@ -191,6 +192,30 @@ class TestSplitProperties:
         units = n * (n - 1) // (2 if tied else 1)
         train_units = int(train.sum()) // (2 if tied else 1)
         assert train_units == percent * units // 100
+
+
+class TestDealUnits:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        sections=st.one_of(st.integers(1, 6), st.lists(st.integers(0, 400), max_size=3).map(sorted)),
+        seed=st.integers(0, 2**32 - 1),
+        mirror=st.booleans(),
+    )
+    def test_parts_partition_the_units(self, n, density, sections, seed, mirror):
+        units = np.random.default_rng(seed).random((n, n)) < density
+        if mirror:
+            units = np.triu(units)
+        parts = _deal_units(units, sections, seed, mirror)
+        covered = units | units.T if mirror else units
+        sizes = [len(c) for c in np.array_split(np.arange(units.sum()), sections)]
+        assert len(parts) == len(sizes)
+        assert np.array_equal(sum(part.astype(int) for part in parts), covered.astype(int))
+        for part, size in zip(parts, sizes):
+            assert np.count_nonzero(part & units) == size
+            if mirror:
+                assert np.array_equal(part, part.T)
 
 
 class TestArrayPathsMatchOracles:

@@ -1,6 +1,7 @@
 """Greedy optimizer: flip deltas, sweeps, W descent, births, pruning, full fits."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -379,7 +380,7 @@ class TestSweepKernel:
     def test_apply_pass_takes_the_oracle_flips(self, problem):
         y, mask, state = problem
         expected_flag, expected = _oracle_fixed_point(y, mask, state)
-        flag = optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+        flag = optimizer._sweep(optimizer._MaskIndex(y, mask), state)
         assert flag == expected_flag
         assert np.array_equal(state.z, expected.z)
         assert max_logit_error(state) < 1e-9
@@ -387,10 +388,12 @@ class TestSweepKernel:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances())
     def test_scan_matches_oracle_without_mutating(self, problem):
+        # fit's convergence check: a sweep of a copy flips something exactly
+        # when one oracle pass over the state finds an improving flip
         y, mask, state = problem
         before = state.copy()
-        expected = oracle_pattern_sweep(y, mask, state.copy(), apply=False)
-        assert optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=False) == expected
+        expected = oracle_pattern_sweep_pass(y, mask, state.copy(), False, sweep_patterns(state.z))
+        assert optimizer._sweep(optimizer._MaskIndex(y, mask), state.copy()) == expected
         for name in ("z", "w", "logits"):
             assert np.array_equal(getattr(state, name), getattr(before, name)), name
 
@@ -409,7 +412,7 @@ class TestSweepKernel:
         _oracle_fixed_point(y, mask, state)
         with pytest.MonkeyPatch.context() as patch:
             tables = _tables_of(patch, _CheckedTable)
-            optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+            optimizer._sweep(optimizer._MaskIndex(y, mask), state)
         assert len(tables) == (state.k_plus > 0)
 
     def test_saturated_scan_reaches_a_fixed_point(self):
@@ -418,7 +421,7 @@ class TestSweepKernel:
         swept = state.copy()
         caches = oracle_caches(state.z, state.w)
         passes = 0
-        while passes < 100 and oracle_sweep_pass(y, mask, state, caches, apply=True):
+        while passes < 100 and oracle_sweep_pass(y, mask, state, caches):
             passes += 1
         assert passes < 100, "no one-flip fixed point within 100 passes"
         sweep_to_fixed_point(y, mask, swept)
@@ -431,7 +434,7 @@ class TestSweepKernel:
         y, mask, state = problem
         with pytest.MonkeyPatch.context() as patch:
             _tables_of(patch, lambda *args: _ScreenCheckedTable(*args, loose=loose))
-            optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+            optimizer._sweep(optimizer._MaskIndex(y, mask), state)
 
     def test_screen_decides_flips_on_the_saturated_state(self):
         y, mask, state = _saturated_problem()
@@ -449,7 +452,7 @@ class TestSweepKernel:
         y, mask, state = problem
         with pytest.MonkeyPatch.context() as patch:
             _tables_of(patch, _CacheCheckedTable)
-            optimizer._sweep(optimizer._MaskIndex(y, mask), state, apply=True)
+            optimizer._sweep(optimizer._MaskIndex(y, mask), state)
 
     def test_caches_are_reused_and_emptied_when_a_pattern_appears(self, monkeypatch):
         # a whole planted fit: its sweeps reuse both caches and append patterns
@@ -510,7 +513,7 @@ class TestSweepKernel:
         # and a recomputed delta is within beta * mass of the kernel's
         y, mask, state = problem
         idx = optimizer._MaskIndex(y, mask)
-        optimizer._sweep(idx, state, apply=True)
+        optimizer._sweep(idx, state)
         if state.k_plus == 0:
             return
         _, mass = _kernel_rows(idx, state.z, state.w)
@@ -920,26 +923,49 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("problem", [_planted_problem, _ibp_problem])
     def test_same_path_as_one_flip_at_a_time_sweep(self, monkeypatch, problem):
-        y, mask, config = problem(0)
-        calls = []
+        _assert_same_path_as_oracle_sweep(monkeypatch, *problem(0))
 
-        def sweep(_idx, state, apply):
-            calls.append(apply)
-            return oracle_pattern_sweep(y, mask, state, apply)
+    def test_convergence_check_that_finds_a_flip(self, monkeypatch):
+        y, mask, config = _planted_problem(6)
+        config = replace(config, rel_tol=0.3)
+        report = _assert_same_path_as_oracle_sweep(monkeypatch, y, mask, config)
+        # an iteration went on after rejecting every birth: its check swept a flip
+        checks = _convergence_checks(report)[:-1]
+        assert any(checks)
+        # capped there, the fit returns the state its trace describes, not the swept copy
+        capped = fit(y, mask, replace(config, max_outer_iters=checks.index(True) + 1))
+        assert not capped.converged
+        assert objective(y, mask, capped.final_state) == capped.objective_trace[-1]
 
-        with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "_sweep", sweep)
-            expected = fit(y, mask, config)
-        # one sweep to a fixed point per birth and one per iteration (fit's),
-        # except an iteration after an accepted birth, whose state is settled
-        assert calls.count(True) == (len(expected.objective_trace)
-                                     - sum(expected.accepted_births[:-1])
-                                     + sum(expected.births_proposed))
-        got = fit(y, mask, config)
-        assert got.objective_trace == expected.objective_trace
-        assert got.k_trace == expected.k_trace
-        assert got.accepted_births == expected.accepted_births
-        assert np.array_equal(got.final_state.z, expected.final_state.z)
+
+def _convergence_checks(report) -> list[bool]:
+    """Per iteration, whether fit swept a copy to check convergence: all its births were rejected."""
+    return [proposed == 1 + optimizer.BIRTH_RETRIES and not accepted
+            for proposed, accepted in zip(report.births_proposed, report.accepted_births)]
+
+
+def _assert_same_path_as_oracle_sweep(monkeypatch, y, mask, config):
+    """fit's path with oracle_pattern_sweep patched in is its own; returns that fit's report."""
+    calls = []
+
+    def sweep(_idx, state):
+        calls.append(state)
+        return oracle_pattern_sweep(y, mask, state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_sweep", sweep)
+        expected = fit(y, mask, config)
+    # one sweep per birth, one per iteration (fit's) except an iteration after
+    # an accepted birth, whose state is settled, and one per convergence check
+    assert len(calls) == (len(expected.objective_trace) - sum(expected.accepted_births[:-1])
+                          + sum(expected.births_proposed) + sum(_convergence_checks(expected)))
+    got = fit(y, mask, config)
+    assert got.objective_trace == expected.objective_trace
+    assert got.k_trace == expected.k_trace
+    assert got.accepted_births == expected.accepted_births
+    assert got.converged == expected.converged
+    assert np.array_equal(got.final_state.z, expected.final_state.z)
+    return expected
 
 
 class TestSkippedWork:
@@ -953,7 +979,7 @@ class TestSkippedWork:
         idx = optimizer._MaskIndex(y, mask)
         scans = []
         report = fit(y, mask, config, on_iteration=lambda _it, state, _s: scans.append(
-            optimizer._sweep(idx, state, apply=False)))
+            optimizer._sweep(idx, state.copy())))
         settled = [scan for scan, accepted in zip(scans, report.accepted_births) if accepted]
         assert settled
         assert not any(settled)
