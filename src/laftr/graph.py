@@ -151,7 +151,8 @@ def _pair_rows(rows: np.ndarray, cols: np.ndarray, n: int, sep: bytes, tail: byt
     """Fixed-width uint8 rows "<rows[m]><sep><cols[m]><tail>" for indices below ``n``.
 
     Each index is laid out left-aligned in _index_width(n) bytes, padded
-    with zero bytes that _unpad removes.
+    with zero bytes that _unpad removes. The zero bytes of ``tail`` are
+    left for the caller to fill.
     """
     width = _index_width(n)
     digits = np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
@@ -160,7 +161,8 @@ def _pair_rows(rows: np.ndarray, cols: np.ndarray, n: int, sep: bytes, tail: byt
     out[:, width] = ord(sep)
     out[:, width + 1:2 * width + 1] = np.take(digits, cols, axis=0)
     for k, byte in enumerate(tail, start=2 * width + 1):  # a scalar per column fills fastest
-        out[:, k] = byte
+        if byte:
+            out[:, k] = byte
     return out
 
 
@@ -421,10 +423,26 @@ def _pair(line: str, lineno: int, n: int) -> tuple[int, int]:
 def write_predictions(pairs: np.ndarray, probs, n: int) -> str:
     """The predictions CSV: an 'i,j,probability' header, then one row per pair.
 
-    ``pairs`` is (M, 2) of indices below ``n`` and ``probs`` their M
-    probabilities. The rows' "i,j," prefixes are laid out as arrays; one
-    %-format call then writes every probability as %.17g, which
-    round-trips a float.
+    ``pairs`` is (M, 2) of indices below ``n`` and ``probs`` their M real
+    probabilities. An index outside 0..n-1, negative ones included, is an
+    IndexError; a ``probs`` of another length is a ValueError and one that
+    is not of a bool, integer or float dtype (a string, say) a TypeError.
+    The rows are laid out as arrays. Each distinct probability, keyed by
+    its float64 bits so that 0.0 and -0.0 stay apart, is formatted once as
+    %.17g, which round-trips a float; the bytes are those of formatting
+    every row's probability with %.17g.
     """
-    out = _pair_rows(pairs[:, 0], pairs[:, 1], n, b",", b",%.17g\n")
-    return "i,j,probability\n" + _unpad(out) % tuple(probs)
+    if not ((pairs >= 0) & (pairs < n)).all():
+        raise IndexError(f"pair index out of range for n={n}")
+    values = np.asarray(probs)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"probabilities must be real numbers, got dtype {values.dtype}")
+    if values.shape != (len(pairs),):
+        raise ValueError(f"{len(pairs)} pairs but probs of shape {values.shape}")
+    bits = values.astype(np.float64, copy=False).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=np.bytes_)
+    width = text.itemsize
+    out = _pair_rows(pairs[:, 0], pairs[:, 1], n, b",", b"," + bytes(width) + b"\n")
+    out[:, -1 - width:-1] = text.view(np.uint8).reshape(keys.size, width)[inverse]
+    return "i,j,probability\n" + _unpad(out)

@@ -36,6 +36,7 @@ from scipy.stats import rankdata
 
 from laftr import AdjacencyMatrix, ModelState, NumericalError, ObservationMask, ParseError
 from laftr import optimizer
+from laftr.graph import _pair_rows, _unpad
 from laftr.model import _group_patterns, _pattern_caches, sigmoid, softplus
 from laftr.optimizer import FLIP_TOLERANCE
 
@@ -472,6 +473,12 @@ def oracle_load_pairs(stream, n: int) -> np.ndarray:
             raise ParseError(f"pair index out of range (n={n}) in {line!r}", lineno)
         pairs.append((i, j))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def oracle_write_predictions(pairs: np.ndarray, probs, n: int) -> str:
+    """The predictions CSV with every row's probability formatted by one %-format call."""
+    out = _pair_rows(pairs[:, 0], pairs[:, 1], n, b",", b",%.17g\n")
+    return "i,j,probability\n" + _unpad(out) % tuple(probs)
 
 
 def parse_outcome(parse, text, *args, as_lines=False):

@@ -1,6 +1,7 @@
 """Loaders, writers, and train/test splitting."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from laftr import (
     split_observations,
     write_dense,
     write_mask,
+    write_predictions,
 )
 from laftr.graph import _deal_units
 from conftest import (
@@ -26,6 +28,7 @@ from conftest import (
     oracle_split_observations,
     oracle_write_dense,
     oracle_write_mask,
+    oracle_write_predictions,
     parse_outcome,
 )
 
@@ -394,6 +397,52 @@ class TestPairsFile:
         want = parse_outcome(oracle_load_pairs, text, n)
         assert isinstance(want, tuple)
         assert parse_outcome(load_pairs, text, n) == want
+
+
+# zeros of both signs, nan, the infinities, the least subnormal and 1
+_SPECIAL_PROBS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0]
+
+
+class TestPredictionsCsv:
+    """write_predictions against the per-row %-format oracle, and its input errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 9, 10, 99, 100, 1000, 1001]),
+           as_array=st.booleans())
+    def test_rows_match_the_oracle(self, data, n, as_array):
+        base = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        pool = base + [float(np.nextafter(v, 2.0)) for v in base] + _SPECIAL_PROBS
+        m = data.draw(st.integers(0, 40))
+        pairs = np.array(data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                            min_size=m, max_size=m)), dtype=np.int64).reshape(m, 2)
+        probs = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        if as_array:
+            probs = np.array(probs, dtype=float)
+        assert write_predictions(pairs, probs, n) == oracle_write_predictions(pairs, probs, n)
+
+    def test_zero_and_negative_zero_are_told_apart(self):
+        pairs = np.array([[0, 1], [1, 0], [1, 1]])
+        csv = write_predictions(pairs, [0.0, -0.0, 0.0], 2)
+        assert csv == "i,j,probability\n0,1,0\n1,0,-0\n1,1,0\n"
+        assert csv == oracle_write_predictions(pairs, [0.0, -0.0, 0.0], 2)
+
+    def test_empty_pairs_give_the_header_alone(self):
+        assert write_predictions(np.zeros((0, 2), dtype=np.int64), [], 3) == "i,j,probability\n"
+
+    @pytest.mark.parametrize("pair", [[-1, 0], [0, -3], [3, 0], [0, 7]])
+    def test_index_out_of_range_is_an_index_error(self, pair):
+        with pytest.raises(IndexError, match=r"pair index out of range for n=3$"):
+            write_predictions(np.array([[0, 1], pair]), [0.5, 0.5], 3)
+
+    @pytest.mark.parametrize("probs", [[0.5], [0.5, 0.5, 0.5], np.array([0.5, 0.5, 0.5]), []])
+    def test_probs_of_another_length_are_a_value_error(self, probs):
+        with pytest.raises(ValueError, match=rf"^2 pairs but probs of shape \({len(probs)},\)$"):
+            write_predictions(np.array([[0, 1], [1, 2]]), probs, 3)
+
+    @pytest.mark.parametrize("probs", [["0.5", "0.5"], [0.5, "0.5"], [0.5, None], [0.5, 1j]])
+    def test_probs_that_are_not_real_numbers_are_a_type_error(self, probs):
+        with pytest.raises(TypeError, match="probabilities must be real numbers"):
+            write_predictions(np.array([[0, 1], [1, 2]]), probs, 3)
 
 
 class TestObservationMask:
