@@ -14,11 +14,13 @@ phase running, so the rows add up to the total:
   sweeps before it declares convergence (``fit`` copies a state for
   nothing else, so the wrapped ``ModelState.copy`` marks the copies);
 - candidate sweep and candidate W step: ``_sweep`` and ``optimize_w``
-  inside ``propose_feature``; birth other: the rest of ``propose_feature``;
+  inside ``propose_feature``; birth other: the rest of ``propose_feature``
+  (the column draw and the prune after the candidate's sweep);
 - W step: ``optimize_w`` called by ``fit``;
 - pattern statistics: building ``_PairStats``, wherever it happens;
 - objective: ``objective`` outside its pattern statistics;
-- fit other: the rest of ``fit`` (pruning, births' bookkeeping);
+- fit other: the rest of ``fit`` (the prune after its sweep, births'
+  bookkeeping);
 - scoring: the rest of ``evaluate_split`` (held-out scores and AUC).
 
 Below the phases it prints three counts of the sweep's delta table
@@ -27,6 +29,9 @@ Below the phases it prints three counts of the sweep's delta table
 - kernel calls: ``scores`` calls;
 - move tables: ``_move_table`` builds against ``move`` calls (moves made);
 - kernel terms: ``_partner_terms`` builds against kernel calls.
+
+Last it prints the prune's traffic: the ``prune_empty_features`` calls
+that removed a column against all its calls.
 
 Run it on two versions and compare the tables; timings vary by a few
 percent between runs on a loaded machine.
@@ -114,6 +119,17 @@ def _marked(copy):
     return marked
 
 
+def _counted_prune(phases: Phases, prune):
+    """prune, counting its calls and those that removed a column."""
+    def counted(state):
+        k_plus = state.k_plus
+        out = prune(state)
+        phases.counts["prune"] += 1
+        phases.counts["prune removed"] += out.k_plus < k_plus
+        return out
+    return counted
+
+
 def _install(phases: Phases) -> None:
     """Wrap every phase's function where the package calls it from."""
     def fixed(name):
@@ -131,6 +147,7 @@ def _install(phases: Phases) -> None:
     for owner, name, phase_of in targets:
         setattr(owner, name, phases.wrap(getattr(owner, name), phase_of))
     model.ModelState.copy = _marked(model.ModelState.copy)
+    optimizer.prune_empty_features = _counted_prune(phases, optimizer.prune_empty_features)
     evaluation.evaluate_split = phases.wrap(evaluation.evaluate_split, fixed("scoring"), root=True)
     for name in COUNTED:
         setattr(optimizer._DeltaTable, name, phases.count(getattr(optimizer._DeltaTable, name), name))
@@ -172,6 +189,10 @@ def main() -> None:
             cell = str(counts.get(built, 0))
             row += f"{cell + (f'/{counts.get(used, 0)}' if used else ''):>28}"
         print(row)
+    print()
+    print(f"{'prune removed/calls':<20}" + "".join(
+        f"{counts.get('prune removed', 0)}/{counts.get('prune', 0)}".rjust(28)
+        for *_, counts in results.values()))
 
 
 if __name__ == "__main__":

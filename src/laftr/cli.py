@@ -10,7 +10,8 @@ rename) so a crash never leaves a half-written output. Every output embeds
 the seeds that produced it; none embeds a timestamp, so identical
 invocations produce byte-identical files.
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 numerical error.
+Exit codes: 0 ok, 1 usage error, 2 data error (an input too large to hold
+in memory included), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"laftr: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LaftrError, OSError, ValueError, IndexError, KeyError) as exc:
+    except (LaftrError, OSError, ValueError, IndexError, KeyError, MemoryError) as exc:
         print(f"laftr: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -7,9 +7,11 @@ community-interaction matrix. The fitting objective is
     Q(W, Z) = sum over observed (i,j) of [-y_ij * a_ij + softplus(a_ij)]
               + K * lambda^2
 
-with a_ij the logit and K the current number of communities. The
-penalty charges lambda^2 per community, which is what stops the trivial
-one-community-per-node solution.
+with a_ij the logit and K the number of columns of Z. The fit drops a
+column as soon as a sweep empties it, so in the states it scores K is K+,
+the number of non-empty communities. The penalty charges lambda^2 per
+community, which is what stops the trivial one-community-per-node
+solution.
 
 A logit depends only on the membership rows of its two nodes. Z is grouped
 into its P distinct rows (patterns) in one place, every logit and link
@@ -188,9 +190,8 @@ class _PairStats:
     the observed entries is then exactly sum(count * softplus(a) -
     positives * a) over the P x P pair logits a. The W step's Hessians
     share one P x K^2 pair-outer matrix (``_outer``), built from
-    ``patterns`` on first use; fit narrows ``patterns`` to the columns its
-    prune keeps only after the W step, for the objective, which never
-    reads it.
+    ``patterns`` on first use. Nothing changes the statistics after they
+    are built: fit drops empty columns before it groups Z.
     """
 
     def __init__(self, y: AdjacencyMatrix, mask: ObservationMask, z: np.ndarray):

@@ -1,14 +1,14 @@
 """Greedy alternating minimization of the penalized cross-entropy objective.
 
 One outer iteration: sweep the binary membership coordinates to a one-flip
-fixed point, take a damped-Newton W step (convex for fixed Z), prune
-communities nobody belongs to, then propose growing the model by one
-community and keep the grown model only if it lowers the objective; an
-iteration that would end the fit draws more proposals first. Every move is
-a descent move, so the objective trace is non-increasing and the loop
-reaches a local minimum in finitely many iterations. The sweep of an
-iteration that follows an accepted birth is skipped: the candidate's own
-sweep has just left that state at a one-flip fixed point.
+fixed point, drop the communities the sweep emptied, take a damped-Newton W
+step (convex for fixed Z), then propose growing the model by one community
+and keep the grown model only if it lowers the objective; an iteration that
+would end the fit draws more proposals first. Every move is a descent move,
+so the objective trace is non-increasing and the loop reaches a local
+minimum in finitely many iterations. The sweep of an iteration that follows
+an accepted birth is skipped: the candidate's own sweep has just left that
+state at a one-flip fixed point.
 
 Coordinate moves are scored on membership patterns. For fixed W a logit
 depends only on the rows of Z of its two nodes, so with P distinct rows
@@ -50,10 +50,9 @@ parameters over P x P pairs weighted by their observed and positive counts
 pass over the observed entries. It is solved by damped Newton: a step
 builds the K^2 x K^2 Hessian in O(P^2 K^2 + P K^4) and solves it, never
 visiting the N^2 entries, and a W step typically takes about ten such
-steps. Its trial logits are BLAS products that are never stored. After
-the prune, the objective sums over the same pattern-pair counts, since
-dropping all-zero columns keeps the grouping of Z, and the counts an
-accepted birth's objective gathered serve the next W step.
+steps. Its trial logits are BLAS products that are never stored. The
+objective after the W step sums over the same pattern-pair counts, and the
+counts an accepted birth's objective gathered serve the next W step.
 """
 
 from __future__ import annotations
@@ -107,7 +106,8 @@ class FitConfig:
     """Hyperparameters and stopping rules for :func:`fit`.
 
     lam is the per-community penalty weight (the objective charges lam^2 per
-    community); sigma_w scales the Gaussian initialization of W entries.
+    non-empty community); sigma_w scales the Gaussian initialization of W
+    entries.
     """
 
     lam: float = 0.5
@@ -606,9 +606,10 @@ def propose_feature(
 
     Appends a zero membership column and turns it on for one uniformly drawn
     node; borders W with Gaussian(0, sigma_w^2) entries (new row first, then
-    the new column); then takes the W step on the full W and sweeps the candidate's
-    coordinates to a fixed point, using fit's index ``idx`` of (y, mask).
-    The input state is not mutated.
+    the new column); then takes the W step on the full W, sweeps the
+    candidate's coordinates to a fixed point, using fit's index ``idx`` of
+    (y, mask), and drops the columns that sweep emptied, the new one or an
+    old one. The input state is not mutated.
     """
     n_nodes = state.n
     k = state.k_plus
@@ -627,18 +628,20 @@ def propose_feature(
     candidate = ModelState(z_new, w_new, state.lam)
     optimize_w(y, mask, candidate)
     _sweep(idx, candidate)
-    return candidate
+    return prune_empty_features(candidate)
 
 
 def prune_empty_features(state: ModelState) -> ModelState:
     """Drop all-zero membership columns (and their W rows/columns) in place.
 
-    Inert columns add exact zeros to every sum of the pattern logit table
-    (model._pattern_caches), so the logits keep their bits; only the
-    penalty drops, by lam^2 per removed column.
+    Only a sweep empties a column, so fit and propose_feature call this
+    right after each sweep whose state they keep, and every state a W step
+    or an objective reads has no empty column. Inert columns add exact
+    zeros to every sum of the pattern logit table (model._pattern_caches),
+    so the logits keep their bits; only the penalty drops, by lam^2 per
+    removed column.
     """
-    occupancy = state.z.sum(axis=0)
-    keep = occupancy > 0
+    keep = state.z.any(axis=0)
     if keep.all():
         return state
     state.z = state.z[:, keep]
@@ -654,17 +657,18 @@ def fit(
 ) -> FitReport:
     """Run the full greedy loop and return its report.
 
-    Each outer iteration: sweep Z to a one-flip fixed point, take the
-    damped-Newton W step, prune empty communities, then one grow-by-one
-    proposal, accepted only if it strictly lowers the objective. If the
-    iteration's relative improvement is below rel_tol and that proposal is
-    rejected, up to BIRTH_RETRIES more single-node births are drawn from
-    the same RNG stream, and the first that lowers the objective is kept.
-    The run converges when R+1 births were rejected (R = BIRTH_RETRIES) and
-    a sweep of a copy of the state takes no flip, so the returned state is
-    a one-flip local minimum. Sweeping a copy leaves the state the trace
-    describes, also when the copy takes a flip and the fit then stops at
-    max_outer_iters. A non-finite objective at the end of an outer
+    Each outer iteration: sweep Z to a one-flip fixed point, drop the
+    communities it emptied, take the damped-Newton W step, then one
+    grow-by-one proposal, accepted only if it strictly lowers the
+    objective. If the iteration's relative improvement is below rel_tol
+    and that proposal is rejected, up to BIRTH_RETRIES more single-node
+    births are drawn from the same RNG stream, and the first that lowers
+    the objective is kept. The run converges when R+1 births were rejected
+    (R = BIRTH_RETRIES) and a sweep of a copy of the state takes no flip,
+    so the returned state is a one-flip local minimum. Sweeping a copy
+    leaves the state the trace describes, also when the copy takes a flip
+    and the fit then stops at max_outer_iters; the copy is thrown away, so
+    it needs no prune. A non-finite objective at the end of an outer
     iteration raises NumericalError.
 
     After an accepted birth the next iteration does not sweep: the
@@ -674,12 +678,16 @@ def fit(
     than FLIP_TOLERANCE + 2 beta * mass (see _sweep), one the candidate's
     last pass did not take.
 
-    Z is grouped into pattern pairs (_PairStats) once per grouping: the W
-    step and the post-prune objective share one grouping, with the pruned
-    columns dropped (pruning removes only all-zero columns, so the grouping
-    of Z, its np.unique order and its counts stay the same), and an
-    accepted candidate's grouping, made for its objective, serves the next
-    iteration, whose Z is the candidate's.
+    Only a sweep empties a community, and the state of every sweep fit
+    keeps, its own or a candidate's, is pruned right after it: every state
+    that reaches a W step, an objective or the trace is charged lam^2 per
+    non-empty community, and a birth whose sweep empties an old community
+    is scored at the count it keeps. The one exception is the start's
+    objective, of the initial draw, the reference of the first iteration's
+    improvement. Z is grouped into pattern pairs (_PairStats) once per
+    grouping: the W step and the objective after it share one grouping, and
+    an accepted candidate's grouping, made for its objective, serves the
+    next iteration, whose Z is the candidate's.
 
     ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
     after each outer iteration with the cumulative wall-clock time of the
@@ -705,11 +713,9 @@ def fit(
 
         if not settled:
             _sweep(idx, state)
+            state = prune_empty_features(state)
             stats = _PairStats(y, mask, state.z)
         optimize_w(y, mask, state, stats)
-        stats.patterns = stats.patterns[:, state.z.any(axis=0)]  # the columns prune keeps
-        state = prune_empty_features(state)
-
         q = objective(y, mask, state, stats)
         stalled = (q_start - q) / max(abs(q_start), 1e-12) < config.rel_tol
         # one birth, and BIRTH_RETRIES more if the iteration would otherwise stop

@@ -408,6 +408,16 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_graph_too_large_for_memory_is_data_error(self, tmp_path, capsys):
+        # node id 1e8 asks for a 1e16-byte matrix, past any address space, so
+        # the allocation fails at once and nothing is allocated
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 100000000\n")
+        out = tmp_path / "m.json"
+        assert run_cli("fit", "--format", "edges", "--input", str(edges), "--out", str(out)) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["predict", "communities"])
     @pytest.mark.parametrize("text, field", [
         ('"w": [[null]]', "'w'"),                   # loaded as NaN

@@ -690,12 +690,13 @@ class TestProposeFeature:
         assert np.array_equal(state.w, w_before)
 
     def test_candidate_pays_penalty_for_extra_column(self, rng):
-        # the candidate is not pruned, so its objective carries one extra
-        # lambda^2 term relative to a same-NLL state with k columns
+        # the candidate keeps its new column here, so its objective carries
+        # one extra lambda^2 term relative to a same-NLL state with k columns
         y, mask, state = random_instance(rng, 5, 2)
         candidate = propose_feature(y, mask, state, FitConfig(), np.random.default_rng(2))
         q = objective(y, mask, candidate)
         nll = negative_log_likelihood(y, mask, candidate)
+        assert candidate.k_plus == 3
         assert q == pytest.approx(nll + 3 * 0.25, abs=1e-12)
 
     def test_grows_from_empty_model(self, rng):
@@ -828,7 +829,7 @@ class TestFit:
         assert sum(report.elapsed) <= seen[-1] < 0.3
 
     def test_one_objective_per_iteration_and_birth(self, monkeypatch):
-        # the post-prune objective is carried across births and becomes the
+        # the W step's objective is carried across births and becomes the
         # iteration's trace entry, so each iteration evaluates it once plus
         # once per candidate (its birth and any retries); fit proposes through
         # the module-level name, so a wrapper installed there sees every birth
@@ -851,6 +852,33 @@ class TestFit:
         assert len(calls) == 1 + iterations + len(proposals)
         assert len(proposals) == sum(report.births_proposed)
         assert len(report.births_proposed) == iterations == len(report.accepted_births)
+
+    @pytest.mark.parametrize("seed, rel_tol", [(6, 0.3), (9, 1e-4)])
+    def test_scored_states_have_no_empty_community(self, monkeypatch, seed, rel_tol):
+        # only a sweep empties a column, and fit prunes the states of the
+        # sweeps it keeps, candidates' too, before a W step or an objective
+        # reads them: every state is charged lam^2 per non-empty community.
+        # The start's objective scores the initial draw, which no sweep has
+        # touched yet; these fits' draws fill every column anyway
+        y, mask, config = _planted_problem(seed)
+        filled, removed = {"objective": [], "optimize_w": []}, []
+        for name, seen in filled.items():
+            def wrapped(*args, inner=getattr(optimizer, name), seen=seen):
+                seen.append(bool(args[2].z.any(axis=0).all()))
+                return inner(*args)
+            monkeypatch.setattr(optimizer, name, wrapped)
+        prune = optimizer.prune_empty_features
+
+        def counted_prune(state):
+            k_plus = state.k_plus
+            pruned = prune(state)
+            removed.append(k_plus - pruned.k_plus)
+            return pruned
+
+        monkeypatch.setattr(optimizer, "prune_empty_features", counted_prune)
+        fit(y, mask, replace(config, rel_tol=rel_tol))
+        assert all(filled["objective"]) and all(filled["optimize_w"])
+        assert any(removed)  # a sweep emptied a column
 
     def test_converged_fit_rejected_every_retry(self):
         # convergence needs the first birth and all BIRTH_RETRIES retries rejected
@@ -926,7 +954,7 @@ class TestTrajectory:
         _assert_same_path_as_oracle_sweep(monkeypatch, *problem(0))
 
     def test_convergence_check_that_finds_a_flip(self, monkeypatch):
-        y, mask, config = _planted_problem(6)
+        y, mask, config = _planted_problem(16)
         config = replace(config, rel_tol=0.3)
         report = _assert_same_path_as_oracle_sweep(monkeypatch, y, mask, config)
         # an iteration went on after rejecting every birth: its check swept a flip
