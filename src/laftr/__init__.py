@@ -40,6 +40,7 @@ from .graph import (
 )
 from .model import (
     ModelState,
+    distinct_link_probabilities,
     link_probability,
     negative_log_likelihood,
     objective,
@@ -74,6 +75,7 @@ __all__ = [
     "class_counts",
     "cross_validate_lambda",
     "delta_objective_flip",
+    "distinct_link_probabilities",
     "evaluate_split",
     "fit",
     "heldout_scorer",

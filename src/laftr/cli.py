@@ -28,9 +28,9 @@ import numpy as np
 
 from . import generator, graph
 from .errors import LaftrError, NumericalError, ParseError
-from .evaluation import cross_validate_lambda, heldout_scorer, predict_links, run_splits
+from .evaluation import cross_validate_lambda, heldout_scorer, run_splits
 from .graph import AdjacencyMatrix, ObservationMask
-from .model import ModelState
+from .model import ModelState, distinct_link_probabilities
 from .optimizer import FitConfig, fit
 
 EXIT_OK = 0
@@ -286,8 +286,8 @@ def _cmd_predict(args) -> int:
     state, _ = load_model(args.model)
     with open(args.input, encoding="utf-8") as handle:
         pairs = graph.load_pairs(handle, state.n)
-    probs = predict_links(state, pairs)
-    _atomic_write(args.out, graph.write_predictions(pairs, probs, state.n))
+    values, index = distinct_link_probabilities(state, pairs[:, 0], pairs[:, 1])
+    _atomic_write(args.out, graph.write_predictions(pairs, values, index, state.n))
     print(f"predict: {len(pairs)} pairs -> {args.out}")
     return EXIT_OK
 

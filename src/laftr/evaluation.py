@@ -25,18 +25,19 @@ __all__ = [
 ]
 
 
-def predict_links(state: ModelState, pairs) -> list[float]:
-    """Link probability for each (i, j) pair, in order.
+def predict_links(state: ModelState, pairs) -> np.ndarray:
+    """Link probability for each (i, j) pair, in order, as a float64 array.
 
     ``pairs`` must be shaped (M, 2), or be empty; anything else is a
-    ValueError.
+    ValueError. Indices that are not integers are a TypeError, as in
+    link_probability.
     """
     pairs = np.asarray(pairs)
     if pairs.size == 0:
-        return []
+        return np.zeros(0)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"pairs must be shaped (M, 2), got {pairs.shape}")
-    return link_probability(state, pairs[:, 0], pairs[:, 1]).tolist()
+    return link_probability(state, pairs[:, 0], pairs[:, 1])
 
 
 def class_counts(labels: np.ndarray) -> tuple[int, int]:

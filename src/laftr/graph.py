@@ -420,29 +420,38 @@ def _pair(line: str, lineno: int, n: int) -> tuple[int, int]:
     return i, j
 
 
-def write_predictions(pairs: np.ndarray, probs, n: int) -> str:
+def write_predictions(pairs: np.ndarray, values, index, n: int) -> str:
     """The predictions CSV: an 'i,j,probability' header, then one row per pair.
 
-    ``pairs`` is (M, 2) of indices below ``n`` and ``probs`` their M real
-    probabilities. An index outside 0..n-1, negative ones included, is an
-    IndexError; a ``probs`` of another length is a ValueError and one that
-    is not of a bool, integer or float dtype (a string, say) a TypeError.
-    The rows are laid out as arrays. Each distinct probability, keyed by
-    its float64 bits so that 0.0 and -0.0 stay apart, is formatted once as
-    %.17g, which round-trips a float; the bytes are those of formatting
-    every row's probability with %.17g.
+    ``pairs`` is (M, 2) of indices below ``n``; row m's probability is
+    ``values[index[m]]``, as model.distinct_link_probabilities returns
+    them. Pairs or an index that are not of an integer dtype (bool, float,
+    str) are a TypeError that names the dtype. A pair index outside
+    0..n-1, or an ``index`` entry outside ``values``, negative ones
+    included, is an IndexError; an ``index`` of another length than the
+    pairs is a ValueError, and ``values`` not of a bool, integer or float
+    dtype (a string, say) a TypeError. The rows are laid out as arrays.
+    Each value is formatted once as %.17g, which round-trips a float, and
+    gathered by ``index``; the bytes are those of formatting every row's
+    probability with %.17g.
     """
+    pairs, index, values = np.asarray(pairs), np.asarray(index), np.asarray(values)
+    for name, a in (("pair indices", pairs), ("probability index", index)):
+        if a.dtype.kind not in "iu":
+            raise TypeError(f"{name} must be integers, got dtype {a.dtype}")
     if not ((pairs >= 0) & (pairs < n)).all():
         raise IndexError(f"pair index out of range for n={n}")
-    values = np.asarray(probs)
     if values.dtype.kind not in "biuf":
         raise TypeError(f"probabilities must be real numbers, got dtype {values.dtype}")
-    if values.shape != (len(pairs),):
-        raise ValueError(f"{len(pairs)} pairs but probs of shape {values.shape}")
-    bits = values.astype(np.float64, copy=False).view(np.uint64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=np.bytes_)
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {values.shape}")
+    if index.shape != (len(pairs),):
+        raise ValueError(f"{len(pairs)} pairs but index of shape {index.shape}")
+    if not ((index >= 0) & (index < values.size)).all():
+        raise IndexError(f"probability index out of range for {values.size} values")
+    text = np.array(["%.17g" % v for v in values.astype(np.float64).tolist()],
+                    dtype=np.bytes_)
     width = text.itemsize
     out = _pair_rows(pairs[:, 0], pairs[:, 1], n, b",", b"," + bytes(width) + b"\n")
-    out[:, -1 - width:-1] = text.view(np.uint8).reshape(keys.size, width)[inverse]
+    out[:, -1 - width:-1] = text.view(np.uint8).reshape(text.size, width)[index]
     return "i,j,probability\n" + _unpad(out)

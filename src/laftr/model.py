@@ -35,6 +35,7 @@ __all__ = [
     "ModelState",
     "sigmoid",
     "softplus",
+    "distinct_link_probabilities",
     "link_probability",
     "negative_log_likelihood",
     "objective",
@@ -162,21 +163,50 @@ def _node_pattern_logits(state: ModelState):
     return _pattern_caches(patterns, state.w)[2], inverse
 
 
+def distinct_link_probabilities(state: ModelState, i, j):
+    """Each distinct probability of the pairs (i, j) once, and each pair's index into them.
+
+    ``i`` and ``j`` are node indices or integer index arrays (broadcast
+    together); another dtype (bool, float, str) is a TypeError, and an
+    index outside 0..n-1, negative ones included, an IndexError. A pair's
+    probability depends only on its pattern pair, code inverse[i] * P +
+    inverse[j]: the sigmoid is taken once per pattern pair that occurs,
+    and those values are deduplicated by their float64 bits, so there are
+    at most P^2 of them. ``values[index]`` has the bits of
+    ``sigmoid(state.logits[i, j])``. Besides the per-pair codes and
+    ``index``, no array is larger than the P x P logit table.
+    """
+    i, j = np.asarray(i), np.asarray(j)
+    for a in (i, j):
+        if a.dtype.kind not in "iu":
+            raise TypeError(f"pair indices must be integers, got dtype {a.dtype}")
+    n = state.n
+    if not ((i >= 0) & (i < n) & (j >= 0) & (j < n)).all():
+        raise IndexError(f"pair index out of range for n={n}")
+    table, inverse = _node_pattern_logits(state)
+    n_pat = len(table)
+    code = inverse[i] * n_pat + inverse[j]
+    occurs = np.zeros(n_pat * n_pat, dtype=bool)
+    occurs[code] = True
+    codes = np.flatnonzero(occurs)
+    bits, slot = np.unique(sigmoid(table.ravel()[codes]).view(np.uint64), return_inverse=True)
+    slot_of = np.empty(n_pat * n_pat, dtype=np.intp)
+    slot_of[codes] = slot
+    return bits.view(np.float64), slot_of[code]
+
+
 def link_probability(state: ModelState, i, j):
     """sigma(z_i^T W z_j), read from the pattern logit table.
 
     ``i`` and ``j`` are node indices or integer index arrays (broadcast
     together); an int pair gives a float, arrays give an array of
-    probabilities. Negative indices are rejected, not wrapped. The values
-    are those of ``state.logits[i, j]``, bit for bit, without building the
-    N x N logits.
+    probabilities. A non-integer dtype is a TypeError, and a negative
+    index is rejected, not wrapped. The values are those of
+    ``sigmoid(state.logits[i, j])``, bit for bit, without building the
+    N x N logits: ``values[index]`` of distinct_link_probabilities.
     """
-    i, j = np.asarray(i), np.asarray(j)
-    n = state.n
-    if not ((i >= 0) & (i < n) & (j >= 0) & (j < n)).all():
-        raise IndexError(f"pair index out of range for n={n}")
-    table, inverse = _node_pattern_logits(state)
-    p = sigmoid(table[inverse[i], inverse[j]])
+    values, index = distinct_link_probabilities(state, i, j)
+    p = values[index]
     return float(p) if p.ndim == 0 else p
 
 

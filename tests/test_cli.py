@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from laftr import (
     FitConfig,
@@ -12,11 +14,14 @@ from laftr import (
     ObservationMask,
     ParseError,
     auc_from_scores,
+    distinct_link_probabilities,
     evaluate_split,
     fit,
     link_probability,
     load_dense_matrix,
+    predict_links,
     sample_lfrm,
+    sigmoid,
     split_observations,
     write_dense,
     write_mask,
@@ -27,6 +32,8 @@ from conftest import (
     oracle_link_probabilities,
     oracle_split_observations,
     oracle_write_mask,
+    oracle_write_predictions,
+    random_instance,
 )
 
 
@@ -383,6 +390,74 @@ class TestPairsFile:
         code, out = self.predict(tmp_path, model_12, "")
         assert code == 0
         assert out.read_text() == "i,j,probability\n"
+
+
+@st.composite
+def repeated_row_states(draw):
+    """A state whose nodes share a few membership rows, and pairs drawn with repeats.
+
+    W is symmetric in half the draws, so mirrored pattern pairs can share a
+    probability; the weights come from a short list, so distinct pattern
+    pairs can share one anyway.
+    """
+    k = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k), min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    z = np.array([rows[r] for r in draw(st.lists(st.integers(0, len(rows) - 1),
+                                                 min_size=n, max_size=n))], dtype=float)
+    weights = st.sampled_from([-40.0, -3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 700.0])
+    w = np.array(draw(st.lists(weights, min_size=k * k, max_size=k * k))).reshape(k, k)
+    if draw(st.booleans()):
+        w = np.triu(w) + np.triu(w, 1).T
+    nodes = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.sampled_from(draw(st.lists(st.tuples(nodes, nodes), min_size=1,
+                                                        max_size=5))), max_size=30))
+    state = ModelState.from_factors(z.reshape(n, k), w, 0.5)
+    return state, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+class TestPredictPatternPairs:
+    """laftr predict and predict_links on the pattern-pair path, against per-pair oracles."""
+
+    @staticmethod
+    def check(tmp_path, state, pairs):
+        model_path, pairs_path, out = (tmp_path / name for name in ("m.json", "p.txt", "p.csv"))
+        model_path.write_text(cli._model_to_json(state, [], 0))
+        pairs_path.write_text("".join(f"{i} {j}\n" for i, j in pairs.tolist()))
+        assert run_cli("predict", "--model", str(model_path), "--input", str(pairs_path),
+                       "--out", str(out)) == 0
+        expected = oracle_link_probabilities(state, pairs.tolist())
+        assert out.read_bytes() == oracle_write_predictions(pairs, expected, state.n).encode()
+        probs = predict_links(state, pairs)
+        assert probs.dtype == np.float64 and probs.shape == (len(pairs),)
+        assert probs.tobytes() == sigmoid(state.logits[pairs[:, 0], pairs[:, 1]]).tobytes()
+        values, index = distinct_link_probabilities(state, pairs[:, 0], pairs[:, 1])
+        assert values[index].tobytes() == probs.tobytes()
+        assert np.unique(values.view(np.uint64)).size == values.size
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=repeated_row_states())
+    def test_csv_and_probabilities_match_the_oracles(self, tmp_path, drawn):
+        self.check(tmp_path, *drawn)
+
+    def test_mirrored_pattern_pairs_share_one_value(self, tmp_path):
+        z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        state = ModelState.from_factors(z, np.array([[1.0, 2.0], [2.0, -1.0]]), 0.5)
+        pairs = np.array([[0, 1], [1, 0], [2, 1], [0, 2]])
+        values, index = distinct_link_probabilities(state, pairs[:, 0], pairs[:, 1])
+        assert values.tolist() == [float(sigmoid(1.0)), float(sigmoid(2.0))]
+        assert index.tolist() == [1, 1, 1, 0]
+        self.check(tmp_path, state, pairs)
+
+    def test_single_pair(self, tmp_path):
+        _, _, state = random_instance(np.random.default_rng(3), 6, 2)
+        self.check(tmp_path, state, np.array([[4, 1]]))
+
+    def test_empty_pair_file(self, tmp_path):
+        _, _, state = random_instance(np.random.default_rng(3), 6, 2)
+        self.check(tmp_path, state, np.zeros((0, 2), dtype=np.int64))
+        assert (tmp_path / "p.csv").read_text() == "i,j,probability\n"
 
 
 class TestExitCodes:

@@ -42,22 +42,23 @@ def planted_graph(n=30, blocks=2, seed=0):
 class TestPredictLinks:
     def test_zero_feature_model_predicts_half(self):
         state = ModelState.from_factors(np.zeros((4, 0)), np.zeros((0, 0)), 0.5)
-        assert predict_links(state, [(0, 1), (2, 3)]) == [0.5, 0.5]
+        np.testing.assert_array_equal(predict_links(state, [(0, 1), (2, 3)]), [0.5, 0.5],
+                                      strict=True)
 
     def test_empty_pairs(self, rng):
         _, _, state = random_instance(rng, 4, 2)
-        assert predict_links(state, []) == []
+        np.testing.assert_array_equal(predict_links(state, []), np.zeros(0), strict=True)
 
     def test_matches_link_probability(self, rng):
         _, _, state = random_instance(rng, 5, 2)
-        assert predict_links(state, [(1, 3)]) == [link_probability(state, 1, 3)]
+        np.testing.assert_array_equal(predict_links(state, [(1, 3)]),
+                                      [link_probability(state, 1, 3)], strict=True)
 
     def test_many_pairs_match_oracle_in_input_order(self, rng):
         _, _, state = random_instance(rng, 9, 3)
         pairs = [tuple(p) for p in rng.integers(0, 9, size=(50, 2)).tolist()]
         probs = predict_links(state, pairs)
-        assert all(type(p) is float for p in probs)
-        assert probs == oracle_link_probabilities(state, pairs)
+        np.testing.assert_array_equal(probs, oracle_link_probabilities(state, pairs), strict=True)
 
     def test_bad_index(self, rng):
         _, _, state = random_instance(rng, 4, 2)
@@ -69,6 +70,13 @@ class TestPredictLinks:
         _, _, state = random_instance(rng, 4, 2)
         with pytest.raises(ValueError, match=r"\(M, 2\)"):
             predict_links(state, pairs)
+
+    def test_boolean_pairs_are_a_type_error(self):
+        # as masks, these two rows would score the pairs (0, 0) and (1, 1)
+        # of a 2-node state without an error
+        state = ModelState.from_factors(np.array([[1.0], [0.0]]), np.array([[3.0]]), 0.5)
+        with pytest.raises(TypeError, match="got dtype bool"):
+            predict_links(state, np.array([[True, False], [False, True]]))
 
     def test_negative_index_is_not_wrapped(self, rng):
         _, _, state = random_instance(rng, 4, 2)
@@ -167,7 +175,7 @@ class TestEvaluateSplit:
         # when the penalty wins completely the model is empty, every score is
         # 0.5, and the tie-handling returns exactly 0.5
         state = ModelState.from_factors(np.zeros((6, 0)), np.zeros((0, 0)), 1000.0)
-        scores = np.array(predict_links(state, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        scores = predict_links(state, [(0, 1), (1, 2), (2, 3), (3, 4)])
         labels = np.array([1, 0, 0, 1])
         assert (scores == 0.5).all()
         assert auc_from_scores(scores, labels) == 0.5

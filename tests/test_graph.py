@@ -411,38 +411,68 @@ class TestPredictionsCsv:
            as_array=st.booleans())
     def test_rows_match_the_oracle(self, data, n, as_array):
         base = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-        pool = base + [float(np.nextafter(v, 2.0)) for v in base] + _SPECIAL_PROBS
+        values = base + [float(np.nextafter(v, 2.0)) for v in base] + _SPECIAL_PROBS
         m = data.draw(st.integers(0, 40))
         pairs = np.array(data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                             min_size=m, max_size=m)), dtype=np.int64).reshape(m, 2)
-        probs = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        index = np.array(data.draw(st.lists(st.integers(0, len(values) - 1), min_size=m,
+                                            max_size=m)), dtype=np.int64)
+        probs = [values[k] for k in index.tolist()]
         if as_array:
-            probs = np.array(probs, dtype=float)
-        assert write_predictions(pairs, probs, n) == oracle_write_predictions(pairs, probs, n)
+            values = np.array(values, dtype=float)
+        assert (write_predictions(pairs, values, index, n)
+                == oracle_write_predictions(pairs, probs, n))
 
     def test_zero_and_negative_zero_are_told_apart(self):
         pairs = np.array([[0, 1], [1, 0], [1, 1]])
-        csv = write_predictions(pairs, [0.0, -0.0, 0.0], 2)
+        csv = write_predictions(pairs, [0.0, -0.0], np.array([0, 1, 0]), 2)
         assert csv == "i,j,probability\n0,1,0\n1,0,-0\n1,1,0\n"
         assert csv == oracle_write_predictions(pairs, [0.0, -0.0, 0.0], 2)
 
     def test_empty_pairs_give_the_header_alone(self):
-        assert write_predictions(np.zeros((0, 2), dtype=np.int64), [], 3) == "i,j,probability\n"
+        empty = np.zeros(0, dtype=np.int64)
+        assert write_predictions(empty.reshape(0, 2), [], empty, 3) == "i,j,probability\n"
 
     @pytest.mark.parametrize("pair", [[-1, 0], [0, -3], [3, 0], [0, 7]])
     def test_index_out_of_range_is_an_index_error(self, pair):
         with pytest.raises(IndexError, match=r"pair index out of range for n=3$"):
-            write_predictions(np.array([[0, 1], pair]), [0.5, 0.5], 3)
+            write_predictions(np.array([[0, 1], pair]), [0.5], np.array([0, 0]), 3)
+
+    @pytest.mark.parametrize("index", [[-1, 0], [0, 2], [5, 0]])
+    def test_probability_index_out_of_range_is_an_index_error(self, index):
+        with pytest.raises(IndexError, match=r"^probability index out of range for 2 values$"):
+            write_predictions(np.array([[0, 1], [1, 2]]), [0.25, 0.5], np.array(index), 3)
 
     @pytest.mark.parametrize("probs", [[0.5], [0.5, 0.5, 0.5], np.array([0.5, 0.5, 0.5]), []])
     def test_probs_of_another_length_are_a_value_error(self, probs):
-        with pytest.raises(ValueError, match=rf"^2 pairs but probs of shape \({len(probs)},\)$"):
-            write_predictions(np.array([[0, 1], [1, 2]]), probs, 3)
+        # row m's probability is values[index[m]]: the index has one entry per row
+        index = np.zeros(len(probs), dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"^2 pairs but index of shape \({len(probs)},\)$"):
+            write_predictions(np.array([[0, 1], [1, 2]]), [0.5], index, 3)
+
+    @pytest.mark.parametrize("values", [0.5, [[0.5, 0.25]]])
+    def test_values_that_are_not_1d_are_a_value_error(self, values):
+        with pytest.raises(ValueError, match=r"^values must be 1-D, got shape \("):
+            write_predictions(np.array([[0, 1], [1, 2]]), values, np.array([0, 0]), 3)
 
     @pytest.mark.parametrize("probs", [["0.5", "0.5"], [0.5, "0.5"], [0.5, None], [0.5, 1j]])
     def test_probs_that_are_not_real_numbers_are_a_type_error(self, probs):
         with pytest.raises(TypeError, match="probabilities must be real numbers"):
-            write_predictions(np.array([[0, 1], [1, 2]]), probs, 3)
+            write_predictions(np.array([[0, 1], [1, 2]]), probs, np.array([0, 1]), 3)
+
+    @pytest.mark.parametrize("pairs", [np.array([[0.0, 1.0], [1.0, 2.0]]),
+                                       np.array([[False, True], [True, True]]),
+                                       np.array([["0", "1"], ["1", "2"]])])
+    def test_pairs_that_are_not_integers_are_a_type_error(self, pairs):
+        with pytest.raises(TypeError, match=rf"^pair indices must be integers, got dtype {pairs.dtype}$"):
+            write_predictions(pairs, [0.5], np.array([0, 0]), 3)
+
+    @pytest.mark.parametrize("index", [np.array([0.0, 0.0]), np.array([False, True]),
+                                       np.array(["0", "0"])])
+    def test_index_that_is_not_integer_is_a_type_error(self, index):
+        with pytest.raises(TypeError,
+                           match=rf"^probability index must be integers, got dtype {index.dtype}$"):
+            write_predictions(np.array([[0, 1], [1, 2]]), [0.5, 0.25], index, 3)
 
 
 class TestObservationMask:

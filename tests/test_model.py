@@ -92,6 +92,21 @@ class TestLinkProbability:
         assert probs.shape == i.shape
         assert probs.tolist() == oracle_link_probabilities(state, zip(i.tolist(), j.tolist()))
 
+    @pytest.mark.parametrize("i, j, dtype", [
+        (True, True, "bool"),
+        (np.array([True, False]), np.array([1, 1]), "bool"),
+        (np.array([1, 1]), np.array([1.0, 0.0]), "float64"),
+        (1.0, 1, "float64"),
+        ("1", 1, "<U1"),
+    ])
+    def test_non_integer_indices_are_a_type_error(self, i, j, dtype):
+        # taken as masks, (True, True) would select [sigma(3), sigma(0)],
+        # while the pair (1, 1) scores sigma(0)
+        state = make_state([[1.0], [0.0]], [[3.0]])
+        with pytest.raises(TypeError, match=rf"^pair indices must be integers, got dtype {dtype}$"):
+            link_probability(state, i, j)
+        assert link_probability(state, 1, 1) == 0.5
+
     def test_empty_index_arrays(self, rng):
         _, _, state = random_instance(rng, 4, 2)
         empty = np.array([], dtype=np.int64)
@@ -393,7 +408,7 @@ class TestOneLogitPath:
 
         monkeypatch.setattr(ModelState, "logits", property(no_logits))
         assert link_probability(state, i, j).tobytes() == expected.tobytes()
-        assert predict_links(state, np.stack([i, j], axis=1)) == expected.tolist()
+        assert predict_links(state, np.stack([i, j], axis=1)).tobytes() == expected.tobytes()
         assert evaluate_split(y, train, test, config)[0] == auc
 
     def test_logits_do_not_depend_on_the_blas_thread_count(self):
