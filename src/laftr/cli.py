@@ -61,7 +61,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _load_matrix(path: str, fmt: str) -> AdjacencyMatrix:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:  # the reader names the line of a byte that is not UTF-8
         if fmt == "edges":
             return graph.load_edge_list(handle)
         return graph.load_dense_matrix(handle)
@@ -255,7 +255,7 @@ def _cmd_fit(args) -> int:
     y = _load_matrix(args.input, args.format)
     config = _fit_config_from_args(args)
     if args.mask:
-        with open(args.mask, encoding="utf-8") as handle:
+        with open(args.mask, "rb") as handle:
             train_mask, test_mask = graph.load_mask(handle, y.n)
     else:
         train_mask = ObservationMask.full(y.n, include_diagonal=args.include_diagonal)
@@ -284,7 +284,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     state, _ = load_model(args.model)
-    with open(args.input, encoding="utf-8") as handle:
+    with open(args.input, "rb") as handle:
         pairs = graph.load_pairs(handle, state.n)
     values, index = distinct_link_probabilities(state, pairs[:, 0], pairs[:, 1])
     _atomic_write(args.out, graph.write_predictions(pairs, values, index, state.n))

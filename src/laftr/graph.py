@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import BinaryIO, Iterable, TextIO
 
 import numpy as np
 
@@ -90,61 +90,204 @@ class ObservationMask:
         return cls(n, observed)
 
 
-def _iter_data_lines(stream: Iterable[str]):
-    """Yield (line_number, stripped_line) skipping blanks and '#' comments."""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if line and line[0] != "#":
-            yield lineno, line
-
-
 # the ASCII bytes str.split() and str.strip() treat as whitespace
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+_SPACES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+# the most decimal digits that always fit an int64
+_INT64_DIGITS = 18
 
 
-def _read_lines(stream: Iterable[str] | TextIO) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """Read a text stream whole: its UTF-8 bytes, their uint8 view and its line bounds.
+def _read_lines(stream: Iterable[str] | TextIO | BinaryIO) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """Read a stream whole: its UTF-8 bytes, their uint8 view and its line bounds.
 
-    Line k (numbered k + 1) is ``data[bounds[k]:bounds[k + 1]]``, its
-    "\\n" included, so no line is empty and the lines are those that
+    Line k (numbered k + 1) is ``data[bounds[k]:bounds[k + 1]]``, its line
+    end included, so no line is empty and the lines are those that
     iterating the stream yields. A stream without ``read`` is an iterable
-    of lines.
+    of lines. A binary stream is read as text-mode ``open(..., encoding=
+    "utf-8")`` reads the file: "\\n", "\\r\\n" and a lone "\\r" end a line,
+    and a byte that is not UTF-8 is a ParseError that names its line.
     """
     if hasattr(stream, "read"):
         text = stream.read()
     else:
         text = "\n".join(line.removesuffix("\n") for line in stream)
-    data = text.encode("utf-8", "surrogatepass")
+    binary = isinstance(text, bytes)
+    data = text if binary else text.encode("utf-8", "surrogatepass")
     buf = np.frombuffer(data, dtype=np.uint8)
     if not buf.size:
         return data, buf, np.zeros(1, dtype=np.intp)
-    starts = np.flatnonzero(buf[:-1] == ord("\n")) + 1
-    return data, buf, np.concatenate(([0], starts, [buf.size]))
+    ends = buf[:-1] == ord("\n")
+    if binary and b"\r" in data:
+        ends |= (buf[:-1] == ord("\r")) & (buf[1:] != ord("\n"))
+    bounds = np.concatenate(([0], np.flatnonzero(ends) + 1, [buf.size]))
+    if binary and not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"undecodable byte 0x{data[exc.start]:02x}: {exc.reason}",
+                             int(np.searchsorted(bounds, exc.start, side="right"))) from None
+    return data, buf, bounds
 
 
-def _lines_of(bounds: np.ndarray, flagged: np.ndarray) -> np.ndarray:
-    """Sorted indices of the lines that hold a flagged byte."""
-    return np.unique(np.searchsorted(bounds, np.flatnonzero(flagged), side="right") - 1)
+def _others(data: bytes, allowed: bytes) -> np.ndarray:
+    """Where ``data`` holds a byte that is neither ASCII whitespace nor one of ``allowed``.
+
+    One bytes.translate pass maps every byte, faster than numpy compares
+    or a lookup table.
+    """
+    table = bytes(byte not in _SPACES + allowed for byte in range(256))
+    return np.frombuffer(data.translate(table), dtype=bool)
 
 
-def _parse_lines(data: bytes, bounds: np.ndarray, lines: np.ndarray, parse_line) -> dict:
-    """``{k: parse_line(stripped line, line number)}`` for the data lines among ``lines``.
+def _lines_of(bounds: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Sorted indices of the lines that hold a byte at one of ``positions``."""
+    return np.unique(np.searchsorted(bounds, positions, side="right") - 1)
 
-    Blank and '#' lines are skipped as _iter_data_lines skips them. The
-    lines are parsed in order, so the first bad one raises.
+
+def _line_text(data: bytes, bounds: np.ndarray, k: int) -> str:
+    """Line k, stripped."""
+    return data[bounds[k]:bounds[k + 1]].decode("utf-8", "surrogatepass").strip()
+
+
+def _parse_lines(data: bytes, bounds: np.ndarray, lines: np.ndarray, parse_line):
+    """``{k: parse_line(line k stripped, k + 1)}`` for the data lines among ``lines``, and an error.
+
+    Blank and '#' lines are skipped. The lines are parsed in order up to
+    the first bad one, whose ParseError is returned with the lines before
+    it (None if every line parses).
     """
     parsed = {}
     for k in lines.tolist():
-        line = data[bounds[k]:bounds[k + 1]].decode("utf-8", "surrogatepass").strip()
+        line = _line_text(data, bounds, k)
         if line and line[0] != "#":
-            parsed[k] = parse_line(line, k + 1)
-    return parsed
+            try:
+                parsed[k] = parse_line(line, k + 1)
+            except ParseError as exc:
+                return parsed, exc
+    return parsed, None
+
+
+def _int_token(token: str) -> int:
+    """The value of a token of ASCII digits after an optional '+'; any other is a ValueError."""
+    digits = token[1:] if token[:1] == "+" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a token of digits: {token!r}")
+    return int(digits)
 
 
 def _index_width(n: int) -> int:
     """Decimal digits of the largest node index below ``n``."""
     return len(str(max(n - 1, 0)))
+
+
+def _int_lines(stream, limits: tuple, parse_line, separators: bytes, defaults: tuple):
+    """Read lines of integer tokens into an (M, len(limits)) int64 array, in file order.
+
+    Column c of a row is below limits[c] (None: no bound); a line may omit
+    the last len(defaults) tokens, which then take those values. The file
+    is read whole and parsed with array passes: a digit run ends where a
+    digit is followed by another byte, and each value is gathered digit
+    by digit leftwards from its run end, at most as many digits as the
+    widest limit has (and at most 18, which an int64 always holds). A
+    line of such runs parted by ASCII whitespace and ``separators`` bytes,
+    with as many runs as the first such line and values in range, is read
+    from them: when every line is such a line, the rows are the values in
+    order. Every other line (a comment, a blank line, another byte such
+    as the '+' of ``+1``, a run longer than that width) goes through
+    ``parse_line`` as _parse_lines calls it, which accepts or rejects it
+    token by token, returning its row with the defaults filled in.
+
+    Returns (rows, lines, error, text): row m is of line lines[m]
+    (0-based); error is the ParseError of the first bad line or None, and
+    the rows are those of the lines before it; text(k) is line k stripped.
+    """
+    data, buf, bounds = _read_lines(stream)
+    ncols, n_lines = len(limits), len(bounds) - 1
+    width = min(_INT64_DIGITS, max(_INT64_DIGITS if limit is None else _index_width(limit)
+                                   for limit in limits))
+    code = buf - np.uint8(ord("0"))  # a digit's value, or 10 and up for any other byte
+    digit = np.zeros(buf.size + 1, dtype=bool)
+    np.less(code, 10, out=digit[:-1])
+    ends = np.flatnonzero(digit[:-1] > digit[1:])  # a digit before a non-digit ends a run
+    values = code.take(ends).astype(np.int64)
+    alive = np.ones(ends.size, dtype=bool)  # the runs with a digit k places left of their end
+    pos = ends.copy()
+    for k in range(1, width + 1):
+        pos -= 1
+        d = code.take(pos)
+        alive &= d < 10
+        alive[:1] &= pos[:1] >= 0  # only a run at the file's start can reach past it
+        if k == width or not alive.any():
+            break
+        d *= alive
+        values += d * np.int64(10**k)
+
+    # the usual file, every line with as many runs as the first, shows in one
+    # pass over the lines; else each line's runs are counted
+    low = ncols - len(defaults)
+    tokens = int(np.searchsorted(ends, bounds[1])) if n_lines else ncols
+    uniform = (low <= tokens <= ncols and ends.size == tokens * n_lines
+               and (ends[::tokens] >= bounds[:-1]).all()
+               and (ends[tokens - 1::tokens] < bounds[1:]).all())
+    counts = tokens if uniform else np.diff(np.searchsorted(ends, bounds))
+    fast = np.ones(n_lines, dtype=bool) if uniform else (counts >= low) & (counts <= ncols)
+    fast[_lines_of(bounds, np.flatnonzero(_others(data, b"0123456789" + separators)))] = False
+    fast[_lines_of(bounds, ends[alive])] = False  # longer than any value in range
+    if not uniform:
+        tokens = counts[fast.argmax()] if fast.any() else ncols  # the runs of the first fast line
+        fast &= counts == tokens
+    rows = (values if fast.all() else values[np.repeat(fast, counts)]).reshape(-1, tokens)
+    if tokens < ncols:
+        rows = np.column_stack((rows, np.broadcast_to(defaults[tokens - ncols:],
+                                                      (len(rows), ncols - tokens))))
+    lines = np.flatnonzero(fast)
+    out = np.zeros(len(rows), dtype=bool)
+    for column, limit in enumerate(limits):
+        if limit is not None:
+            out |= rows[:, column] >= limit
+    if out.any():
+        fast[lines[out]] = False
+        rows, lines = rows[~out], lines[~out]
+
+    parsed, error = _parse_lines(data, bounds, np.flatnonzero(~fast), parse_line)
+    if parsed:
+        slow = np.fromiter(parsed, dtype=np.intp, count=len(parsed))
+        every = np.empty((n_lines, ncols), dtype=np.int64)
+        every[lines] = rows
+        every[slow] = list(parsed.values())
+        fast[slow] = True
+        lines = np.flatnonzero(fast)
+        rows = every[lines]
+    if error is not None:
+        before = np.searchsorted(lines, error.line_number - 1)
+        rows, lines = rows[:before], lines[:before]
+    return rows, lines, error, functools.partial(_line_text, data, bounds)
+
+
+def _flag_pairs(rows: np.ndarray, lines: np.ndarray, error, text, size: int, what: str):
+    """The (size, size) boolean masks of the pairs (i, j) that rows (i, j, flag) flag 1 and 0.
+
+    Repeating a row is idempotent. A pair flagged both 1 and 0 is a
+    ParseError ("conflicting <what> ...") at the first line that flags it
+    otherwise than its first line did, and ``error``, which follows every
+    row (see _int_lines), is raised after that check.
+    """
+    ones = np.zeros((size, size), dtype=bool).ravel()  # a 2-D request fails as numpy fails it
+    zeros = np.zeros_like(ones)
+    keys = rows[:, 0] * size + rows[:, 1]
+    flags = rows[:, 2] == 1
+    ones[keys[flags]] = True
+    zeros[keys[~flags]] = True
+    both = ones & zeros
+    if both.any():
+        first = {}
+        for m in np.flatnonzero(both[keys]).tolist():
+            if first.setdefault(int(keys[m]), flags[m]) != flags[m]:
+                i, j = rows[m, :2].tolist()
+                raise ParseError(f"conflicting {what} for pair ({i}, {j}) in {text(lines[m])!r}",
+                                 int(lines[m]) + 1)
+    if error is not None:
+        raise error
+    return ones.reshape(size, size), zeros.reshape(size, size)
 
 
 def _pair_rows(rows: np.ndarray, cols: np.ndarray, n: int, sep: bytes, tail: bytes) -> np.ndarray:
@@ -171,68 +314,70 @@ def _unpad(rows: np.ndarray) -> str:
     return str(rows[rows != 0], "ascii")
 
 
-def load_edge_list(stream: Iterable[str] | TextIO, n: int | None = None) -> AdjacencyMatrix:
+def load_edge_list(stream: Iterable[str] | TextIO | BinaryIO,
+                   n: int | None = None) -> AdjacencyMatrix:
     """Parse "src dst [value]" lines (tab- or space-separated) into a matrix.
 
     Node ids are non-negative integers; the optional third token must be 0
     or 1 (default 1). If ``n`` is omitted it is inferred as 1 + max id.
     Repeating a line is idempotent; giving one pair two different values is
     a ParseError at the second line. The result carries symmetric_hint=False:
-    an edge list is read as a directed relation.
+    an edge list is read as a directed relation. The lines are read by
+    _int_lines, with ``_edge`` as the per-line parse.
     """
-    edges: dict[tuple[int, int], int] = {}
-    max_id = -1
-    for lineno, line in _iter_data_lines(stream):
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"expected 'src dst [value]', got {line!r}", lineno)
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", lineno) from None
-        if src < 0 or dst < 0:
-            raise ParseError(f"negative node id in {line!r}", lineno)
-        if n is not None and (src >= n or dst >= n):
-            raise ParseError(f"node id out of range (n={n}) in {line!r}", lineno)
-        value = 1
-        if len(parts) == 3:
-            try:
-                value = int(parts[2])
-            except ValueError:
-                raise ParseError(f"non-integer edge value in {line!r}", lineno) from None
-            if value not in (0, 1):
-                raise ParseError(f"edge value must be 0 or 1, got {value}", lineno)
-        if edges.setdefault((src, dst), value) != value:
-            raise ParseError(f"conflicting value for pair ({src}, {dst}) in {line!r}", lineno)
-        max_id = max(max_id, src, dst)
-
-    if n is None and max_id < 0:
+    rows, lines, error, text = _int_lines(stream, (n, n, 2), functools.partial(_edge, n=n),
+                                          b"", (1,))
+    size = n if n is not None else int(rows[:, :2].max(initial=-1)) + 1
+    ones, _ = _flag_pairs(rows, lines, error, text, size, "value")
+    if n is None and not len(rows):
         raise ParseError("cannot infer node count from an empty edge list; pass n")
-    size = n if n is not None else max_id + 1
-    entries = np.zeros((size, size), dtype=np.int8)
-    for (src, dst), value in edges.items():
-        entries[src, dst] = value
-    return AdjacencyMatrix(size, entries, symmetric_hint=False)
+    return AdjacencyMatrix(size, ones.view(np.int8), symmetric_hint=False)
 
 
-def load_dense_matrix(stream: Iterable[str] | TextIO) -> AdjacencyMatrix:
+def _edge(line: str, lineno: int, n: int | None) -> tuple[int, int, int]:
+    """One stripped data line of an edge list, parsed token by token."""
+    parts = line.split()
+    if len(parts) not in (2, 3):
+        raise ParseError(f"expected 'src dst [value]', got {line!r}", lineno)
+    try:
+        src, dst = _int_token(parts[0]), _int_token(parts[1])
+    except ValueError:
+        raise ParseError(f"non-integer node id in {line!r}", lineno) from None
+    if n is not None and (src >= n or dst >= n):
+        raise ParseError(f"node id out of range (n={n}) in {line!r}", lineno)
+    if max(src, dst) > np.iinfo(np.int64).max:  # no matrix has room for it
+        raise ParseError(f"node id too large in {line!r}", lineno)
+    value = 1
+    if len(parts) == 3:
+        try:
+            value = _int_token(parts[2])
+        except ValueError:
+            raise ParseError(f"non-integer edge value in {line!r}", lineno) from None
+        if value not in (0, 1):
+            raise ParseError(f"edge value must be 0 or 1, got {value}", lineno)
+    return src, dst, value
+
+
+def load_dense_matrix(stream: Iterable[str] | TextIO | BinaryIO) -> AdjacencyMatrix:
     """Parse N rows of N whitespace-separated {0,1} tokens.
 
     Blank lines and lines starting with '#' are skipped. The file is read
     whole and checked with array masks; a line they cannot vouch for (a
     comment, a token such as ``01`` or ``+1``, any other byte) is parsed
-    with ``int()`` token by token, so it is accepted or rejected exactly as
-    a line-by-line parse would. symmetric_hint is set by checking the
-    parsed matrix against its transpose.
+    token by token, so it is accepted or rejected exactly as a line-by-line
+    parse would. symmetric_hint is set by checking the parsed matrix
+    against its transpose.
     """
     data, buf, bounds = _read_lines(stream)
     digit = (buf | 1) == ord("1")  # b"0" or b"1"
-    bad = ~(digit | _SPACE[buf])
+    bad = _others(data, b"01").copy()
     bad[1:] |= digit[1:] & digit[:-1]  # a token longer than one byte
-    slow = _lines_of(bounds, bad)
+    slow = _lines_of(bounds, np.flatnonzero(bad))
     counts = np.add.reduceat(digit, bounds[:-1], dtype=np.intp)  # tokens per fast line
     counts[slow] = 0
-    slow_rows = _parse_lines(data, bounds, slow, _dense_row)
+    slow_rows, error = _parse_lines(data, bounds, slow, _dense_row)
+    if error is not None:
+        raise error
     for k, row in slow_rows.items():
         counts[k] = len(row)
 
@@ -259,7 +404,7 @@ def load_dense_matrix(stream: Iterable[str] | TextIO) -> AdjacencyMatrix:
 def _dense_row(line: str, lineno: int) -> list[int]:
     """One stripped data line of a dense matrix file, parsed token by token."""
     try:
-        row = [int(t) for t in line.split()]
+        row = [_int_token(t) for t in line.split()]
     except ValueError:
         raise ParseError(f"non-integer token in row {line!r}", lineno) from None
     if any(v not in (0, 1) for v in row):
@@ -345,65 +490,48 @@ def write_mask(train: ObservationMask, test: ObservationMask) -> str:
     return _unpad(out) or "\n"
 
 
-def load_mask(stream: Iterable[str] | TextIO, n: int) -> tuple[ObservationMask, ObservationMask]:
+def load_mask(stream: Iterable[str] | TextIO | BinaryIO,
+              n: int) -> tuple[ObservationMask, ObservationMask]:
     """Parse a mask file back into (train, test) masks.
 
     Repeating a line is idempotent; flagging one pair both 1 and 0 is a
-    ParseError at the second line, so no entry is both trained on and held out.
+    ParseError at the second line, so no entry is both trained on and held
+    out. The lines are read by _int_lines, with ``_mask_line`` as the
+    per-line parse.
     """
-    train = np.zeros((n, n), dtype=bool)
-    test = np.zeros((n, n), dtype=bool)
-    for lineno, line in _iter_data_lines(stream):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'i j flag', got {line!r}", lineno)
-        try:
-            i, j, flag = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", lineno) from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"index out of range (n={n}) in {line!r}", lineno)
-        if flag not in (0, 1):
-            raise ParseError(f"mask flag must be 0 or 1, got {flag}", lineno)
-        if (test if flag == 1 else train)[i, j]:
-            raise ParseError(f"conflicting flag for pair ({i}, {j}) in {line!r}", lineno)
-        (train if flag == 1 else test)[i, j] = True
+    rows, lines, error, text = _int_lines(stream, (n, n, 2), functools.partial(_mask_line, n=n),
+                                          b"", ())
+    train, test = _flag_pairs(rows, lines, error, text, n, "flag")
     return ObservationMask(n, train), ObservationMask(n, test)
 
 
-def load_pairs(stream: Iterable[str] | TextIO, n: int) -> np.ndarray:
+def _mask_line(line: str, lineno: int, n: int) -> tuple[int, int, int]:
+    """One stripped data line of a mask file, parsed token by token."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ParseError(f"expected 'i j flag', got {line!r}", lineno)
+    try:
+        i, j, flag = (_int_token(t) for t in parts)
+    except ValueError:
+        raise ParseError(f"non-integer token in {line!r}", lineno) from None
+    if not (i < n and j < n):
+        raise ParseError(f"index out of range (n={n}) in {line!r}", lineno)
+    if flag not in (0, 1):
+        raise ParseError(f"mask flag must be 0 or 1, got {flag}", lineno)
+    return i, j, flag
+
+
+def load_pairs(stream: Iterable[str] | TextIO | BinaryIO, n: int) -> np.ndarray:
     """Parse a pair file, 'i j' or 'i,j' lines, into an (M, 2) int64 array of indices below ``n``.
 
-    Blank lines and '#' comments are skipped. As in load_dense_matrix,
-    array masks accept the plain lines and every other line goes through
-    ``_pair``, which accepts or rejects it token by token; a bad line is a
+    Blank lines and '#' comments are skipped. The lines are read by
+    _int_lines, with ``_pair`` as the per-line parse; a bad line is a
     ParseError that names it.
     """
-    data, buf, bounds = _read_lines(stream)
-    digit = (buf >= ord("0")) & (buf <= ord("9"))
-    edges = np.diff(digit.view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    counts = np.diff(np.searchsorted(starts, bounds))  # digit runs per line
-    width = _index_width(n)
-    values = np.zeros(starts.size, dtype=np.int64)
-    for k in range(width):  # the k-th digit from the right of every run
-        pos = ends - 1 - k
-        inside = pos >= starts
-        values[inside] += (buf[pos[inside]] - ord("0")) * np.int64(10**k)
-
-    slow = counts != 2
-    slow[_lines_of(bounds, ~(digit | _SPACE[buf] | (buf == ord(","))))] = True
-    token_line = np.repeat(np.arange(slow.size), counts)
-    # a run longer than n - 1's digits has leading zeros or is out of range: _pair decides
-    slow[token_line[(ends - starts > width) | (values >= n)]] = True
-    pairs = np.empty((slow.size, 2), dtype=np.int64)
-    pairs[~slow] = values[~slow[token_line]].reshape(-1, 2)
-    is_pair = ~slow
-    for k, pair in _parse_lines(data, bounds, np.flatnonzero(slow),
-                                functools.partial(_pair, n=n)).items():
-        pairs[k] = pair
-        is_pair[k] = True
-    return pairs[is_pair]
+    rows, _, error, _ = _int_lines(stream, (n, n), functools.partial(_pair, n=n), b",", ())
+    if error is not None:
+        raise error
+    return rows
 
 
 def _pair(line: str, lineno: int, n: int) -> tuple[int, int]:
@@ -412,10 +540,10 @@ def _pair(line: str, lineno: int, n: int) -> tuple[int, int]:
     if len(parts) != 2:
         raise ParseError(f"expected 'i j', got {line!r}", lineno)
     try:
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _int_token(parts[0]), _int_token(parts[1])
     except ValueError:
         raise ParseError(f"non-integer pair in {line!r}", lineno) from None
-    if not (0 <= i < n and 0 <= j < n):
+    if not (i < n and j < n):
         raise ParseError(f"pair index out of range (n={n}) in {line!r}", lineno)
     return i, j
 

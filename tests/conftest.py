@@ -29,6 +29,7 @@ one-flip fixed point.
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,6 +428,13 @@ def _oracle_data_lines(stream):
             yield lineno, line
 
 
+def oracle_int(token: str) -> int:
+    """A file token's value: ASCII digits after an optional '+'; any other token is a ValueError."""
+    if not re.fullmatch(r"\+?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def oracle_load_dense_matrix(stream) -> AdjacencyMatrix:
     """load_dense_matrix parsed one line and one token at a time."""
     rows: list[list[int]] = []
@@ -434,7 +442,7 @@ def oracle_load_dense_matrix(stream) -> AdjacencyMatrix:
     for lineno, line in _oracle_data_lines(stream):
         tokens = line.split()
         try:
-            row = [int(t) for t in tokens]
+            row = [oracle_int(t) for t in tokens]
         except ValueError:
             raise ParseError(f"non-integer token in row {line!r}", lineno) from None
         if any(v not in (0, 1) for v in row):
@@ -453,6 +461,65 @@ def oracle_load_dense_matrix(stream) -> AdjacencyMatrix:
     return AdjacencyMatrix(size, entries, symmetric_hint=symmetric)
 
 
+def oracle_load_edge_list(stream, n=None) -> AdjacencyMatrix:
+    """load_edge_list parsed one line at a time, with a dict of the values seen."""
+    edges: dict[tuple[int, int], int] = {}
+    max_id = -1
+    for lineno, line in _oracle_data_lines(stream):
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"expected 'src dst [value]', got {line!r}", lineno)
+        try:
+            src, dst = oracle_int(parts[0]), oracle_int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer node id in {line!r}", lineno) from None
+        if n is not None and (src >= n or dst >= n):
+            raise ParseError(f"node id out of range (n={n}) in {line!r}", lineno)
+        if max(src, dst) >= 2**63:
+            raise ParseError(f"node id too large in {line!r}", lineno)
+        value = 1
+        if len(parts) == 3:
+            try:
+                value = oracle_int(parts[2])
+            except ValueError:
+                raise ParseError(f"non-integer edge value in {line!r}", lineno) from None
+            if value not in (0, 1):
+                raise ParseError(f"edge value must be 0 or 1, got {value}", lineno)
+        if edges.setdefault((src, dst), value) != value:
+            raise ParseError(f"conflicting value for pair ({src}, {dst}) in {line!r}", lineno)
+        max_id = max(max_id, src, dst)
+
+    if n is None and max_id < 0:
+        raise ParseError("cannot infer node count from an empty edge list; pass n")
+    size = n if n is not None else max_id + 1
+    entries = np.zeros((size, size), dtype=np.int8)
+    for (src, dst), value in edges.items():
+        entries[src, dst] = value
+    return AdjacencyMatrix(size, entries, symmetric_hint=False)
+
+
+def oracle_load_mask(stream, n: int) -> tuple[ObservationMask, ObservationMask]:
+    """load_mask parsed one line at a time, each pair checked against both masks so far."""
+    train = np.zeros((n, n), dtype=bool)
+    test = np.zeros((n, n), dtype=bool)
+    for lineno, line in _oracle_data_lines(stream):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'i j flag', got {line!r}", lineno)
+        try:
+            i, j, flag = oracle_int(parts[0]), oracle_int(parts[1]), oracle_int(parts[2])
+        except ValueError:
+            raise ParseError(f"non-integer token in {line!r}", lineno) from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParseError(f"index out of range (n={n}) in {line!r}", lineno)
+        if flag not in (0, 1):
+            raise ParseError(f"mask flag must be 0 or 1, got {flag}", lineno)
+        if (test if flag == 1 else train)[i, j]:
+            raise ParseError(f"conflicting flag for pair ({i}, {j}) in {line!r}", lineno)
+        (train if flag == 1 else test)[i, j] = True
+    return ObservationMask(n, train), ObservationMask(n, test)
+
+
 def oracle_write_dense(adj: AdjacencyMatrix) -> str:
     """write_dense formatted one entry at a time."""
     return "\n".join(" ".join(str(int(v)) for v in row) for row in adj.entries) + "\n"
@@ -466,7 +533,7 @@ def oracle_load_pairs(stream, n: int) -> np.ndarray:
         if len(parts) != 2:
             raise ParseError(f"expected 'i j', got {line!r}", lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = oracle_int(parts[0]), oracle_int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer pair in {line!r}", lineno) from None
         if not (0 <= i < n and 0 <= j < n):
@@ -485,9 +552,12 @@ def parse_outcome(parse, text, *args, as_lines=False):
     """What a parser makes of ``text``: its result, or its ParseError's (message, line).
 
     The parser reads a text stream, or with ``as_lines`` the list of lines
-    that iterating one yields.
+    that iterating one yields; ``text`` given as bytes is a binary stream.
     """
-    source = io.StringIO(text).readlines() if as_lines else io.StringIO(text)
+    if isinstance(text, bytes):
+        source = io.BytesIO(text)
+    else:
+        source = io.StringIO(text).readlines() if as_lines else io.StringIO(text)
     try:
         return parse(source, *args)
     except ParseError as exc:

@@ -378,7 +378,8 @@ class TestPairsFile:
         ("0 1\n\n1 2 3\n", "line 3: expected 'i j', got '1 2 3'"),
         ("# c\n0 x\n", "line 2: non-integer pair in '0 x'"),
         ("0 1\n# c\n\n3,4\n0 99\n", "line 5: pair index out of range (n=12) in '0 99'"),
-        ("-1 0\n", "line 1: pair index out of range (n=12) in '-1 0'"),
+        ("-1 0\n", "line 1: non-integer pair in '-1 0'"),
+        ("0 1\n1_0 1\n", "line 2: non-integer pair in '1_0 1'"),
     ])
     def test_bad_line_exits_2_and_names_it(self, tmp_path, capsys, model_12, text, error):
         code, out = self.predict(tmp_path, model_12, text)
@@ -482,6 +483,26 @@ class TestExitCodes:
         code = run_cli("fit", "--input", str(bad), "--out", str(tmp_path / "m.json"))
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "fit --mask", "fit", "fit --format edges"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys, command):
+        graph_path, bad = tmp_path / "g.txt", tmp_path / "bad.txt"
+        graph_path.write_text("0 1 0\n1 0 1\n0 1 0\n")
+        lines = {"predict": b"0 1\n# c\n1 0\xff\n", "fit --mask": b"0 1 1\n# c\n1 0\xff 0\n",
+                 "fit": b"0 1 0\n1 0 1\n0 1\xff 0\n", "fit --format edges": b"0 1\n\n1 \xff\n"}
+        bad.write_bytes(lines[command])
+        model = tmp_path / "m.json"
+        state = ModelState.from_factors(np.eye(3), np.zeros((3, 3)), 0.5)
+        model.write_text(cli._model_to_json(state, [], 0))
+        argv = {"predict": ["predict", "--model", str(model), "--input", str(bad)],
+                "fit --mask": ["fit", "--input", str(graph_path), "--mask", str(bad)],
+                "fit": ["fit", "--input", str(bad)],
+                "fit --format edges": ["fit", "--format", "edges", "--input", str(bad)]}[command]
+        out = tmp_path / "out.txt"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "laftr: error: line 3: undecodable byte 0xff: invalid start byte\n")
+        assert not out.exists()
 
     def test_graph_too_large_for_memory_is_data_error(self, tmp_path, capsys):
         # node id 1e8 asks for a 1e16-byte matrix, past any address space, so

@@ -24,6 +24,8 @@ from laftr import (
 from laftr.graph import _deal_units
 from conftest import (
     oracle_load_dense_matrix,
+    oracle_load_edge_list,
+    oracle_load_mask,
     oracle_load_pairs,
     oracle_split_observations,
     oracle_write_dense,
@@ -254,9 +256,10 @@ class TestArrayPathsMatchOracles:
         assert write_mask(train_mask, test_mask) == oracle_write_mask(train_mask, test_mask)
 
 
-# int() accepts each of these as 0 or 1, so a line holding one is a matrix row
-ODD_BITS = ["01", "+1", "00", "-0", "0_1", "\u0661"]
-BAD_TOKENS = ["2", "x", "1.0", "0x1", "10", "1,0"]
+# tokens of 0 or 1 that the single-digit fast path leaves to the per-line parse
+ODD_BITS = ["01", "+1", "00", "+0"]
+# int() reads the last three as 0 or 1, but a token is ASCII digits after an optional '+'
+BAD_TOKENS = ["2", "x", "1.0", "0x1", "10", "1,0", "-0", "0_1", "\u0661"]
 FILLER_LINES = ["", "   ", "\t\r", "# comment 0 1", "  #x", "#"]
 
 
@@ -397,6 +400,215 @@ class TestPairsFile:
         want = parse_outcome(oracle_load_pairs, text, n)
         assert isinstance(want, tuple)
         assert parse_outcome(load_pairs, text, n) == want
+
+
+# token separators of an edge list or mask line, ASCII whitespace all
+INT_SEPARATORS = [" ", "  ", "\t", " \t", "\x0b", "\x1c"]
+
+
+@st.composite
+def flag_lines(draw, n, counts):
+    """Lines "i j flag" of a mask file or edge list, with blank and comment lines between.
+
+    Each line has one of ``counts`` tokens; a 2-token line flags 1, as in an
+    edge list. Its pair comes from a few drawn pairs, each with one flag,
+    so lines repeat but never conflict. Ids are below ``n`` (below 30 when
+    it is None), and each token is plain or has '0' or '+' before it.
+    """
+    index = st.integers(0, (30 if n is None else n) - 1)
+    flags = draw(st.dictionaries(st.tuples(index, index), st.sampled_from([0, 1]),
+                                 min_size=1, max_size=4))
+    form = st.sampled_from(["{}", "{}", "0{}", "+{}", "00{}"])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        lines += draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
+        (i, j), flag = draw(st.sampled_from(sorted(flags.items())))
+        count = draw(st.sampled_from(counts)) if flag == 1 else 3
+        words = [draw(form).format(v) for v in (i, j, flag)[:count]]
+        seps = draw(st.lists(st.sampled_from(INT_SEPARATORS), min_size=count, max_size=count))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        trail = draw(st.sampled_from(["", " ", "\r", "\x0c"]))
+        lines.append(lead + "".join(sep + w for sep, w in zip(["", *seps], words)) + trail)
+    return lines
+
+
+def conflicting_copy(line: str) -> str:
+    """The line's pair with the other flag: a 2-token edge line flags 1."""
+    parts = line.split()
+    flag = int(parts[2]) if len(parts) == 3 else 1
+    return f"{parts[0]} {parts[1]} {1 - flag}"
+
+
+def inject_faults(data, lines, bad_lines):
+    """Insert a bad line, a conflicting repeat of a data line after that line, or both.
+
+    The repeat is placed first, so the bad line may land before or after it.
+    """
+    kinds = data.draw(st.lists(st.sampled_from(["bad", "conflict"]), min_size=1, max_size=2))
+    for kind in sorted(kinds, reverse=True):
+        if kind == "bad":
+            bad = data.draw(st.sampled_from(bad_lines))
+            lines.insert(data.draw(st.integers(0, len(lines))), bad)
+            continue
+        rows = [k for k, line in enumerate(lines) if line.strip() and line.strip()[0] != "#"]
+        if not rows:
+            lines.append("0 0 1")
+            rows = [len(lines) - 1]
+        k = data.draw(st.sampled_from(rows))
+        lines.insert(data.draw(st.integers(k + 1, len(lines))), conflicting_copy(lines[k]))
+    return lines
+
+
+def assert_same_outcome(got, want):
+    """The same ParseError (message, line), or equal arrays, matrices or (train, test) masks."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    elif isinstance(want, AdjacencyMatrix):
+        assert got.n == want.n and got.symmetric_hint == want.symmetric_hint
+        assert np.array_equal(got.entries, want.entries)
+    elif isinstance(want[0], ObservationMask):
+        assert all(np.array_equal(a.observed, b.observed) for a, b in zip(got, want))
+    else:
+        assert got == want
+
+
+class TestMaskFileMatchesOracle:
+    """load_mask against the line-by-line oracle: the same masks, or the same error and line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 9, 10, 11, 999, 1000]),
+           as_lines=st.booleans())
+    def test_accepted_files_parse_alike(self, data, n, as_lines):
+        text = join_lines(data.draw, data.draw(flag_lines(n, [3])))
+        want = oracle_load_mask(io.StringIO(text), n)
+        assert_same_outcome(parse_outcome(load_mask, text, n, as_lines=as_lines), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 3, 10, 100]), as_lines=st.booleans())
+    def test_injected_faults_fail_alike(self, data, n, as_lines):
+        bad_lines = [f"{n} 0 1", f"0 0{n} 0", f"+{n + 5} 0 1", "0 0 2", "0 0 +2", "0 0 02",
+                     "0 0", "0 0 1 1", "-0 0 1", "0 -1 0", "++1 0 0", "+ 0 1", "1_0 0 1",
+                     "\u0661 0 1", "0x1 0 0", "0 0 1.0", "0,0,1", "0 0 1 #", "a b c"]
+        lines = inject_faults(data, data.draw(flag_lines(n, [3])), bad_lines)
+        text = join_lines(data.draw, lines)
+        want = parse_outcome(oracle_load_mask, text, n)
+        assert isinstance(want[0], str)
+        assert parse_outcome(load_mask, text, n, as_lines=as_lines) == want
+
+    @pytest.mark.parametrize("text, error", [
+        ("0 1 1\n0 1 0\n0 x 0\n", "line 2: conflicting flag for pair (0, 1) in '0 1 0'"),
+        ("0 1 1\n0 x 0\n0 1 0\n", "line 2: non-integer token in '0 x 0'"),
+        ("1 0 0\n# c\n1 0 1\n0 5 1\n", "line 3: conflicting flag for pair (1, 0) in '1 0 1'"),
+        ("1 0 0\n0 5 1\n1 0 1\n", "line 2: index out of range (n=2) in '0 5 1'"),
+    ])
+    def test_first_bad_line_wins(self, text, error):
+        assert parse_outcome(oracle_load_mask, text, 2) == (error, int(error[5]))
+        assert parse_outcome(load_mask, text, 2) == (error, int(error[5]))
+
+
+class TestEdgeListMatchesOracle:
+    """load_edge_list against the line-by-line oracle, with ``n`` given and inferred."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([None, None, 1, 2, 10, 11, 1000]),
+           counts=st.sampled_from([[2], [3], [2, 3]]), as_lines=st.booleans())
+    def test_accepted_files_parse_alike(self, data, n, counts, as_lines):
+        text = join_lines(data.draw, data.draw(flag_lines(n, counts)))
+        want = parse_outcome(oracle_load_edge_list, text, n)  # an error only without n or edges
+        assert_same_outcome(parse_outcome(load_edge_list, text, n, as_lines=as_lines), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([None, 1, 3, 100]),
+           counts=st.sampled_from([[2], [3], [2, 3]]), as_lines=st.booleans())
+    def test_injected_faults_fail_alike(self, data, n, counts, as_lines):
+        bad_lines = ["0 0 2", "0 0 +2", "0 0 02", "0", "0 0 1 1", "-0 0", "0 -1", "++1 0",
+                     "+ 0", "1_0 0", "\u0661 0", "0x1 0", "0 0 1.0", "0,0", "0 0 #", "a b"]
+        if n is not None:
+            bad_lines += [f"{n} 0", f"0 0{n} 0", f"+{n + 5} 0 1"]
+        lines = inject_faults(data, data.draw(flag_lines(n, counts)), bad_lines)
+        text = join_lines(data.draw, lines)
+        want = parse_outcome(oracle_load_edge_list, text, n)
+        assert isinstance(want[0], str)
+        assert parse_outcome(load_edge_list, text, n, as_lines=as_lines) == want
+
+    @pytest.mark.parametrize("text, error", [
+        ("0 1\n0 1 0\n0 x\n", "line 2: conflicting value for pair (0, 1) in '0 1 0'"),
+        ("0 1\n0 x\n0 1 0\n", "line 2: non-integer node id in '0 x'"),
+    ])
+    def test_first_bad_line_wins(self, text, error):
+        assert parse_outcome(oracle_load_edge_list, text) == (error, 2)
+        assert parse_outcome(load_edge_list, text) == (error, 2)
+
+
+class TestTokenRule:
+    """A token is ASCII digits after an optional '+'; int() reads more than that."""
+
+    @pytest.mark.parametrize("parse, text, args, error", [
+        (load_dense_matrix, "0_1 1\n1 0\n", (), "line 1: non-integer token in row '0_1 1'"),
+        (load_dense_matrix, "0 1\n-0 0\n", (), "line 2: non-integer token in row '-0 0'"),
+        (load_pairs, "1_0 1\n", (20,), "line 1: non-integer pair in '1_0 1'"),
+        (load_pairs, "\u0661 0\n", (2,), "line 1: non-integer pair in '\u0661 0'"),
+        (load_mask, "1_0 1 1\n", (20,), "line 1: non-integer token in '1_0 1 1'"),
+        (load_mask, "0 0 1\n0 \uff11 1\n", (2,), "line 2: non-integer token in '0 \uff11 1'"),
+        (load_edge_list, "1_0 1\n", (20,), "line 1: non-integer node id in '1_0 1'"),
+        (load_edge_list, "0 1 \u0661\n", (), "line 1: non-integer edge value in '0 1 \u0661'"),
+    ])
+    def test_other_integer_forms_are_parse_errors(self, parse, text, args, error):
+        assert parse_outcome(parse, text, *args) == (error, int(error[5]))
+
+    @pytest.mark.parametrize("parse, text, args, oracle", [
+        (load_pairs, "+1 01\n", (2,), oracle_load_pairs),
+        (load_mask, "+1 01 +0\n", (2,), oracle_load_mask),
+        (load_edge_list, "00 +1 01\n", (), oracle_load_edge_list),
+    ])
+    def test_plus_and_leading_zeros_keep_their_meaning(self, parse, text, args, oracle):
+        assert_same_outcome(parse_outcome(parse, text, *args), oracle(io.StringIO(text), *args))
+
+
+class TestIntegerLineLayouts:
+    """Layouts that the array pass of the integer-line readers must not misread."""
+
+    @pytest.mark.parametrize("parse, text, args", [
+        (load_pairs, "5 1\n3 4", (1000,)),  # the first run has no byte before it
+        (load_mask, "7 1 1\n3 4 0", (1000,)),
+        (load_edge_list, "9 1\n3 4", ()),
+        (load_pairs, "0 1\n2\n3 4 5\n", (10,)),  # a short and a long line: as many runs
+        (load_mask, "0 0 1\n0 0\n0 0 1 1\n", (10,)),
+        (load_edge_list, "0 0\n0\n0 0 1\n", ()),
+        (load_edge_list, "0 1\n0 0 1\n1 1 0\n", ()),  # two and three tokens
+        (load_edge_list, "0 1\n0 99999999999999999999\n", ()),  # past any int64
+    ])
+    def test_parse_as_the_oracle(self, parse, text, args):
+        oracle = {load_pairs: oracle_load_pairs, load_mask: oracle_load_mask,
+                  load_edge_list: oracle_load_edge_list}[parse]
+        assert_same_outcome(parse_outcome(parse, text, *args), parse_outcome(oracle, text, *args))
+
+
+class TestBinaryStreams:
+    """A binary stream, as the CLI opens its input files, reads as text-mode open() reads it."""
+
+    @pytest.mark.parametrize("parse, text, args", [
+        (load_pairs, "0 1\r1 0\r\n# c\r\r1,1", (2,)),
+        (load_mask, "0 1 1\r\n1 0 0\r# \u00e9\n", (2,)),
+        (load_edge_list, "0 1\r1 0 0\n\r1 1\r", ()),
+        (load_dense_matrix, "0 1\r1 0\r\n", ()),
+        (load_pairs, "0 1\n0 x\r1 0\n", (2,)),
+    ])
+    def test_bytes_parse_as_a_text_mode_file(self, tmp_path, parse, text, args):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            want = parse_outcome(parse, handle.read(), *args)
+        assert_same_outcome(parse_outcome(parse, path.read_bytes(), *args), want)
+
+    @pytest.mark.parametrize("parse, args", [(load_pairs, (2,)), (load_mask, (2,)),
+                                             (load_edge_list, ()), (load_dense_matrix, ())])
+    @pytest.mark.parametrize("line", ["0 1\xff", "# \xe9", "\xed\xa0\x80"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, parse, args, line):
+        data = b"0 1 1\n\n" + line.encode("latin-1") + b"\n0 x\n"
+        message, lineno = parse_outcome(parse, data, *args)
+        assert message.startswith("line 3: undecodable byte 0x") and lineno == 3
 
 
 # zeros of both signs, nan, the infinities, the least subnormal and 1
