@@ -1,22 +1,26 @@
-"""Print the CPU milliseconds of each step of ``laftr predict`` on the benchmark's score-large instances.
+"""Print the CPU milliseconds of each step of ``laftr predict`` on benchmark-sized instances.
 
     python3 scripts/predict_phases.py
 
-For each seed in 5, 7 and 110, the ``score-large`` instance is generated and
-split exactly as the benchmark does; the generating model is written as a
-model file and the held-out pairs (an ``i j`` line each, in row-major order)
-as a pair file. ``laftr predict`` then runs 9 times in this process, with
-BLAS on one thread. The functions it calls are wrapped from outside, as
-``scripts/fit_phases.py`` does, and no package code changes. Each cell is the
-median CPU time (``time.process_time``) of one step over the 9 calls:
+The instances are the benchmark's ``score-large`` instances of seeds 5, 7 and
+110, and the first ``planted-eval`` and ``ibp-grow`` instances of seed 110,
+each generated and split exactly as the benchmark does. The generating model
+is written as a model file and the held-out pairs (an ``i j`` line each, in
+row-major order) as a pair file. ``laftr predict`` then runs 9 times in this
+process, with BLAS on one thread. The functions it calls are wrapped from
+outside, as ``scripts/fit_phases.py`` does, and no package code changes. Each
+cell is the median CPU time (``time.process_time``) of one step over the 9
+calls:
 
+- parser: from the start of ``cli.main`` to the start of ``load_model``, the
+  argument parsing;
 - load_model: ``cli.load_model``, the model file;
 - load_pairs: ``graph.load_pairs``, the pair file;
 - probabilities: ``distinct_link_probabilities`` as ``cli`` calls it, the
   distinct pattern-pair probabilities and each pair's index into them;
 - CSV layout: ``graph.write_predictions``, the CSV text;
 - write: ``cli._atomic_write``, the file write and rename;
-- other: the rest of ``cli.main`` (argument parsing, the summary line);
+- other: the rest of ``cli.main`` (the summary line);
 - total: ``cli.main``.
 
 Below the steps it prints each instance's pair count and its number of
@@ -45,21 +49,26 @@ import numpy as np  # noqa: E402
 from laftr import cli, graph, model  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
-SEEDS = (5, 7, 110)
+# (workload, seed) of each column
+INSTANCES = (("score-large", 5), ("score-large", 7), ("score-large", 110),
+             ("planted-eval", 110), ("ibp-grow", 110))
 CALLS = 9
 STEPS = ("load_model", "load_pairs", "probabilities", "CSV layout", "write")
+ROWS = ("parser", *STEPS, "other", "total")
 
 
 class Steps:
-    """CPU seconds of each wrapped step, one entry per call, and the last distinct count."""
+    """CPU start and seconds of each wrapped step, one entry per call, and the last distinct count."""
 
     def __init__(self):
+        self.starts = defaultdict(list)
         self.seconds = defaultdict(list)
         self.distinct = 0
 
     def wrap(self, fn, step):
         def timed(*args, **kwargs):
             start = time.process_time()
+            self.starts[step].append(start)
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -82,16 +91,17 @@ class Steps:
         cli.distinct_link_probabilities = counted
 
 
-def instance_files(seed: int, workdir: Path) -> tuple[list[str], int]:
-    """The ``laftr predict`` arguments for the seed's score-large instance, and its pair count."""
-    workload = workloads.WORKLOADS["score-large"]
-    (inst_seed,) = workloads.instance_seeds(seed, workload.instances)
+def instance_files(workload_name: str, seed: int, workdir: Path) -> tuple[list[str], int]:
+    """The ``laftr predict`` arguments for the seed's first instance of the workload, with its
+    generating model and held-out pairs, and its pair count."""
+    workload = workloads.WORKLOADS[workload_name]
+    inst_seed = workloads.instance_seeds(seed, workload.instances)[0]
     z, w, y = workload.generate(inst_seed)
     _, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
                                        workload.tie_symmetric)
     truth = model.ModelState.from_factors(np.asarray(z, dtype=float), np.asarray(w, dtype=float),
                                           workloads.DEFAULT_LAMBDA)
-    model_path, pairs_path, csv_path = (workdir / f"{seed}.{name}"
+    model_path, pairs_path, csv_path = (workdir / f"{workload_name}-{seed}.{name}"
                                         for name in ("model.json", "pairs.txt", "preds.csv"))
     model_path.write_text(workloads.model_json(truth, [], inst_seed), encoding="utf-8")
     pairs = np.argwhere(test.observed)
@@ -102,18 +112,22 @@ def instance_files(seed: int, workdir: Path) -> tuple[list[str], int]:
 
 
 def measure(steps: Steps, argv: list[str]) -> dict[str, float]:
-    """Median CPU milliseconds of each step, of the rest and of the whole command."""
+    """Median CPU milliseconds of the parser, of each step, of the rest and of the whole command."""
+    steps.starts.clear()
     steps.seconds.clear()
-    totals = []
+    starts, totals = [], []
     for _ in range(CALLS):
         with contextlib.redirect_stdout(io.StringIO()):
             start = time.process_time()
             code = cli.main(argv)
             totals.append(time.process_time() - start)
+        starts.append(start)
         if code != 0:
             raise SystemExit(f"laftr predict exited {code}")
-    runs = list(zip(*(steps.seconds[step] for step in STEPS)))
+    parser = [first - start for first, start in zip(steps.starts["load_model"], starts)]
+    runs = list(zip(parser, *(steps.seconds[step] for step in STEPS)))
     medians = {step: statistics.median(steps.seconds[step]) for step in STEPS}
+    medians["parser"] = statistics.median(parser)
     medians["other"] = statistics.median(total - sum(run) for total, run in zip(totals, runs))
     medians["total"] = statistics.median(totals)
     return {step: 1000 * s for step, s in medians.items()}
@@ -124,16 +138,16 @@ def main() -> None:
     steps.install()
     results, sizes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            argv, n_pairs = instance_files(seed, Path(tmp))
-            results[seed] = measure(steps, argv)
-            sizes[seed] = (n_pairs, steps.distinct)
-    print(f"{'step (cpu ms)':<24}" + "".join(f"{f'seed {seed}':>12}" for seed in SEEDS))
-    for step in (*STEPS, "other", "total"):
-        print(f"{step:<24}" + "".join(f"{results[seed][step]:>12.1f}" for seed in SEEDS))
+        for key in INSTANCES:
+            argv, n_pairs = instance_files(*key, Path(tmp))
+            results[key] = measure(steps, argv)
+            sizes[key] = (n_pairs, steps.distinct)
+    print(f"{'step (cpu ms)':<24}" + "".join(f"{f'{name} {seed}':>18}" for name, seed in INSTANCES))
+    for step in ROWS:
+        print(f"{step:<24}" + "".join(f"{results[key][step]:>18.2f}" for key in INSTANCES))
     print()
-    print(f"{'pairs':<24}" + "".join(f"{sizes[seed][0]:>12}" for seed in SEEDS))
-    print(f"{'distinct probabilities':<24}" + "".join(f"{sizes[seed][1]:>12}" for seed in SEEDS))
+    print(f"{'pairs':<24}" + "".join(f"{sizes[key][0]:>18}" for key in INSTANCES))
+    print(f"{'distinct probabilities':<24}" + "".join(f"{sizes[key][1]:>18}" for key in INSTANCES))
 
 
 if __name__ == "__main__":

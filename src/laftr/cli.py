@@ -67,6 +67,14 @@ def _load_matrix(path: str, fmt: str) -> AdjacencyMatrix:
         return graph.load_dense_matrix(handle)
 
 
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text, lines ended by "\\n" as text-mode ``open`` ends them; a byte
+    that is not UTF-8 is a ParseError that names its line."""
+    with open(path, "rb") as handle:
+        text = graph.decode_utf8(handle.read())
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _model_to_json(state: ModelState, objective_trace, seed: int) -> str:
     payload = {
         "k": state.k_plus,
@@ -92,8 +100,7 @@ def load_model(path: str) -> tuple[ModelState, dict]:
     numbers and ``lambda`` a finite number >= 0; otherwise a ParseError
     names the offending field.
     """
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = json.loads(_read_text(path))
     if not isinstance(payload, dict):
         raise ParseError(f"model file must hold a JSON object, got {type(payload).__name__}")
     for key in ("z", "k", "w", "lambda"):
@@ -123,8 +130,8 @@ def load_model(path: str) -> tuple[ModelState, dict]:
     lam = payload["lambda"]
     if not (_is_finite_number(lam) and lam >= 0):
         raise ParseError(f"model field 'lambda' must be a finite number >= 0, got {lam!r}")
-    state = ModelState.from_factors(z, w, lam)
-    return state, payload
+    # every check of ModelState.from_factors is made above, and z and w are fresh arrays
+    return ModelState(z, w, float(lam)), payload
 
 
 def _fit_config_from_args(args) -> FitConfig:
@@ -161,66 +168,64 @@ def _add_input_flags(parser) -> None:
                         help="graph file format (default dense)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="laftr",
-                     description="Overlapping community models for link prediction.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit a model and write model JSON")
-    _add_input_flags(p_fit)
+def _fit_command_flags(parser) -> None:
+    _add_input_flags(parser)
     # a mask file decides the observed entries itself, so the two exclude each other
-    observed = p_fit.add_mutually_exclusive_group()
+    observed = parser.add_mutually_exclusive_group()
     observed.add_argument("--mask", help="mask file; lines 'i j {0|1}', 1 = train")
     observed.add_argument("--include-diagonal", action="store_true",
                           help="observe self-links too (without --mask)")
-    p_fit.add_argument("--out", required=True, help="model JSON output path")
-    p_fit.add_argument("--auc-trace", action="store_true",
-                       help="also write <out>.trace.csv of (seconds, heldout_auc) per iteration")
-    _add_fit_flags(p_fit)
+    parser.add_argument("--out", required=True, help="model JSON output path")
+    parser.add_argument("--auc-trace", action="store_true",
+                        help="also write <out>.trace.csv of (seconds, heldout_auc) per iteration")
+    _add_fit_flags(parser)
 
-    p_pred = sub.add_parser("predict", help="score node pairs with a fitted model")
-    p_pred.add_argument("--model", required=True, help="model JSON from fit")
-    p_pred.add_argument("--input", required=True, help="pair list: lines 'i j'")
-    p_pred.add_argument("--out", required=True, help="CSV output: i,j,probability")
 
-    p_eval = sub.add_parser("eval", help="multi-split link-prediction protocol")
-    _add_input_flags(p_eval)
-    p_eval.add_argument("--out", required=True,
+def _predict_flags(parser) -> None:
+    parser.add_argument("--model", required=True, help="model JSON from fit")
+    parser.add_argument("--input", required=True, help="pair list: lines 'i j'")
+    parser.add_argument("--out", required=True, help="CSV output: i,j,probability")
+
+
+def _eval_flags(parser) -> None:
+    _add_input_flags(parser)
+    parser.add_argument("--out", required=True,
                         help="output prefix: writes <out>.csv, <out>.json, <out>.split<seed>.mask")
-    p_eval.add_argument("--splits", type=int, default=5, help="number of splits (default 5)")
-    _add_split_flags(p_eval)
-    _add_fit_flags(p_eval)
+    parser.add_argument("--splits", type=int, default=5, help="number of splits (default 5)")
+    _add_split_flags(parser)
+    _add_fit_flags(parser)
 
-    p_cv = sub.add_parser("cv", help="cross-validate the penalty weight")
-    _add_input_flags(p_cv)
-    p_cv.add_argument("--out", required=True, help="CSV output: lambda,mean_auc")
-    p_cv.add_argument("--lambda-grid", required=True,
-                      help="comma-separated penalty values, e.g. 0.1,0.5,1.0")
-    p_cv.add_argument("--folds", type=int, default=5, help="fold count (default 5)")
-    _add_split_flags(p_cv)
-    _add_fit_flags(p_cv)
 
-    p_gen = sub.add_parser("generate", help="sample a synthetic graph")
-    p_gen.add_argument("--out", required=True,
-                       help="dense matrix output; truth factors go to <out>.truth.json")
-    p_gen.add_argument("--n", type=int, required=True, help="node count")
-    p_gen.add_argument("--alpha", type=float, default=1.0,
-                       help="buffet-process rate for sampled memberships (default 1.0)")
-    p_gen.add_argument("--sigma-w", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--planted-k", type=int,
-                       help="instead of sampling memberships, plant this many disjoint blocks")
-    p_gen.add_argument("--w-in", type=float, default=6.0,
-                       help="within-block weight for --planted-k (default 6)")
-    p_gen.add_argument("--w-out", type=float, default=-6.0,
-                       help="cross-block weight for --planted-k (default -6)")
+def _cv_flags(parser) -> None:
+    _add_input_flags(parser)
+    parser.add_argument("--out", required=True, help="CSV output: lambda,mean_auc")
+    parser.add_argument("--lambda-grid", required=True,
+                        help="comma-separated penalty values, e.g. 0.1,0.5,1.0")
+    parser.add_argument("--folds", type=int, default=5, help="fold count (default 5)")
+    _add_split_flags(parser)
+    _add_fit_flags(parser)
 
-    p_comm = sub.add_parser("communities", help="list community memberships from a model")
-    p_comm.add_argument("--model", required=True, help="model JSON from fit")
-    p_comm.add_argument("--labels", help="optional node-name file, one per line")
-    p_comm.add_argument("--out", help="write the report here instead of stdout")
 
-    return parser
+def _generate_flags(parser) -> None:
+    parser.add_argument("--out", required=True,
+                        help="dense matrix output; truth factors go to <out>.truth.json")
+    parser.add_argument("--n", type=int, required=True, help="node count")
+    parser.add_argument("--alpha", type=float, default=1.0,
+                        help="buffet-process rate for sampled memberships (default 1.0)")
+    parser.add_argument("--sigma-w", type=float, default=1.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--planted-k", type=int,
+                        help="instead of sampling memberships, plant this many disjoint blocks")
+    parser.add_argument("--w-in", type=float, default=6.0,
+                        help="within-block weight for --planted-k (default 6)")
+    parser.add_argument("--w-out", type=float, default=-6.0,
+                        help="cross-block weight for --planted-k (default -6)")
+
+
+def _communities_flags(parser) -> None:
+    parser.add_argument("--model", required=True, help="model JSON from fit")
+    parser.add_argument("--labels", help="optional node-name file, one per line")
+    parser.add_argument("--out", help="write the report here instead of stdout")
 
 
 def dump_communities(z: np.ndarray, labels: list[str] | None = None) -> str:
@@ -365,8 +370,7 @@ def _cmd_communities(args) -> int:
     state, _ = load_model(args.model)
     labels = None
     if args.labels:
-        with open(args.labels, encoding="utf-8") as handle:
-            labels = [line.rstrip("\n") for line in handle if line.strip()]
+        labels = [line for line in _read_text(args.labels).split("\n") if line.strip()]
     report = dump_communities(state.z, labels)
     if args.out:
         _atomic_write(args.out, report)
@@ -375,21 +379,48 @@ def _cmd_communities(args) -> int:
     return EXIT_OK
 
 
+# name -> (help line, flag builder, run function), in the order `laftr --help` lists them
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
-    "eval": _cmd_eval,
-    "cv": _cmd_cv,
-    "generate": _cmd_generate,
-    "communities": _cmd_communities,
+    "fit": ("fit a model and write model JSON", _fit_command_flags, _cmd_fit),
+    "predict": ("score node pairs with a fitted model", _predict_flags, _cmd_predict),
+    "eval": ("multi-split link-prediction protocol", _eval_flags, _cmd_eval),
+    "cv": ("cross-validate the penalty weight", _cv_flags, _cmd_cv),
+    "generate": ("sample a synthetic graph", _generate_flags, _cmd_generate),
+    "communities": ("list community memberships from a model", _communities_flags,
+                    _cmd_communities),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: one subparser per command."""
+    parser = _Parser(prog="laftr",
+                     description="Overlapping community models for link prediction.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
+    return parser
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, as `laftr <name>`.
+
+    Its flags, help text and Namespace are those of build_parser()'s subparser.
+    An unrecognized flag prints this parser's usage, not the top-level one.
+    """
+    parser = _Parser(prog=f"laftr {name}")
+    _COMMANDS[name][1](parser)
+    parser.set_defaults(command=name)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:  # build the flags of the command that runs, no others
+        args = command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except NumericalError as exc:
         print(f"laftr: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

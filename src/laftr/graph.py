@@ -25,6 +25,7 @@ from .errors import ParseError
 __all__ = [
     "AdjacencyMatrix",
     "ObservationMask",
+    "decode_utf8",
     "load_edge_list",
     "load_dense_matrix",
     "split_observations",
@@ -120,12 +121,19 @@ def _read_lines(stream: Iterable[str] | TextIO | BinaryIO) -> tuple[bytes, np.nd
         ends |= (buf[:-1] == ord("\r")) & (buf[1:] != ord("\n"))
     bounds = np.concatenate(([0], np.flatnonzero(ends) + 1, [buf.size]))
     if binary and not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"undecodable byte 0x{data[exc.start]:02x}: {exc.reason}",
-                             int(np.searchsorted(bounds, exc.start, side="right"))) from None
+        decode_utf8(data)
     return data, buf, bounds
+
+
+def decode_utf8(data: bytes) -> str:
+    """The UTF-8 text of ``data``; a byte that is not UTF-8 is a ParseError that names
+    its line, with lines ended as text-mode ``open`` ends them ("\\n", "\\r\\n", a lone "\\r")."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"undecodable byte 0x{data[exc.start]:02x}: {exc.reason}", line) from None
 
 
 def _others(data: bytes, allowed: bytes) -> np.ndarray:

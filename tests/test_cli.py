@@ -1,6 +1,7 @@
 """End-to-end command-line workflows against real files."""
 
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -504,6 +505,38 @@ class TestExitCodes:
             "laftr: error: line 3: undecodable byte 0xff: invalid start byte\n")
         assert not out.exists()
 
+    def test_a_byte_of_the_model_file_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        # "\r\n" and a lone "\r" end lines, as in text mode
+        state = ModelState.from_factors(np.eye(3), np.zeros((3, 3)), 0.5)
+        lines = cli._model_to_json(state, [], 0).encode().split(b"\n")
+        lines[3] += b"\xff"
+        model = tmp_path / "m.json"
+        model.write_bytes(b"\r\n".join(lines[:2]) + b"\r" + b"\n".join(lines[2:]))
+        pairs, out = tmp_path / "pairs.txt", tmp_path / "p.csv"
+        pairs.write_text("0 1\n")
+        assert run_cli("predict", "--model", str(model), "--input", str(pairs),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "laftr: error: line 4: undecodable byte 0xff: invalid start byte\n")
+        assert not out.exists()
+
+    def test_a_byte_of_the_labels_file_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        model, labels = tmp_path / "m.json", tmp_path / "names.txt"
+        model.write_text(cli._model_to_json(
+            ModelState.from_factors(np.eye(3), np.zeros((3, 3)), 0.5), [], 0))
+        labels.write_bytes(b"a\r\nb\rc\xff\n")
+        assert run_cli("communities", "--model", str(model), "--labels", str(labels)) == 2
+        assert capsys.readouterr().err == (
+            "laftr: error: line 3: undecodable byte 0xff: invalid start byte\n")
+
+    def test_labels_lines_end_as_in_text_mode(self, tmp_path, capsys):
+        model, labels = tmp_path / "m.json", tmp_path / "names.txt"
+        model.write_text(cli._model_to_json(
+            ModelState.from_factors(np.eye(4), np.zeros((4, 4)), 0.5), [], 0))
+        labels.write_bytes("a b\r\n\u00e9\rc\n\n \t\r\nd".encode())
+        assert run_cli("communities", "--model", str(model), "--labels", str(labels)) == 0
+        assert capsys.readouterr().out == dump_communities(np.eye(4), ["a b", "\u00e9", "c", "d"])
+
     def test_graph_too_large_for_memory_is_data_error(self, tmp_path, capsys):
         # node id 1e8 asks for a 1e16-byte matrix, past any address space, so
         # the allocation fails at once and nothing is allocated
@@ -609,3 +642,103 @@ class TestExitCodes:
     def test_default_fit_flags_build_the_default_config(self, argv):
         args = cli.build_parser().parse_args(argv)
         assert cli._fit_config_from_args(args) == FitConfig()
+
+
+# a value for every flag of every command, each unlike the flag's default
+FLAG_VALUES = {
+    "--input": "g.txt", "--format": "edges", "--mask": "m.txt", "--include-diagonal": None,
+    "--out": "o", "--auc-trace": None, "--lambda": "0.25", "--sigma-w": "0.5", "--k-init": "3",
+    "--seed": "7", "--max-iters": "9", "--rel-tol": "0.001", "--model": "m.json",
+    "--splits": "2", "--train-fraction": "0.7", "--tie-symmetric": "no",
+    "--lambda-grid": "0.5,1", "--folds": "3", "--n": "12", "--alpha": "2.0",
+    "--planted-k": "2", "--w-in": "4", "--w-out": "-4", "--labels": "names.txt",
+}
+
+
+def command_argvs(name):
+    """The command with its required flags alone, then once with each other flag added."""
+    # argparse lists a parser's flags in ``_actions`` only
+    actions = [a for a in cli.command_parser(name)._actions
+               if a.option_strings and a.dest != "help"]
+    required = [token for a in actions if a.required
+                for token in (a.option_strings[0], FLAG_VALUES[a.option_strings[0]])]
+    argvs = [[name, *required]]
+    for action in actions:
+        if not action.required:
+            value = FLAG_VALUES[action.option_strings[0]]
+            argvs.append([name, *required, action.option_strings[0],
+                          *([] if value is None else [value])])
+    return argvs
+
+
+class TestCommandParser:
+    """main parses with the invoked command's flags alone, as build_parser() would."""
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_same_namespace_as_the_full_parser(self, name):
+        argvs = command_argvs(name)
+        default = cli.build_parser().parse_args(argvs[0])
+        for argv in argvs:
+            args = cli.command_parser(name).parse_args(argv[1:])
+            assert args == cli.build_parser().parse_args(argv), argv
+            assert args.command == name
+            assert argv == argvs[0] or args != default, argv  # the flag took effect
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli._COMMANDS)])
+    def test_help_is_byte_identical(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert capsys.readouterr().out == text
+        assert text.startswith(f"usage: laftr {argv[0]} [-h]" if len(argv) == 2
+                               else "usage: laftr [-h]")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["predict", "--model", "m.json", "--out", "p.csv"],
+         "laftr predict: error: the following arguments are required: --input"),
+        (["predict", "--model", "m.json", "--input", "p.txt", "--out", "p.csv", "--bogus"],
+         "laftr predict: error: unrecognized arguments: --bogus"),
+        ([], "laftr: error: the following arguments are required: command"),
+        (["frobnicate"], "laftr: error: argument command: invalid choice: "),
+        (["--seed", "1", "fit"], "laftr: error: argument command: invalid choice: '1'"),
+    ])
+    def test_usage_errors_exit_1_with_a_usage_line(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        prog = error.split(": error")[0]
+        assert lines[0].startswith(f"usage: {prog} [-h]")
+        assert lines[-1].startswith(error)
+
+    def test_argv_none_reads_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "g.txt"
+        monkeypatch.setattr(sys, "argv", ["laftr", "generate", "--out", str(out), "--n", "6"])
+        assert main() == 0
+        assert load_dense_matrix(out.read_text().splitlines()).n == 6
+
+    def test_every_command_runs_without_the_full_parser(self, tmp_path, planted_file,
+                                                         monkeypatch):
+        def refuse():
+            raise AssertionError("a command's run built every command's parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        model, pairs, fit_flags = tmp_path / "m.json", tmp_path / "pairs.txt", ["--max-iters", "2"]
+        pairs.write_text("0 1\n2 3\n")
+        argvs = [
+            ["generate", "--out", str(tmp_path / "g.txt"), "--n", "8"],
+            ["fit", "--input", str(planted_file), "--out", str(model), *fit_flags],
+            ["predict", "--model", str(model), "--input", str(pairs),
+             "--out", str(tmp_path / "p.csv")],
+            ["eval", "--input", str(planted_file), "--out", str(tmp_path / "r"),
+             "--splits", "1", *fit_flags],
+            ["cv", "--input", str(planted_file), "--out", str(tmp_path / "cv.csv"),
+             "--lambda-grid", "1", "--folds", "2", *fit_flags],
+            ["communities", "--model", str(model), "--out", str(tmp_path / "c.txt")],
+        ]
+        assert sorted(argv[0] for argv in argvs) == sorted(cli._COMMANDS)
+        for argv in argvs:
+            assert main(argv) == 0, argv
