@@ -23,12 +23,15 @@ phase running, so the rows add up to the total:
   bookkeeping);
 - scoring: the rest of ``evaluate_split`` (held-out scores and AUC).
 
-Below the phases it prints three counts of the sweep's delta table
+Below the phases it prints four counts of the sweep's delta table
 (``optimizer._DeltaTable``), with ``built/used`` for the two caches:
 
 - kernel calls: ``scores`` calls;
 - move tables: ``_move_table`` builds against ``move`` calls (moves made);
-- kernel terms: ``_partner_terms`` builds against kernel calls.
+- screen terms: ``_partner_terms`` calls of the table build, one per
+  pattern, against table builds;
+- kernel terms: the other ``_partner_terms`` calls, the builds of the
+  kernel's cache, against kernel calls.
 
 Last it prints the prune's traffic: the ``prune_empty_features`` calls
 that removed a column against all its calls.
@@ -151,6 +154,18 @@ def _install(phases: Phases) -> None:
     evaluation.evaluate_split = phases.wrap(evaluation.evaluate_split, fixed("scoring"), root=True)
     for name in COUNTED:
         setattr(optimizer._DeltaTable, name, phases.count(getattr(optimizer._DeltaTable, name), name))
+    optimizer._DeltaTable.__init__ = _build_terms_apart(phases, optimizer._DeltaTable.__init__)
+
+
+def _build_terms_apart(phases: Phases, build):
+    """The table build, moving its ``_partner_terms`` calls to a count of their own."""
+    def counted(*args, **kwargs):
+        before = phases.counts["_partner_terms"]
+        build(*args, **kwargs)
+        phases.counts["build terms"] += phases.counts["_partner_terms"] - before
+        phases.counts["_partner_terms"] = before
+        phases.counts["builds"] += 1
+    return counted
 
 
 def measure(phases: Phases, workload) -> tuple[dict, dict, dict]:
@@ -183,6 +198,7 @@ def main() -> None:
     print()
     print(f"{'delta table':<20}" + "".join(f"{name + ' built/used':>28}" for name in results))
     for label, built, used in (("kernel calls", "scores", None), ("move tables", "_move_table", "move"),
+                               ("screen terms", "build terms", "builds"),
                                ("kernel terms", "_partner_terms", "scores")):
         row = f"{label:<20}"
         for *_, counts in results.values():

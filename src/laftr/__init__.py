@@ -8,97 +8,16 @@ grow-by-one community proposals that are kept only when they lower the
 objective. The community count is learned, not fixed in advance.
 """
 
-from .errors import LaftrError, NumericalError, ParseError, UndefinedMetricError
-from .evaluation import (
-    SplitResult,
-    auc_from_scores,
-    class_counts,
-    cross_validate_lambda,
-    evaluate_split,
-    heldout_scorer,
-    predict_links,
-    run_splits,
-)
-from .generator import (
-    block_weights,
-    planted_blocks,
-    sample_edges,
-    sample_ibp,
-    sample_lfrm,
-)
-from .graph import (
-    AdjacencyMatrix,
-    ObservationMask,
-    load_dense_matrix,
-    load_edge_list,
-    load_mask,
-    load_pairs,
-    split_observations,
-    write_dense,
-    write_mask,
-    write_predictions,
-)
-from .model import (
-    ModelState,
-    distinct_link_probabilities,
-    link_probability,
-    negative_log_likelihood,
-    objective,
-    sigmoid,
-    softplus,
-)
-from .optimizer import (
-    FitConfig,
-    FitReport,
-    delta_objective_flip,
-    fit,
-    init_state,
-    optimize_w,
-    prune_empty_features,
-)
+from . import errors, evaluation, generator, graph, model, optimizer
+from .errors import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .generator import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .model import *  # noqa: F403
+from .optimizer import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyMatrix",
-    "FitConfig",
-    "FitReport",
-    "LaftrError",
-    "ModelState",
-    "NumericalError",
-    "ObservationMask",
-    "ParseError",
-    "SplitResult",
-    "UndefinedMetricError",
-    "auc_from_scores",
-    "block_weights",
-    "class_counts",
-    "cross_validate_lambda",
-    "delta_objective_flip",
-    "distinct_link_probabilities",
-    "evaluate_split",
-    "fit",
-    "heldout_scorer",
-    "init_state",
-    "link_probability",
-    "load_dense_matrix",
-    "load_edge_list",
-    "load_mask",
-    "load_pairs",
-    "negative_log_likelihood",
-    "objective",
-    "optimize_w",
-    "planted_blocks",
-    "predict_links",
-    "prune_empty_features",
-    "run_splits",
-    "sample_edges",
-    "sample_ibp",
-    "sample_lfrm",
-    "sigmoid",
-    "softplus",
-    "split_observations",
-    "write_dense",
-    "write_mask",
-    "write_predictions",
-]
+# every module's public names, each listed once, in its own module's __all__
+__all__ = [name for module in (errors, evaluation, generator, graph, model, optimizer)
+           for name in module.__all__]

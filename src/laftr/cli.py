@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -88,7 +89,11 @@ def _model_to_json(state: ModelState, objective_trace, seed: int) -> str:
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A JSON number (not a bool) that is a finite float, or an integer within float range."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def load_model(path: str) -> tuple[ModelState, dict]:
@@ -110,16 +115,16 @@ def load_model(path: str) -> tuple[ModelState, dict]:
     if not (isinstance(z, list) and all(isinstance(row, list) for row in z)
             and len({len(row) for row in z}) <= 1):
         raise ParseError("model field 'z' must be a nested list of rows of equal length")
-    if not {type(v) for row in z for v in row} <= {int, float}:  # numpy would convert "1" and true
-        raise ParseError("model field 'z' must hold numbers")
+    # numpy would convert "1" and true, and fail on an integer too large for a float
+    if not ({type(v) for row in z for v in row} <= {int, float}
+            and set(itertools.chain.from_iterable(z)) <= {0, 1}):
+        raise ParseError("model field 'z' must hold only the numbers 0 and 1")
     z = np.asarray(z, dtype=float)
     k = payload["k"]
     if type(k) is not int:  # JSON true and 2.0 load as bool and float
         raise ParseError(f"model field 'k' must be an integer, got {k!r}")
     if z.ndim != 2 or k != z.shape[1]:
         raise ParseError(f"model field 'k' is {k!r} but 'z' has shape {z.shape}")
-    if not np.isin(z, (0.0, 1.0)).all():
-        raise ParseError("model field 'z' must hold only 0 and 1")
     w = payload["w"]
     if not (isinstance(w, list) and len(w) == k
             and all(isinstance(row, list) and len(row) == k for row in w)):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["LaftrError", "ParseError", "NumericalError", "UndefinedMetricError"]
+
 
 class LaftrError(Exception):
     """Base class for all package-specific errors."""

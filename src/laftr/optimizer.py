@@ -234,10 +234,11 @@ class _DeltaTable:
     W is fixed for the table's life and a pattern's row, logits and partner
     entries never change once made, so two caches keep what depends on
     nothing else: ``terms[p]``, the kernel's partner terms of a node at
-    pattern p (_partner_terms), and ``moves[p_old, p_new]``, the move table
-    of a node going from pattern p_old to p_new (_move_table). Both span the
-    first ``n_pat`` patterns, so flip empties them when it appends one: an
-    entry of the old width is never read again.
+    pattern p (_partner_terms, which also gives the screen's first rows),
+    and ``moves[p_old, p_new]``, the move table of a node going from
+    pattern p_old to p_new (_move_table). Both span the first ``n_pat``
+    patterns, so flip empties them when it appends one: an entry of the old
+    width is never read again.
     """
 
     def __init__(self, idx: _MaskIndex, state: ModelState):
@@ -245,7 +246,6 @@ class _DeltaTable:
         n_nodes, k_plus = state.z.shape
         self.beta = _rounding_beta(n_nodes)
         self.patterns, _, self.pat = _group_patterns(self.z)
-        self.signs = 1.0 - 2.0 * self.patterns
         self.n_pat = n_pat = len(self.patterns)
         self.index = {row.tobytes(): p for p, row in enumerate(self.patterns)}
         self.terms, self.moves = {}, {}
@@ -259,21 +259,24 @@ class _DeltaTable:
             n_pat, 2, 2, n_nodes).transpose(1, 0, 2, 3).reshape(2, 2 * n_pat, n_nodes)
         self._grow()
 
-        # per pattern, its nodes' partner terms contracted with their counts by
-        # BLAS: faster than the kernel's reductions, and the screen decides no flip
+        # per pattern, the kernel's partner terms contracted with its nodes' counts
+        # by BLAS: faster than the kernel's reductions, and the screen decides no
+        # flip. They are not kept for the kernel: its cache holds the patterns it
+        # visits, while all P blocks (8 K P^2 floats) raised the peak memory of
+        # ibp-grow fits by about 15%
         self.delta = np.empty((n_nodes, k_plus))
         mass = np.empty((n_nodes, k_plus))
         groups = np.split(np.argsort(self.pat, kind="stable"),
                           np.cumsum(np.bincount(self.pat))[:-1])
         for p, members in enumerate(groups):
-            shifts, sp_x, sp_a = self._shifted(p)
+            terms = self._partner_terms(p)
             c, pos = self.counts[:, :2 * n_pat, members]
-            self.delta[members] = ((sp_x - sp_a) @ c - shifts @ pos).T
-            mass[members] = ((sp_x + sp_a + 1.0) @ c + np.abs(shifts) @ pos).T
+            self.delta[members] = (terms[0, 0] @ c + terms[0, 1] @ pos).T
+            mass[members] = (terms[1, 0] @ c + terms[1, 1] @ pos).T
             diag = members[idx.diag_observed[members]]
             if diag.size:
-                terms, diag_mass = self._diag_terms(p, idx.diag_y[diag, None])
-                self.delta[diag] += terms
+                diag_delta, diag_mass = self._diag_terms(p, idx.diag_y[diag, None])
+                self.delta[diag] += diag_delta
                 mass[diag] += diag_mass
         self.bound = 2.0 * self.beta * mass
         self.open = self._flagged()
@@ -281,18 +284,11 @@ class _DeltaTable:
     def _grow(self) -> None:
         """Double the pattern capacity of every table."""
         cap, k_plus = self.patterns.shape
-        self.patterns, self.signs = (_enlarged(t, (2 * cap, k_plus))
-                                     for t in (self.patterns, self.signs))
+        self.patterns = _enlarged(self.patterns, (2 * cap, k_plus))
         self.logits, self.sp_logits = (_enlarged(t, (2 * cap, 4 * cap))
                                        for t in (self.logits, self.sp_logits))
         self.partner = _enlarged(self.partner, (k_plus, 4 * cap))
         self.counts = _enlarged(self.counts, (2, 4 * cap, self.counts.shape[2]))
-
-    def _shifted(self, p: int):
-        """Shifts s, sp(a + s) and sp(a), K x 2P, of the partner logits a of a node at pattern p."""
-        width = 2 * self.n_pat
-        shifts = self.partner[:, :width] * self.signs[p, :, None]
-        return shifts, softplus(self.logits[p, :width] + shifts), self.sp_logits[p, :width]
 
     def _diag_terms(self, p: int, y_nn):
         """Delta and mass terms of the entry (n, n) in the flips of n at pattern p, y_nn its y.
@@ -304,7 +300,7 @@ class _DeltaTable:
         """
         left, right = self.partner[:, 2 * p], self.partner[:, 2 * p + 1]
         w_diag = np.diagonal(self.w)
-        da = self.signs[p] * (left + right) + w_diag
+        da = (1.0 - 2.0 * self.patterns[p]) * (left + right) + w_diag
         sp_x, sp_a = softplus(self.logits[p, 2 * p] + da), self.sp_logits[p, 2 * p]
         return (-y_nn * da + sp_x - sp_a,
                 sp_x + sp_a + np.abs(left) + np.abs(right) + np.abs(w_diag) + 1.0)
@@ -314,10 +310,18 @@ class _DeltaTable:
 
         Axes: (delta, mass), (count, positive count) weight, feature,
         partner column. The delta terms are sp(a + s) - sp(a) and -s, the
-        mass terms sp(a + s) + sp(a) + 1 and |s|.
+        mass terms sp(a + s) + sp(a) + 1 and |s|, for the partner logits a
+        and their shifts s.
         """
-        shifts, sp_x, sp_a = self._shifted(p)
-        return np.array([[sp_x - sp_a, -shifts], [sp_x + sp_a + 1.0, np.abs(shifts)]])
+        width = 2 * self.n_pat
+        shifts = self.partner[:, :width] * (1.0 - 2.0 * self.patterns[p, :, None])
+        sp_x, sp_a = softplus(self.logits[p, :width] + shifts), self.sp_logits[p, :width]
+        terms = np.empty((2, 2, *shifts.shape))  # filled in place: stacking would copy it
+        np.subtract(sp_x, sp_a, out=terms[0, 0])
+        np.negative(shifts, out=terms[0, 1])
+        np.add(sp_x + sp_a, 1.0, out=terms[1, 0])
+        np.abs(shifts, out=terms[1, 1])
+        return terms
 
     def scores(self, n: int):
         """The kernel: node n's deltas of flipping z[n, k] for every k, and their masses.
@@ -347,7 +351,7 @@ class _DeltaTable:
             p = self.n_pat
             if p == len(self.patterns):
                 self._grow()
-            self.patterns[p], self.signs[p] = row, 1.0 - 2.0 * row
+            self.patterns[p] = row
             right, left, _ = _pattern_caches(row[None], self.w)
             self.partner[:, 2 * p], self.partner[:, 2 * p + 1] = left[0], right[0]
             # the logits (p, q) and (q, p) for q <= p
@@ -375,7 +379,7 @@ class _DeltaTable:
         n_pat = self.n_pat
         columns = [2 * p_old, 2 * p_old + 1, 2 * p_new, 2 * p_new + 1]
         # axes: n's pattern, m's column (before, then after), feature
-        shifts = self.signs[:n_pat, None] * self.partner[:, columns].T
+        shifts = (1.0 - 2.0 * self.patterns[:n_pat, None]) * self.partner[:, columns].T
         sp_a = self.sp_logits[:n_pat, columns, None]
         sp_x = softplus(self.logits[:n_pat, columns, None] + shifts)
         delta, mass = sp_x - sp_a, 2.0 * self.beta * (sp_x[:, 2:] + sp_a[:, 2:] + 1.0)

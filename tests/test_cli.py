@@ -562,6 +562,10 @@ class TestExitCodes:
         ('"k": 1.0', "'k'"),
         ('"k": true', "'k'"),
         (None, "JSON object"),                       # a top-level array
+        # integers too large for a float: float(10**400) raises OverflowError
+        pytest.param(f'"lambda": {10**400}', "'lambda'", id="lambda-10**400"),
+        pytest.param(f'"w": [[{10**400}]]', "'w'", id="w-10**400"),
+        pytest.param(f'"z": [[{10**400}], [0]]', "'z'", id="z-10**400"),
     ])
     def test_bad_model_values_are_data_errors(self, tmp_path, capsys, command, text, field):
         fields = {'"z"': '"z": [[1], [0]]', '"k"': '"k": 1', '"w"': '"w": [[1.5]]',
