@@ -14,8 +14,12 @@ phase running, so the rows add up to the total:
   sweeps before it declares convergence (``fit`` copies a state for
   nothing else, so the wrapped ``ModelState.copy`` marks the copies);
 - candidate sweep and candidate W step: ``_sweep`` and ``optimize_w``
-  inside ``propose_feature``; birth other: the rest of ``propose_feature``
-  (the column draw and the prune after the candidate's sweep);
+  inside ``propose_feature``, in every outer iteration but the one that
+  ended a converged fit; end candidate sweep and end candidate W step:
+  the same in that last iteration, whose births were all rejected (``fit``
+  is given an ``on_iteration`` callback that marks where each iteration
+  ends); birth other: the rest of ``propose_feature`` (the column draw and
+  the prune after the candidate's sweep);
 - W step: ``optimize_w`` called by ``fit``;
 - pattern statistics: building ``_PairStats``, wherever it happens;
 - objective: ``objective`` outside its pattern statistics;
@@ -58,8 +62,12 @@ from perfbench import workloads  # noqa: E402
 FIT_WORKLOADS = [name for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
 SEEDS = range(100, 103)
 COUNTED = ("scores", "move", "_move_table", "_partner_terms")
-PHASES = ("main sweep", "convergence scan", "candidate sweep", "candidate W step", "birth other",
-          "W step", "pattern statistics", "objective", "fit other", "scoring")
+PHASES = ("main sweep", "convergence scan", "candidate sweep", "candidate W step",
+          "end candidate sweep", "end candidate W step", "birth other", "W step",
+          "pattern statistics", "objective", "fit other", "scoring")
+# the candidate phases, and where those of the iteration that ended a converged fit go
+ENDING = {"candidate sweep": "end candidate sweep", "candidate W step": "end candidate W step"}
+LABEL = 22
 
 
 class Phases:
@@ -95,6 +103,20 @@ class Phases:
             self.counts[name] += 1
             return fn(*args, **kwargs)
         return counted
+
+    def candidate_totals(self) -> dict:
+        """The candidate phases' seconds and calls so far."""
+        return {phase: (self.seconds[phase], self.calls[phase]) for phase in ENDING}
+
+    def move_ending(self, before: dict, after: dict) -> None:
+        """Move the candidate seconds and calls between two candidate_totals to the end rows."""
+        for phase, ending in ENDING.items():
+            seconds = after[phase][0] - before[phase][0]
+            calls = after[phase][1] - before[phase][1]
+            self.seconds[phase] -= seconds
+            self.seconds[ending] += seconds
+            self.calls[phase] -= calls
+            self.calls[ending] += calls
 
     def _switch(self, entering):
         now = time.process_time()
@@ -133,11 +155,34 @@ def _counted_prune(phases: Phases, prune):
     return counted
 
 
+def _ending_iteration_apart(phases: Phases, fit):
+    """fit, moving the candidate phases of the iteration that ended a converged fit to the end rows.
+
+    fit calls on_iteration at the end of each outer iteration, before it
+    checks convergence, so the last iteration's candidates are those timed
+    between the last two calls.
+    """
+    def marked(*args, on_iteration=None, **kwargs):
+        marks = [phases.candidate_totals()]
+
+        def mark(*iteration):
+            marks.append(phases.candidate_totals())
+            if on_iteration is not None:
+                on_iteration(*iteration)
+
+        report = fit(*args, on_iteration=mark, **kwargs)
+        if report.converged:
+            phases.move_ending(marks[-2], marks[-1])
+        return report
+    return marked
+
+
 def _install(phases: Phases) -> None:
     """Wrap every phase's function where the package calls it from."""
     def fixed(name):
         return lambda *_args, **_kwargs: name
 
+    evaluation.fit = _ending_iteration_apart(phases, evaluation.fit)
     targets = [
         (optimizer, "_sweep", _sweep_phase),
         (optimizer, "optimize_w",
@@ -186,9 +231,9 @@ def main() -> None:
     phases = Phases()
     _install(phases)
     results = {name: measure(phases, workloads.WORKLOADS[name]) for name in FIT_WORKLOADS}
-    print(f"{'phase':<20}" + "".join(f"{name + ' cpu_s':>20}{'calls':>8}" for name in results))
+    print(f"{'phase':<{LABEL}}" + "".join(f"{name + ' cpu_s':>20}{'calls':>8}" for name in results))
     for phase in (*PHASES, "total"):
-        row = f"{phase:<20}"
+        row = f"{phase:<{LABEL}}"
         for seconds, calls, _ in results.values():
             if phase == "total":
                 row += f"{sum(seconds.values()):>20.3f}{'':>8}"
@@ -196,17 +241,17 @@ def main() -> None:
                 row += f"{seconds.get(phase, 0.0):>20.3f}{calls.get(phase, 0):>8}"
         print(row)
     print()
-    print(f"{'delta table':<20}" + "".join(f"{name + ' built/used':>28}" for name in results))
+    print(f"{'delta table':<{LABEL}}" + "".join(f"{name + ' built/used':>28}" for name in results))
     for label, built, used in (("kernel calls", "scores", None), ("move tables", "_move_table", "move"),
                                ("screen terms", "build terms", "builds"),
                                ("kernel terms", "_partner_terms", "scores")):
-        row = f"{label:<20}"
+        row = f"{label:<{LABEL}}"
         for *_, counts in results.values():
             cell = str(counts.get(built, 0))
             row += f"{cell + (f'/{counts.get(used, 0)}' if used else ''):>28}"
         print(row)
     print()
-    print(f"{'prune removed/calls':<20}" + "".join(
+    print(f"{'prune removed/calls':<{LABEL}}" + "".join(
         f"{counts.get('prune removed', 0)}/{counts.get('prune', 0)}".rjust(28)
         for *_, counts in results.values()))
 

@@ -48,17 +48,32 @@ __all__ = [
 LOGIT_CLAMP = 500.0
 
 
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|), its argument clamped at -LOGIT_CLAMP: the one exp of sigmoid and softplus.
+
+    For e = _exp_neg_abs(x), sigmoid(x) is where(x >= 0, 1, e) / (1 + e)
+    and softplus(x) is max(x, 0) + log1p(e), so a caller that needs both
+    at the same x (the W step) takes the exp once.
+    """
+    return np.exp(np.maximum(-np.abs(x), -LOGIT_CLAMP))
+
+
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=float)
-    e = np.exp(np.maximum(-np.abs(x), -LOGIT_CLAMP))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = _exp_neg_abs(x)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x):
     """log(1 + exp(x)) computed as max(x, 0) + log1p(exp(-|x|)), elementwise."""
     x = np.asarray(x, dtype=float)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(x), -LOGIT_CLAMP)))
+    return np.maximum(x, 0.0) + np.log1p(_exp_neg_abs(x))
+
+
+def _entry_flags(y: AdjacencyMatrix, mask: ObservationMask) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's observed flag and link flag (observed with y = 1), flat, diagonal included."""
+    return mask.observed.ravel(), (mask.observed & (y.entries == 1)).ravel()
 
 
 def _group_patterns(z: np.ndarray):
@@ -222,32 +237,43 @@ class _PairStats:
     share one P x K^2 pair-outer matrix (``_outer``), built from
     ``patterns`` on first use. Nothing changes the statistics after they
     are built: fit drops empty columns before it groups Z.
+
+    ``flags``, if given, are _entry_flags(y, mask) in the dtypes a fit
+    builds them in once (optimizer._MaskIndex); the counts are the same
+    either way.
     """
 
-    def __init__(self, y: AdjacencyMatrix, mask: ObservationMask, z: np.ndarray):
+    def __init__(self, y: AdjacencyMatrix, mask: ObservationMask, z: np.ndarray,
+                 flags: tuple[np.ndarray, np.ndarray] | None = None):
         if not (y.n == mask.n == len(z)):
             raise ValueError(f"dimension mismatch: adjacency n={y.n}, mask n={mask.n}, "
                              f"z n={len(z)}")
         self.patterns, _, inverse = _group_patterns(z)
         n_pat = self.patterns.shape[0]
-        # every entry's pattern pair, counted with the entry's observed and link flags
-        pair = (inverse[:, None] * n_pat + inverse).ravel()
-        links = mask.observed & (y.entries == 1)
-        self.count, self.positives = (
-            np.bincount(pair, flags.ravel(), n_pat * n_pat).reshape(n_pat, n_pat)
-            for flags in (mask.observed, links))
+        observed, links = _entry_flags(y, mask) if flags is None else flags
+        # one count of the observed entries per pattern pair and link flag;
+        # every sum is of ones, so exact in any order
+        key = (inverse[:, None] * (2 * n_pat) + 2 * inverse).ravel()
+        key += links
+        by_link = np.bincount(key, observed, 2 * n_pat * n_pat).reshape(n_pat, n_pat, 2)
+        self.positives = by_link[..., 1].copy()
+        self.count = by_link[..., 0] + self.positives
 
     def logits(self, w: np.ndarray) -> np.ndarray:
         """P x P pair logits patterns @ w @ patterns^T, by BLAS (for the W step)."""
         return (self.patterns @ w) @ self.patterns.T
 
-    def loss(self, a: np.ndarray) -> float:
+    def loss(self, a: np.ndarray, e: np.ndarray | None = None) -> float:
         """Cross-entropy of the observed entries, given the pair logits a.
 
-        Summed in a fixed order without BLAS, so its bits do not depend on
-        the thread count.
+        ``e``, if given, is _exp_neg_abs(a), from which the softplus is
+        taken. Summed in a fixed order without BLAS, so its bits do not
+        depend on the thread count.
         """
-        return float((self.count * softplus(a)).sum() - (self.positives * a).sum())
+        if e is None:
+            e = _exp_neg_abs(a)
+        softplus_a = np.maximum(a, 0.0) + np.log1p(e)
+        return float((self.count * softplus_a).sum() - (self.positives * a).sum())
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         """W-gradient of the loss at pair probabilities p = sigma(a): patterns^T R patterns.

@@ -35,9 +35,11 @@ its distance from the kernel's value. Only nodes whose row minus its bound
 falls below -FLIP_TOLERANCE go through the kernel; the kernel would reject
 every flip of the others. When node m changes pattern, the other nodes'
 partner counts move by one at m's pattern before and after, and their rows
-move by the terms of their entries at m, scored once per pattern. A
-visit whose screen row alone proves which flip comes first takes it
-without the kernel. W is fixed for a sweep, so its table keeps the
+move by the terms of their entries at m, scored once per pattern. The
+kind of each node's entry at m (unobserved, y = 0, y = 1) is built once
+per fit, so a move gathers each side's terms with one take on pattern and
+kind. A visit whose screen row alone proves which flip comes first takes
+it without the kernel. W is fixed for a sweep, so its table keeps the
 kernel's per-pattern terms and the move terms of each pattern pair until
 a flip makes a new row of Z. The sweep reads Z, W and the mask only; a
 new row of Z gets a row and column of the logit table with the bits
@@ -47,12 +49,14 @@ The W step works on patterns too: for fixed Z the observed entries collapse
 into pattern pairs, so the W-subproblem is a logistic fit with K^2
 parameters over P x P pairs weighted by their observed and positive counts
 (model._PairStats, which the objective also sums with), gathered in one
-pass over the observed entries. It is solved by damped Newton: a step
-builds the K^2 x K^2 Hessian in O(P^2 K^2 + P K^4) and solves it, never
-visiting the N^2 entries, and a W step typically takes about ten such
-steps. Its trial logits are BLAS products that are never stored. The
-objective after the W step sums over the same pattern-pair counts, and the
-counts an accepted birth's objective gathered serve the next W step.
+pass over the entries, with observed and link flags built once per fit.
+It is solved by damped Newton: a step builds the K^2 x K^2 Hessian in
+O(P^2 K^2 + P K^4) and solves it, never visiting the N^2 entries, and a W
+step typically takes about ten such steps. Its trial logits are BLAS
+products that are never stored, and the one exp of an accepted logit
+table serves both its loss and the next step's sigmoid. The objective
+after the W step sums over the same pattern-pair counts, and the counts an
+accepted birth's objective gathered serve the next W step.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .graph import AdjacencyMatrix, ObservationMask
-from .model import (ModelState, _group_patterns, _PairStats, _pattern_caches, _pattern_logits,
-                    objective, sigmoid, softplus)
+from .model import (ModelState, _entry_flags, _exp_neg_abs, _group_patterns, _PairStats,
+                    _pattern_caches, _pattern_logits, objective, softplus)
 
 __all__ = [
     "FitConfig",
@@ -167,8 +171,13 @@ class _MaskIndex:
     ``at[m, 0, s, n]`` says whether node n's entry at node m is observed,
     on n's row side (s = 0, the entry (n, m)) or its column side (s = 1,
     the entry (m, n)), and ``at[m, 1, s, n]`` whether it also has y = 1;
-    the diagonal counts as unobserved. ``diag_observed`` and ``diag_y``
-    describe each (n, n). The mask and y never change during a run.
+    the diagonal counts as unobserved. ``kind[m, s, n]`` is that entry's
+    kind, at[m, 0, s, n] + at[m, 1, s, n] (0 unobserved, 1 y = 0, 2 y = 1),
+    and ``touched[m, n]`` whether either kind is nonzero: a flip of m
+    changes n's row of the screen only then. ``diag_observed`` and
+    ``diag_y`` describe each (n, n). ``flags`` are model._entry_flags, the
+    observed flags as the floats _PairStats weights its counts with. The
+    mask and y never change during a run.
     """
 
     def __init__(self, y: AdjacencyMatrix, mask: ObservationMask):
@@ -176,8 +185,12 @@ class _MaskIndex:
         np.fill_diagonal(observed, False)
         self.at = np.stack([np.stack([entries.T, entries], axis=1)
                             for entries in (observed, observed & (y.entries == 1))], axis=1)
+        self.kind = self.at.sum(axis=1, dtype=np.int8)
+        self.touched = self.kind.any(axis=1)
         self.diag_observed = np.diagonal(mask.observed).copy()
         self.diag_y = np.diagonal(y.entries).astype(float)
+        observed_flat, links_flat = _entry_flags(y, mask)
+        self.flags = observed_flat.astype(float), links_flat
 
 
 def delta_objective_flip(
@@ -246,6 +259,7 @@ class _DeltaTable:
         n_nodes, k_plus = state.z.shape
         self.beta = _rounding_beta(n_nodes)
         self.patterns, _, self.pat = _group_patterns(self.z)
+        self.pat3 = 3 * self.pat
         self.n_pat = n_pat = len(self.patterns)
         self.index = {row.tobytes(): p for p, row in enumerate(self.patterns)}
         self.terms, self.moves = {}, {}
@@ -366,6 +380,7 @@ class _DeltaTable:
             self.terms.clear()
             self.moves.clear()
         self.pat[n] = self.index[key]
+        self.pat3[n] = 3 * self.pat[n]
 
     def _flagged(self) -> np.ndarray:
         return (self.delta - self.bound < -FLIP_TOLERANCE).any(axis=1)
@@ -373,22 +388,24 @@ class _DeltaTable:
     def _move_table(self, p_old: int, p_new: int) -> np.ndarray:
         """The terms of a node's entries at a node going from pattern p_old to p_new.
 
-        Axes: kind of the node's entry (unobserved, y = 0, y = 1), its
-        pattern, its side, (delta move, 2 beta mass after), feature.
+        Axes: the node's side, (delta move, 2 beta mass after), 3 * its
+        pattern + the kind of its entry (0 unobserved, 1 y = 0, 2 y = 1;
+        _MaskIndex.kind), feature.
         """
-        n_pat = self.n_pat
+        n_pat, k_plus = self.n_pat, self.z.shape[1]
         columns = [2 * p_old, 2 * p_old + 1, 2 * p_new, 2 * p_new + 1]
         # axes: n's pattern, m's column (before, then after), feature
         shifts = (1.0 - 2.0 * self.patterns[:n_pat, None]) * self.partner[:, columns].T
         sp_a = self.sp_logits[:n_pat, columns, None]
         sp_x = softplus(self.logits[:n_pat, columns, None] + shifts)
         delta, mass = sp_x - sp_a, 2.0 * self.beta * (sp_x[:, 2:] + sp_a[:, 2:] + 1.0)
-        moves = np.zeros((3, n_pat, 2, 2, self.z.shape[1]))
+        table = np.zeros((2, 2, n_pat, 3, k_plus))
+        moves = table.transpose(3, 2, 0, 1, 4)  # axes: kind, pattern, side, (delta, mass), feature
         np.subtract(delta[:, 2:], delta[:, :2], out=moves[1, :, :, 0])
         np.subtract(moves[1, :, :, 0], shifts[:, 2:] - shifts[:, :2], out=moves[2, :, :, 0])
         moves[1, :, :, 1] = mass
         np.add(mass, 2.0 * self.beta * np.abs(shifts[:, 2:]), out=moves[2, :, :, 1])
-        return moves
+        return table.reshape(2, 2, 3 * n_pat, k_plus)
 
     def move(self, m: int, p_old: int) -> None:
         """Move the other nodes' rows and counts from node m at pattern p_old to its pattern now.
@@ -396,23 +413,24 @@ class _DeltaTable:
         Node n's entries at m are (n, m), on its row side, and (m, n), on its
         column side. Their terms depend only on n's pattern and m's, so they
         are scored once per pattern of n, with m before and after (a move
-        table, cached in ``moves``), and gathered by node pattern and by the
-        kind of n's entry at m (unobserved, y = 0, y = 1). A node with an
-        entry at m is reopened if its screen no longer holds.
+        table, cached in ``moves``), and each side is gathered with one take
+        at 3 * n's pattern (``pat3``) + the kind of n's entry at m. A node
+        with an entry at m is reopened if its screen no longer holds.
         """
         p_new = self.pat[m]
         if (p_old, p_new) not in self.moves:
             self.moves[p_old, p_new] = self._move_table(p_old, p_new)
-        moves = self.moves[p_old, p_new]
+        row_side, column_side = self.moves[p_old, p_new]
+        kind = self.idx.kind[m]
+        rows = row_side.take(self.pat3 + kind[0], axis=1)
+        rows += column_side.take(self.pat3 + kind[1], axis=1)
+        self.delta += rows[0]
+        self.bound += rows[1] + _UNIT_ROUNDOFF * np.abs(self.delta)
         at = self.idx.at[m]
-        kind = np.add(at[0], at[1], dtype=np.intp)
-        rows = moves[kind[0], self.pat, 0] + moves[kind[1], self.pat, 1]
-        self.delta += rows[:, 0]
-        self.bound += rows[:, 1] + _UNIT_ROUNDOFF * np.abs(self.delta)
         self.counts[:, 2 * p_old:2 * p_old + 2] -= at
         self.counts[:, 2 * p_new:2 * p_new + 2] += at
         # a node with no observed entry at m sees no change: it keeps its state
-        self.open = np.where(kind.any(axis=0), self._flagged(), self.open)
+        self.open = np.where(self.idx.touched[m], self._flagged(), self.open)
 
     def reset(self, n: int, delta, mass) -> None:
         """Take node n's row from the kernel's scores of every k in the current Z.
@@ -424,7 +442,16 @@ class _DeltaTable:
         """
         self.delta[n] = delta
         self.bound[n] = 2.0 * self.beta * mass
-        self.open[n] = bool((delta - self.bound[n] < -FLIP_TOLERANCE).any())
+        self.open[n] = np.count_nonzero(delta - self.bound[n] < -FLIP_TOLERANCE) > 0
+
+
+def _next_true(flags: np.ndarray, start: int) -> int:
+    """Index of the first True in flags at or after start, len(flags) if there is none."""
+    if start < len(flags):
+        start += int(flags[start:].argmax())
+        if flags[start]:
+            return start
+    return len(flags)
 
 
 def _sweep(idx: _MaskIndex, state: ModelState) -> bool:
@@ -490,12 +517,12 @@ def _sweep(idx: _MaskIndex, state: ModelState) -> bool:
     if state.k_plus == 0:
         return False
     screen = _DeltaTable(idx, state)
+    n_nodes, k_plus = state.z.shape
     improved = False
     while True:
         flipped = False
-        n = 0
-        while (ahead := np.flatnonzero(screen.open[n:])).size:
-            n += int(ahead[0])
+        n = _next_true(screen.open, 0)
+        while n < n_nodes:
             p_old, row, bound, k = screen.pat[n], screen.delta[n], screen.bound[n], 0
             first = int(np.argmax(row - bound < -FLIP_TOLERANCE))
             if row[first] + 2.0 * bound[first] < -FLIP_TOLERANCE:
@@ -503,8 +530,7 @@ def _sweep(idx: _MaskIndex, state: ModelState) -> bool:
                 screen.flip(n, first)
                 k = first + 1
             delta, mass = screen.scores(n)
-            while (hits := np.flatnonzero((delta + screen.beta * mass)[k:] < -FLIP_TOLERANCE)).size:
-                k += int(hits[0])
+            while (k := _next_true(delta + screen.beta * mass < -FLIP_TOLERANCE, k)) < k_plus:
                 screen.flip(n, k)
                 delta, mass = screen.scores(n)
                 k += 1
@@ -515,7 +541,7 @@ def _sweep(idx: _MaskIndex, state: ModelState) -> bool:
             if screen.pat[n] == p_old:
                 # the kernel just rejected every flip of n in this very Z
                 screen.open[n] = False
-            n += 1
+            n = _next_true(screen.open, n + 1)
         if not flipped:
             return improved
         improved = True
@@ -553,20 +579,22 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
     w = state.w.copy()
     n_params = w.size
 
+    # the clamped exp(-|a|) of each accepted logit table serves its loss and sigmoid
     a = stats.logits(w)
-    f = stats.loss(a)
+    e = _exp_neg_abs(a)
+    f = stats.loss(a, e)
     if not np.isfinite(f):
         raise NumericalError("non-finite objective entering the W step", state)
 
     for _ in range(W_MAX_STEPS):
-        p = sigmoid(a)
+        p = np.where(a >= 0, 1.0, e) / (1.0 + e)
         grad = stats.gradient(p)
         if np.abs(grad).max() < W_GRAD_TOL:
             break
         h = stats.hessian(p)
-        damping = 1e-8 * max(1.0, np.trace(h) / n_params)
+        damping = 1e-8 * max(1.0, h.trace() / n_params)
         h = basis.T @ h @ basis
-        h[np.diag_indices(len(h))] += damping
+        h.reshape(-1)[::len(h) + 1] += damping  # its diagonal: a BLAS product is C-contiguous
         try:
             d = (basis @ np.linalg.solve(h, basis.T @ -grad.ravel())).reshape(w.shape)
             slope = float(np.vdot(grad, d))
@@ -580,7 +608,8 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
         accepted = False
         while step > 1e-20:
             a_new = a + step * image
-            f_new = stats.loss(a_new)
+            e_new = _exp_neg_abs(a_new)
+            f_new = stats.loss(a_new, e_new)
             if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
                 accepted = True
                 break
@@ -588,7 +617,7 @@ def optimize_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
         if not accepted or f_new >= f:
             break  # line search exhausted; no strict descent available
         w += step * d
-        a = a_new
+        a, e = a_new, e_new
         # stall guard: once per-step progress is below measurement noise,
         # further steps cannot change the outer loop's decisions
         if (f - f_new) < 1e-12 * max(1.0, abs(f)):
@@ -630,7 +659,7 @@ def propose_feature(
     w_new[:k, k] = border[k + 1 :]
 
     candidate = ModelState(z_new, w_new, state.lam)
-    optimize_w(y, mask, candidate)
+    optimize_w(y, mask, candidate, _PairStats(y, mask, z_new, idx.flags))
     _sweep(idx, candidate)
     return prune_empty_features(candidate)
 
@@ -718,7 +747,7 @@ def fit(
         if not settled:
             _sweep(idx, state)
             state = prune_empty_features(state)
-            stats = _PairStats(y, mask, state.z)
+            stats = _PairStats(y, mask, state.z, idx.flags)
         optimize_w(y, mask, state, stats)
         q = objective(y, mask, state, stats)
         stalled = (q_start - q) / max(abs(q_start), 1e-12) < config.rel_tol
@@ -727,7 +756,7 @@ def fit(
         birth_accepted = False
         for proposed in range(1, births + 1):
             candidate = propose_feature(idx, y, mask, state, config, rng)
-            candidate_stats = _PairStats(y, mask, candidate.z)
+            candidate_stats = _PairStats(y, mask, candidate.z, idx.flags)
             q_candidate = objective(y, mask, candidate, candidate_stats)
             if q_candidate < q - FLIP_TOLERANCE:
                 state, q, stats, birth_accepted = candidate, q_candidate, candidate_stats, True

@@ -28,6 +28,7 @@ from laftr import (
     softplus,
     split_observations,
 )
+from laftr.model import LOGIT_CLAMP, _exp_neg_abs
 from conftest import (
     bernoulli_bregman,
     max_logit_error,
@@ -287,6 +288,22 @@ class TestNumericalHelpers:
         assert softplus(1000.0) == 1000.0
         assert 0.0 <= softplus(-1000.0) < 1e-200
         assert softplus(0.0) == pytest.approx(math.log(2), abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.integers(1, 20), elements=st.floats(allow_nan=True)))
+    @example(np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, LOGIT_CLAMP, -LOGIT_CLAMP,
+                       LOGIT_CLAMP + 1, -(LOGIT_CLAMP + 1), 1e308, -1e308, np.nan]))
+    def test_shared_exp_gives_sigmoid_and_softplus_bits(self, x):
+        # references with their own exp: sigmoid by two divisions, and softplus
+        e_ref = np.exp(np.maximum(-np.abs(x), -LOGIT_CLAMP))
+        sigmoid_ref = np.where(x >= 0, 1.0 / (1.0 + e_ref), e_ref / (1.0 + e_ref))
+        softplus_ref = np.maximum(x, 0.0) + np.log1p(e_ref)
+        e = _exp_neg_abs(x)
+        # the W step's sigmoid of a logit table, from its shared exp
+        w_step_sigmoid = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        for got, want in ((e, e_ref), (sigmoid(x), sigmoid_ref), (w_step_sigmoid, sigmoid_ref),
+                          (softplus(x), softplus_ref)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStateInvariants:

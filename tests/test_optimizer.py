@@ -31,7 +31,7 @@ from laftr import (
     split_observations,
 )
 from laftr import optimizer
-from laftr.model import _PairStats
+from laftr.model import _exp_neg_abs, _PairStats
 from conftest import (
     assert_monotone_trace,
     exhaustive_flip_improvements,
@@ -521,6 +521,19 @@ class TestSweepKernel:
         assert (exhaustive_flip_improvements(y, mask, state) >= -bound).all()
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_instances())
+    def test_mask_index_kinds_are_the_per_move_sums(self, problem):
+        # a move reads each entry's kind as at[m, 0] + at[m, 1]; an observed
+        # diagonal counts as unobserved
+        y, mask, _ = problem
+        idx = optimizer._MaskIndex(y, mask)
+        for m in range(y.n):
+            kind = np.add(idx.at[m, 0], idx.at[m, 1], dtype=np.intp)
+            assert np.array_equal(idx.kind[m], kind)
+            assert np.array_equal(idx.touched[m], kind.any(axis=0))
+        assert not idx.kind[np.arange(y.n), :, np.arange(y.n)].any()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(sweep_instances(w_max=8.0))
     def test_public_delta_matches_recompute(self, problem):
         y, mask, state = problem
@@ -631,6 +644,22 @@ class TestPairStats:
         assert stats.count.sum() == mask.count
         assert stats.positives.sum() == y.entries[mask.observed].sum()
         assert len(stats.patterns) == len(np.unique(state.z, axis=0))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(w_subproblems())
+    @example(DIAG_OBSERVED)
+    @example(EMPTY_MASK)
+    @example(ZERO_FEATURES)
+    def test_fit_flags_and_shared_exp_keep_the_bits(self, problem):
+        y, mask, state = problem
+        plain = _PairStats(y, mask, state.z)
+        weighted = _PairStats(y, mask, state.z, optimizer._MaskIndex(y, mask).flags)
+        for name in ("patterns", "count", "positives"):
+            got, want = getattr(weighted, name), getattr(plain, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        a = plain.logits(state.w)
+        by_softplus = float((plain.count * softplus(a)).sum() - (plain.positives * a).sum())
+        assert plain.loss(a, _exp_neg_abs(a)) == plain.loss(a) == by_softplus
 
     def test_newton_reaches_the_dense_minimizer(self):
         # three membership patterns whose K^2 pair features span W, and links
