@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .graph import AdjacencyMatrix
-from .model import ModelState, sigmoid
+from .model import ModelState, _node_pattern_logits, sigmoid
 
 __all__ = [
     "sample_ibp",
@@ -23,6 +23,10 @@ __all__ = [
     "planted_blocks",
     "block_weights",
 ]
+
+
+# rows of the graph drawn per block of sample_edges
+_EDGE_BLOCK_ROWS = 32
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -43,34 +47,48 @@ def sample_ibp(n: int, alpha: float, seed) -> np.ndarray:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     rng = _as_rng(seed)
 
-    rows: list[np.ndarray] = []
-    counts = np.zeros(0, dtype=np.int64)
+    # z and counts grow by doubling; float64 counts are whole numbers, so
+    # counts / i has the bits it had with int64 counts
+    z = np.zeros((n, 8), dtype=np.int8)
+    counts = np.zeros(8)
+    k = 0
     for i in range(1, n + 1):
-        k = counts.size
-        taken = np.zeros(k, dtype=np.int8)
         if k:
-            taken = (rng.random(k) < counts / i).astype(np.int8)
+            taken = z[i - 1, :k]
+            np.less(rng.random(k), counts[:k] / i, out=taken)
+            counts[:k] += taken
         n_new = int(rng.poisson(alpha / i))
-        rows.append(np.concatenate([taken, np.ones(n_new, dtype=np.int8)]))
-        counts = np.concatenate([counts + taken, np.ones(n_new, dtype=np.int64)])
-
-    k_total = counts.size
-    z = np.zeros((n, k_total), dtype=np.int8)
-    for i, row in enumerate(rows):
-        z[i, : row.size] = row
-    return z
+        if n_new:
+            if k + n_new > counts.size:
+                size = max(2 * counts.size, k + n_new)
+                z = np.pad(z, ((0, 0), (0, size - counts.size)))
+                counts = np.pad(counts, (0, size - counts.size))
+            z[i - 1, k:k + n_new] = 1
+            counts[k:k + n_new] = 1
+            k += n_new
+    return np.ascontiguousarray(z[:, :k])
 
 
 def sample_edges(z: np.ndarray, w: np.ndarray, seed) -> AdjacencyMatrix:
     """Draw a directed graph from fixed factors: y_ij ~ Bernoulli(sigma(z_i W z_j)).
 
     The diagonal is fixed at 0 to match the no-self-link convention. The
-    logits are those ModelState.logits gives for the same factors.
+    logits are those ModelState.logits gives for the same factors, and a
+    link's probability depends only on its pair of membership patterns, so
+    the sigmoid is taken once per pattern pair. Rows are drawn in blocks of
+    _EDGE_BLOCK_ROWS: the uniforms and the final generator state are those
+    of one (n, n) draw, so the graph is that of sigmoid(logits) compared
+    with rng.random((n, n)), and no N x N float array is formed.
     """
     rng = _as_rng(seed)
-    probs = sigmoid(ModelState.from_factors(z, w, 0.0).logits)
-    n = probs.shape[0]
-    y = (rng.random((n, n)) < probs).astype(np.int8)
+    table, inverse = _node_pattern_logits(ModelState.from_factors(z, w, 0.0))
+    probs = sigmoid(table)
+    n = inverse.size
+    y = np.empty((n, n), dtype=np.int8)
+    for start in range(0, n, _EDGE_BLOCK_ROWS):
+        rows = inverse[start:start + _EDGE_BLOCK_ROWS]
+        np.less(rng.random((rows.size, n)), probs.take(rows, 0).take(inverse, 1),
+                out=y[start:start + rows.size])
     np.fill_diagonal(y, 0)
     symmetric = bool((y == y.T).all())
     return AdjacencyMatrix(n, y, symmetric_hint=symmetric)

@@ -51,11 +51,15 @@ class AdjacencyMatrix:
     symmetric_hint: bool = False
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int8)
-        if entries.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}, got {entries.shape}")
-        if not np.isin(entries, (0, 1)).all():
+        given = np.asarray(self.entries)
+        if given.shape != (self.n, self.n):
+            raise ValueError(f"entries must be {self.n}x{self.n}, got {given.shape}")
+        # checked before the int8 cast, which would wrap 256 to 0 and truncate 0.5 and NaN
+        binary = given == 0
+        binary |= given == 1
+        if not binary.all():
             raise ValueError("adjacency entries must be 0 or 1")
+        entries = np.asarray(given, dtype=np.int8)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -142,8 +146,13 @@ def _others(data: bytes, allowed: bytes) -> np.ndarray:
     One bytes.translate pass maps every byte, faster than numpy compares
     or a lookup table.
     """
-    table = bytes(byte not in _SPACES + allowed for byte in range(256))
-    return np.frombuffer(data.translate(table), dtype=bool)
+    return np.frombuffer(data.translate(_others_table(allowed)), dtype=bool)
+
+
+@functools.cache
+def _others_table(allowed: bytes) -> bytes:
+    """The translate table of _others: 1 at each byte neither whitespace nor in ``allowed``."""
+    return bytes(byte not in _SPACES + allowed for byte in range(256))
 
 
 def _lines_of(bounds: np.ndarray, positions: np.ndarray) -> np.ndarray:

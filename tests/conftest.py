@@ -16,7 +16,10 @@ of its own (oracle_caches) that it patches flip by flip, which the
 pattern kernel must match within its rounding bound. The split, scoring
 and file oracles are the one-entry-at-a-time and one-line-at-a-time loops
 whose output (and, for the parsers, whose ParseError message and line)
-the array versions must reproduce exactly.
+the array versions must reproduce exactly. The generator oracles draw the
+buffet by concatenation and the edges from the N x N sigmoid of
+ModelState.logits in one (n, n) uniform draw; the samplers must give
+their bytes and leave the generator in their state.
 
 The math helpers below them serve only as references for package code:
 the exact W-gradient, the logit-coherence check, the Bernoulli Bregman
@@ -409,6 +412,33 @@ def oracle_cv_folds(y: AdjacencyMatrix, train_mask: ObservationMask, folds: int,
             val[cols, rows] = True
         out.append((observed & ~val, val))
     return out
+
+
+def oracle_sample_ibp(n: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
+    """sample_ibp as lists of rows, concatenated customer by customer, from the same draws."""
+    rows: list[np.ndarray] = []
+    counts = np.zeros(0, dtype=np.int64)
+    for i in range(1, n + 1):
+        k = counts.size
+        taken = np.zeros(k, dtype=np.int8)
+        if k:
+            taken = (rng.random(k) < counts / i).astype(np.int8)
+        n_new = int(rng.poisson(alpha / i))
+        rows.append(np.concatenate([taken, np.ones(n_new, dtype=np.int8)]))
+        counts = np.concatenate([counts + taken, np.ones(n_new, dtype=np.int64)])
+    z = np.zeros((n, counts.size), dtype=np.int8)
+    for i, row in enumerate(rows):
+        z[i, : row.size] = row
+    return z
+
+
+def oracle_sample_edges(z, w, rng: np.random.Generator) -> AdjacencyMatrix:
+    """sample_edges from the N x N sigmoid of ModelState.logits and one (n, n) uniform draw."""
+    probs = sigmoid(ModelState.from_factors(z, w, 0.0).logits)
+    n = probs.shape[0]
+    y = (rng.random((n, n)) < probs).astype(np.int8)
+    np.fill_diagonal(y, 0)
+    return AdjacencyMatrix(n, y, symmetric_hint=bool((y == y.T).all()))
 
 
 def oracle_write_mask(train: ObservationMask, test: ObservationMask) -> str:

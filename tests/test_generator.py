@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, poisson
 
 from laftr import (
@@ -12,6 +14,8 @@ from laftr import (
     sample_lfrm,
     sigmoid,
 )
+
+from conftest import oracle_sample_edges, oracle_sample_ibp
 
 
 def harmonic(n):
@@ -151,3 +155,69 @@ class TestPlantedHelpers:
             planted_blocks(5, 0)
         with pytest.raises(ValueError):
             planted_blocks(5, 6)
+
+
+def _seed_and_rng(seed: int, as_generator: bool):
+    """The seed argument (an int or a fresh Generator) and an independent Generator with its stream."""
+    return (np.random.default_rng(seed) if as_generator else seed), np.random.default_rng(seed)
+
+
+def _assert_same_graph(y, want):
+    assert y.entries.dtype == np.int8
+    assert y.entries.tobytes() == want.entries.tobytes()
+    assert y.symmetric_hint is want.symmetric_hint
+
+
+class TestDrawsMatchOracles:
+    """The samplers give the oracles' bytes from the same stream and leave it in the same state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), alpha=st.sampled_from([0.0, 0.3, 1.0, 3.0, 8.0]),
+           sigma_w=st.floats(0.05, 8.0), seed=st.integers(0, 2**32 - 1), as_generator=st.booleans())
+    def test_sample_lfrm(self, n, alpha, sigma_w, seed, as_generator):
+        arg, want_rng = _seed_and_rng(seed, as_generator)
+        z, w, y = sample_lfrm(n, alpha, sigma_w, arg)
+        want_z = oracle_sample_ibp(n, alpha, want_rng)
+        want_w = want_rng.normal(0.0, sigma_w, (want_z.shape[1],) * 2)
+        want_y = oracle_sample_edges(want_z, want_w, want_rng)
+        assert z.dtype == np.int8 and z.shape == want_z.shape
+        assert z.tobytes() == want_z.tobytes()
+        assert w.tobytes() == want_w.tobytes()
+        _assert_same_graph(y, want_y)
+        if as_generator:
+            assert arg.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), alpha=st.sampled_from([0.0, 0.5, 2.0, 6.0, 40.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sample_ibp(self, n, alpha, seed):
+        rng, want_rng = _seed_and_rng(seed, True)
+        z = sample_ibp(n, alpha, rng)
+        want = oracle_sample_ibp(n, alpha, want_rng)
+        assert z.dtype == np.int8 and z.shape == want.shape and z.flags.c_contiguous
+        assert z.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), k=st.integers(0, 6), planted=st.booleans(),
+           scale=st.sampled_from([0.5, 6.0, 60.0]), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, k=0, planted=False, scale=0.5, seed=0)
+    @example(n=33, k=0, planted=False, scale=0.5, seed=1)
+    @example(n=32, k=1, planted=True, scale=6.0, seed=2)
+    @example(n=70, k=3, planted=True, scale=60.0, seed=3)
+    def test_sample_edges(self, n, k, planted, scale, seed):
+        # K = 0 gives every pair probability 0.5, and n straddles the 32-row
+        # draw blocks; planted float blocks need 1 <= k <= n
+        k = min(k, n)
+        if planted and k:
+            z, w = planted_blocks(n, k), block_weights(k, on=scale, off=-scale)
+        else:
+            z = (np.random.default_rng(seed).random((n, k)) < 0.4).astype(np.int8)
+            w = scale * np.random.default_rng(seed + 1).normal(size=(k, k))
+        rng, want_rng = _seed_and_rng(seed, True)
+        y = sample_edges(z, w, rng)
+        _assert_same_graph(y, oracle_sample_edges(z, w, want_rng))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        if planted and k and scale == 60.0:
+            # every probability saturates to 0 or 1, so the graph is symmetric
+            assert y.symmetric_hint

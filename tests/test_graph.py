@@ -110,6 +110,19 @@ class TestAdjacencyInvariants:
         with pytest.raises(ValueError):
             AdjacencyMatrix(2, np.array([[0, 2], [0, 0]]))
 
+    @pytest.mark.parametrize("value", [256, -255, 0.5, np.nan])
+    def test_checks_values_before_the_int8_cast(self, value):
+        # int8 casts would read 256 as 0, -255 as 1, and 0.5 and NaN as 0
+        with pytest.raises(ValueError, match="^adjacency entries must be 0 or 1$"):
+            AdjacencyMatrix(2, np.array([[0, value], [1, 0]]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float64])
+    def test_keeps_binary_entries(self, dtype):
+        given = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 1]], dtype=dtype)
+        adj = AdjacencyMatrix(3, given)
+        assert adj.entries.dtype == np.int8
+        assert np.array_equal(adj.entries, given.astype(np.int8))
+
     def test_entries_frozen(self):
         adj = AdjacencyMatrix(2, np.zeros((2, 2)))
         with pytest.raises(ValueError):
