@@ -158,8 +158,8 @@ def _counted_prune(phases: Phases, prune):
 def _ending_iteration_apart(phases: Phases, fit):
     """fit, moving the candidate phases of the iteration that ended a converged fit to the end rows.
 
-    fit calls on_iteration at the end of each outer iteration, before it
-    checks convergence, so the last iteration's candidates are those timed
+    fit calls on_iteration at the end of each outer iteration, after its
+    convergence scan, so the last iteration's candidates are those timed
     between the last two calls.
     """
     def marked(*args, on_iteration=None, **kwargs):

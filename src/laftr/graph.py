@@ -59,7 +59,7 @@ class AdjacencyMatrix:
         binary |= given == 1
         if not binary.all():
             raise ValueError("adjacency entries must be 0 or 1")
-        entries = np.asarray(given, dtype=np.int8)
+        entries = np.array(given, dtype=np.int8)  # a copy: the caller's array stays writeable
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -76,7 +76,7 @@ class ObservationMask:
     observed: np.ndarray
 
     def __post_init__(self):
-        observed = np.asarray(self.observed, dtype=bool)
+        observed = np.array(self.observed, dtype=bool)  # a copy: the caller's array stays writeable
         if observed.shape != (self.n, self.n):
             raise ValueError(f"mask must be {self.n}x{self.n}, got {observed.shape}")
         observed.setflags(write=False)

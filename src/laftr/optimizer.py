@@ -76,7 +76,6 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "init_state",
-    "delta_objective_flip",
     "optimize_w",
     "prune_empty_features",
     "fit",
@@ -140,9 +139,10 @@ class FitReport:
     """Per-outer-iteration trace of a fit run.
 
     objective_trace is non-increasing (within 1e-9 slack); elapsed holds each
-    iteration's wall-clock duration in seconds. births_proposed counts each
-    iteration's birth proposals (1, plus the retries drawn) and
-    accepted_births says whether one of them was kept.
+    iteration's wall-clock duration in seconds, its convergence scan
+    included. births_proposed counts each iteration's birth proposals (1,
+    plus the retries drawn) and accepted_births says whether one of them
+    was kept.
     """
 
     objective_trace: list[float] = field(default_factory=list)
@@ -191,25 +191,6 @@ class _MaskIndex:
         self.diag_y = np.diagonal(y.entries).astype(float)
         observed_flat, links_flat = _entry_flags(y, mask)
         self.flags = observed_flat.astype(float), links_flat
-
-
-def delta_objective_flip(
-    y: AdjacencyMatrix, mask: ObservationMask, state: ModelState, n: int, k: int
-) -> float:
-    """Q(state with z[n,k] flipped) - Q(state), without materializing the flip.
-
-    The community-count penalty is unchanged by a flip, so this is purely a
-    likelihood delta over the observed entries of row and column n. It is
-    entry k of the delta row the sweep's kernel computes for node n, from Z
-    and W.
-    """
-    if not (0 <= n < state.n):
-        raise IndexError(f"node index {n} out of range for n={state.n}")
-    if not (0 <= k < state.k_plus):
-        raise IndexError(f"feature index {k} out of range for k={state.k_plus}")
-    if y.n != state.n or mask.n != state.n:
-        raise ValueError("adjacency/mask/state dimensions disagree")
-    return float(_DeltaTable(_MaskIndex(y, mask), state).scores(n)[0][k])
 
 
 def _enlarged(table: np.ndarray, shape: tuple) -> np.ndarray:
@@ -722,9 +703,10 @@ def fit(
     an accepted candidate's grouping, made for its objective, serves the
     next iteration, whose Z is the candidate's.
 
-    ``on_iteration(iteration, state, elapsed_seconds)``, if given, is called
-    after each outer iteration with the cumulative wall-clock time of the
-    fit, not counting the time spent in earlier on_iteration calls.
+    ``on_iteration(iteration, state, seconds)``, if given, is called after
+    each outer iteration, its convergence scan included, with seconds the
+    sum of the report's elapsed so far: a call runs outside every
+    iteration's span, so the callbacks' own time is not counted.
 
     Deterministic for a fixed config: one RNG stream seeded with config.seed
     drives initialization and every birth proposal.
@@ -735,8 +717,6 @@ def fit(
     state = init_state(y.n, config, rng=rng)
     idx = _MaskIndex(y, mask)
     report = FitReport()
-    t_start = time.perf_counter()
-    callback_s = 0.0
     q = objective(y, mask, state)
     settled, stats = False, None
 
@@ -767,18 +747,15 @@ def fit(
 
         if not math.isfinite(q):
             raise NumericalError(f"non-finite objective {q} after outer iteration {iteration}", state)
+        # converged only at a one-flip local minimum, as the W step may have moved
+        # a coordinate's best value; the copy keeps the state the trace describes
+        report.converged = stalled and not birth_accepted and not _sweep(idx, state.copy())
         report.objective_trace.append(q)
         report.k_trace.append(state.k_plus)
         report.elapsed.append(time.perf_counter() - t_iter)
         if on_iteration is not None:
-            t_callback = time.perf_counter()
-            on_iteration(iteration, state, t_callback - t_start - callback_s)
-            callback_s += time.perf_counter() - t_callback
-
-        # converged only at a one-flip local minimum, as the W step may have moved
-        # a coordinate's best value; the copy keeps the state the trace describes
-        if stalled and not birth_accepted and not _sweep(idx, state.copy()):
-            report.converged = True
+            on_iteration(iteration, state, sum(report.elapsed))
+        if report.converged:
             break
 
     report.final_state = state

@@ -25,9 +25,10 @@ The math helpers below them serve only as references for package code:
 the exact W-gradient, the logit-coherence check, the Bernoulli Bregman
 divergence (whose sum over observed entries the objective must equal) and
 the scaled log-partition (whose derivatives the package's softplus must
-give). Fitting uses none of them. ``sweep_to_fixed_point`` is the one
-helper that runs package code: the screened sweep, for tests that need a
-one-flip fixed point.
+give). Fitting uses none of them. Two helpers run package code:
+``sweep_to_fixed_point``, the screened sweep, for tests that need a
+one-flip fixed point, and ``delta_objective_flip``, one flip delta of the
+sweep's kernel, for tests that check it against the oracles.
 """
 
 import io
@@ -247,6 +248,11 @@ def oracle_pattern_sweep(y, mask, state) -> bool:
 def sweep_to_fixed_point(y, mask, state) -> bool:
     """The package's screened sweep run to a one-flip fixed point; True if anything flipped."""
     return optimizer._sweep(optimizer._MaskIndex(y, mask), state)
+
+
+def delta_objective_flip(y, mask, state, n, k) -> float:
+    """Q(state with z[n, k] flipped) - Q(state) by the sweep's kernel: entry k of n's delta row."""
+    return float(optimizer._DeltaTable(optimizer._MaskIndex(y, mask), state).scores(n)[0][k])
 
 
 def nll_gradient_w(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState) -> np.ndarray:

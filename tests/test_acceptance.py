@@ -37,6 +37,7 @@ from laftr.cli import main as cli_main
 from conftest import (
     assert_monotone_trace,
     bernoulli_bregman,
+    delta_objective_flip,
     nll_gradient_w,
     oracle_flip_delta,
     oracle_nll,
@@ -196,7 +197,7 @@ def test_criterion_4_small_instance_oracles():
         for _ in range(min(20, 1000 - triples)):
             node = int(rng.integers(n))
             feat = int(rng.integers(k))
-            fast = laftr.delta_objective_flip(y, mask, state, node, feat)
+            fast = delta_objective_flip(y, mask, state, node, feat)
             slow = oracle_flip_delta(y, mask, state, node, feat)
             assert abs(fast - slow) <= 1e-8
             triples += 1

@@ -118,10 +118,16 @@ class TestAdjacencyInvariants:
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float64])
     def test_keeps_binary_entries(self, dtype):
+        # the matrix freezes a copy: the caller's array stays writeable and unchanged
         given = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 1]], dtype=dtype)
+        before = given.copy()
         adj = AdjacencyMatrix(3, given)
         assert adj.entries.dtype == np.int8
-        assert np.array_equal(adj.entries, given.astype(np.int8))
+        assert np.array_equal(adj.entries, before.astype(np.int8))
+        assert given.flags.writeable
+        assert np.array_equal(given, before)
+        given[0, 0] = 1
+        assert adj.entries[0, 0] == 0
 
     def test_entries_frozen(self):
         adj = AdjacencyMatrix(2, np.zeros((2, 2)))
@@ -713,3 +719,17 @@ class TestObservationMask:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             ObservationMask(3, np.zeros((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
+    def test_keeps_a_copy_of_the_given_mask(self, dtype):
+        # the mask freezes a copy: the caller's array stays writeable and unchanged
+        given = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 1]], dtype=dtype)
+        before = given.copy()
+        mask = ObservationMask(3, given)
+        assert mask.observed.dtype == bool
+        assert np.array_equal(mask.observed, before.astype(bool))
+        assert not mask.observed.flags.writeable
+        assert given.flags.writeable
+        assert np.array_equal(given, before)
+        given[0, 0] = 1
+        assert not mask.observed[0, 0]

@@ -16,7 +16,6 @@ from laftr import (
     ModelState,
     ObservationMask,
     block_weights,
-    delta_objective_flip,
     fit,
     init_state,
     negative_log_likelihood,
@@ -34,6 +33,7 @@ from laftr import optimizer
 from laftr.model import _exp_neg_abs, _PairStats
 from conftest import (
     assert_monotone_trace,
+    delta_objective_flip,
     exhaustive_flip_improvements,
     max_logit_error,
     nll_gradient_w,
@@ -135,13 +135,6 @@ class TestDeltaObjectiveFlip:
         state = ModelState.from_factors(z, w, 0.5)
         for n in range(5):
             assert delta_objective_flip(y, mask, state, n, 1) == 0.0
-
-    def test_index_validation(self, rng):
-        y, mask, state = random_instance(rng, 4, 2)
-        with pytest.raises(IndexError):
-            delta_objective_flip(y, mask, state, 4, 0)
-        with pytest.raises(IndexError):
-            delta_objective_flip(y, mask, state, 0, 2)
 
 
 class TestSweep:
@@ -856,6 +849,23 @@ class TestFit:
                      on_iteration=slow)
         assert len(seen) == 3
         assert sum(report.elapsed) <= seen[-1] < 0.3
+
+    def test_elapsed_covers_the_convergence_scan(self, monkeypatch):
+        # fit copies a state only for the scan it runs before declaring
+        # convergence, so a slow copy slows that scan alone
+        y, mask, config = _planted_problem(0)
+        copy = ModelState.copy
+
+        def slow_copy(state):
+            time.sleep(0.2)
+            return copy(state)
+
+        monkeypatch.setattr(ModelState, "copy", slow_copy)
+        seen = []
+        report = fit(y, mask, config, on_iteration=lambda _it, _state, s: seen.append(s))
+        assert report.converged
+        assert report.elapsed[-1] >= 0.2
+        assert seen[-1] == sum(report.elapsed)
 
     def test_one_objective_per_iteration_and_birth(self, monkeypatch):
         # the W step's objective is carried across births and becomes the
