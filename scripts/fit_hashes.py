@@ -18,26 +18,18 @@ AUC. The hashes are:
 
 ``diff`` of two versions' outputs is the check; the last four columns show
 the floor misses and convergence of the 60 fits without a second run. BLAS
-runs on one thread, as in the benchmark.
+runs on one thread, as in the benchmark (``_bench``).
 """
 
-import os
+import _bench  # first: one BLAS thread, and the import path
+import hashlib
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
 
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+from laftr import evaluation
+from perfbench import workloads
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-import numpy as np  # noqa: E402
-
-from laftr import evaluation, graph  # noqa: E402
-from perfbench import workloads  # noqa: E402
-
-FIT_WORKLOADS = [name for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
+SEEDS = range(100, 110)
 
 
 def _sha256(*parts) -> str:
@@ -49,9 +41,7 @@ def _sha256(*parts) -> str:
 
 def fit_line(workload, inst_seed: int) -> tuple:
     """The full hash, the path hash, K, converged, iterations and held-out AUC of one fit."""
-    _, _, y = workload.generate(inst_seed)
-    train, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
-                                           workload.tie_symmetric)
+    _, _, y, train, test = _bench.instance(workload, inst_seed)
     auc, report = evaluation.evaluate_split(y, train, test, workload.config(inst_seed))
     z = report.final_state.z
     flags = np.asarray([report.converged, *report.accepted_births], dtype=bool)
@@ -61,15 +51,11 @@ def fit_line(workload, inst_seed: int) -> tuple:
             report.final_state.k_plus, report.converged, len(report.objective_trace), f"{auc:.6f}")
 
 
-SEEDS = range(100, 110)
-
-
 def main() -> None:
-    for name in FIT_WORKLOADS:
+    for name in _bench.FIT_WORKLOADS:
         workload = workloads.WORKLOADS[name]
-        for seed in SEEDS:
-            for index, inst_seed in enumerate(workloads.instance_seeds(seed, workload.instances)):
-                print(name, seed, index, *fit_line(workload, inst_seed), flush=True)
+        for seed, index, inst_seed in _bench.instance_seeds(workload, SEEDS):
+            print(name, seed, index, *fit_line(workload, inst_seed), flush=True)
 
 
 if __name__ == "__main__":

@@ -1,31 +1,25 @@
-"""Print the CPU seconds and calls of each fit phase, summed over the benchmark's seed 100-102 fits.
+"""Print the wall seconds and calls of each fit phase, summed over the benchmark's seed 100-102 fits.
 
     python3 scripts/fit_phases.py
 
 For every fit workload of ``perfbench`` and every seed in 100..102, each
 instance is generated, split and fitted through ``evaluate_split`` exactly
-as the benchmark does, with BLAS on one thread. The package's functions are
-wrapped from outside, as ``perfbench/spans.py`` does, and no package code
-changes. Each CPU second (``time.process_time``) goes to the innermost
-phase running, so the rows add up to the total:
+as the benchmark does, with BLAS on one thread (``_bench``). The phase rows
+are read from the fits' records: each ``FitReport.phase_seconds`` entry
+splits its iteration's ``elapsed`` into wall seconds by phase (see
+``optimizer.FitReport``), and the rows sum them over the fits. A phase's
+calls count once per iteration that ran it, and once per birth proposal
+for the birth rows (``birth other`` and the ``candidate`` rows). The birth
+rows of the iteration that ended a converged fit, whose births were all
+rejected, go to the ``end`` rows. Last come
 
-- main sweep: ``_sweep`` to a fixed point called by ``fit``;
-- convergence scan: ``_sweep`` of the copy of the state that ``fit``
-  sweeps before it declares convergence (``fit`` copies a state for
-  nothing else, so the wrapped ``ModelState.copy`` marks the copies);
-- candidate sweep and candidate W step: ``_sweep`` and ``optimize_w``
-  inside ``propose_feature``, in every outer iteration but the one that
-  ended a converged fit; end candidate sweep and end candidate W step:
-  the same in that last iteration, whose births were all rejected (``fit``
-  is given an ``on_iteration`` callback that marks where each iteration
-  ends); birth other: the rest of ``propose_feature`` (the column draw and
-  the prune after the candidate's sweep);
-- W step: ``optimize_w`` called by ``fit``;
-- pattern statistics: building ``_PairStats``, wherever it happens;
-- objective: ``objective`` outside its pattern statistics;
-- fit other: the rest of ``fit`` (the prune after its sweep, births'
-  bookkeeping);
-- scoring: the rest of ``evaluate_split`` (held-out scores and AUC).
+- outside iterations: the wall seconds of ``evaluate_split`` minus the
+  fit's ``elapsed``, that is the fit's set-up before its first iteration
+  (the initial draw, the mask index, the start's objective) and the
+  held-out scoring;
+- total: the wall seconds of ``evaluate_split``,
+
+so the rows add up to the total.
 
 Below the phases it prints four counts of the sweep's delta table
 (``optimizer._DeltaTable``), with ``built/used`` for the two caches:
@@ -38,207 +32,98 @@ Below the phases it prints four counts of the sweep's delta table
   kernel's cache, against kernel calls.
 
 Last it prints the prune's traffic: the ``prune_empty_features`` calls
-that removed a column against all its calls.
+that removed a column against all its calls. These counts come from
+wrappers installed on the table's methods and on the prune, which only
+count; no timing wraps a package function.
 
 Run it on two versions and compare the tables; timings vary by a few
 percent between runs on a loaded machine.
 """
 
-import os
+import _bench  # first: one BLAS thread, and the import path
+import math
+import time
+from collections import Counter, defaultdict
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from laftr import evaluation, optimizer
+from perfbench import workloads
 
-import sys  # noqa: E402
-import time  # noqa: E402
-from collections import Counter, defaultdict  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-from laftr import evaluation, graph, model, optimizer  # noqa: E402
-from perfbench import workloads  # noqa: E402
-
-FIT_WORKLOADS = [name for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
 SEEDS = range(100, 103)
+BIRTH = ("birth other", "candidate statistics", "candidate W step", "candidate sweep",
+         "candidate objective")
+PHASES = ("sweep", "statistics", "W step", "objective", *BIRTH,
+          *(f"end {phase}" for phase in BIRTH), "convergence scan")
 COUNTED = ("scores", "move", "_move_table", "_partner_terms")
-PHASES = ("main sweep", "convergence scan", "candidate sweep", "candidate W step",
-          "end candidate sweep", "end candidate W step", "birth other", "W step",
-          "pattern statistics", "objective", "fit other", "scoring")
-# the candidate phases, and where those of the iteration that ended a converged fit go
-ENDING = {"candidate sweep": "end candidate sweep", "candidate W step": "end candidate W step"}
-LABEL = 22
+LABEL = 26
 
 
-class Phases:
-    """Exclusive CPU seconds and call counts per phase, kept on a stack of running phases."""
+def add_report(seconds: defaultdict, calls: Counter, report, wall: float) -> None:
+    """Add one fit's records, and ``wall``, its ``evaluate_split`` seconds, to the sums."""
+    ending = len(report.phase_seconds) - 1 if report.converged else None
+    for i, (phases, proposed) in enumerate(zip(report.phase_seconds, report.births_proposed)):
+        for phase, phase_seconds in phases.items():
+            row = f"end {phase}" if i == ending and phase in BIRTH else phase
+            seconds[row] += phase_seconds
+            calls[row] += proposed if phase in BIRTH else 1
+    seconds["outside iterations"] += wall - math.fsum(report.elapsed)
+    seconds["total"] += wall
 
-    def __init__(self):
-        self.seconds = defaultdict(float)
-        self.calls = Counter()
-        self.counts = Counter()
-        self.stack: list[str] = []
-        self.mark = 0.0
 
-    def wrap(self, fn, phase_of, root=False):
-        """fn timed as the phase ``phase_of(running phases, *args, **kwargs)`` names.
+def count_calls(counts: Counter) -> None:
+    """Wrap the delta table's methods and the prune where fit calls them, counting calls only."""
+    table = optimizer._DeltaTable
 
-        Only a root phase starts a stack; outside one (generating an
-        instance, say) fn runs untimed.
-        """
-        def timed(*args, **kwargs):
-            if not (root or self.stack):
-                return fn(*args, **kwargs)
-            phase = phase_of(self.stack, *args, **kwargs)
-            self._switch(phase)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._switch(None)
-        return timed
-
-    def count(self, fn, name):
-        """fn, counting its calls under ``name``."""
-        def counted(*args, **kwargs):
-            self.counts[name] += 1
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            counts[name] += 1
             return fn(*args, **kwargs)
-        return counted
+        return call
 
-    def candidate_totals(self) -> dict:
-        """The candidate phases' seconds and calls so far."""
-        return {phase: (self.seconds[phase], self.calls[phase]) for phase in ENDING}
+    for name in COUNTED:
+        setattr(table, name, counted(getattr(table, name), name))
+    build, prune = table.__init__, optimizer.prune_empty_features
 
-    def move_ending(self, before: dict, after: dict) -> None:
-        """Move the candidate seconds and calls between two candidate_totals to the end rows."""
-        for phase, ending in ENDING.items():
-            seconds = after[phase][0] - before[phase][0]
-            calls = after[phase][1] - before[phase][1]
-            self.seconds[phase] -= seconds
-            self.seconds[ending] += seconds
-            self.calls[phase] -= calls
-            self.calls[ending] += calls
+    def counted_build(*args, **kwargs):
+        # the build's _partner_terms calls, one per pattern, get a count of their own
+        before = counts["_partner_terms"]
+        build(*args, **kwargs)
+        counts["build terms"] += counts["_partner_terms"] - before
+        counts["_partner_terms"] = before
+        counts["builds"] += 1
 
-    def _switch(self, entering):
-        now = time.process_time()
-        if self.stack:
-            self.seconds[self.stack[-1]] += now - self.mark
-        if entering is None:
-            self.stack.pop()
-        else:
-            self.stack.append(entering)
-            self.calls[entering] += 1
-        self.mark = now
-
-
-def _sweep_phase(stack, _idx, state):
-    if "birth other" in stack:
-        return "candidate sweep"
-    return "convergence scan" if getattr(state, "convergence_scan", False) else "main sweep"
-
-
-def _marked(copy):
-    def marked(state):
-        out = copy(state)
-        out.convergence_scan = True
-        return out
-    return marked
-
-
-def _counted_prune(phases: Phases, prune):
-    """prune, counting its calls and those that removed a column."""
-    def counted(state):
+    def counted_prune(state):
         k_plus = state.k_plus
         out = prune(state)
-        phases.counts["prune"] += 1
-        phases.counts["prune removed"] += out.k_plus < k_plus
+        counts["prune"] += 1
+        counts["prune removed"] += out.k_plus < k_plus
         return out
-    return counted
+
+    table.__init__ = counted_build
+    optimizer.prune_empty_features = counted_prune
 
 
-def _ending_iteration_apart(phases: Phases, fit):
-    """fit, moving the candidate phases of the iteration that ended a converged fit to the end rows.
-
-    fit calls on_iteration at the end of each outer iteration, after its
-    convergence scan, so the last iteration's candidates are those timed
-    between the last two calls.
-    """
-    def marked(*args, on_iteration=None, **kwargs):
-        marks = [phases.candidate_totals()]
-
-        def mark(*iteration):
-            marks.append(phases.candidate_totals())
-            if on_iteration is not None:
-                on_iteration(*iteration)
-
-        report = fit(*args, on_iteration=mark, **kwargs)
-        if report.converged:
-            phases.move_ending(marks[-2], marks[-1])
-        return report
-    return marked
-
-
-def _install(phases: Phases) -> None:
-    """Wrap every phase's function where the package calls it from."""
-    def fixed(name):
-        return lambda *_args, **_kwargs: name
-
-    evaluation.fit = _ending_iteration_apart(phases, evaluation.fit)
-    targets = [
-        (optimizer, "_sweep", _sweep_phase),
-        (optimizer, "optimize_w",
-         lambda stack, *a, **k: "candidate W step" if "birth other" in stack else "W step"),
-        (optimizer, "propose_feature", fixed("birth other")),
-        (optimizer, "objective", fixed("objective")),
-        (evaluation, "fit", fixed("fit other")),
-        (model._PairStats, "__init__", fixed("pattern statistics")),
-    ]
-    for owner, name, phase_of in targets:
-        setattr(owner, name, phases.wrap(getattr(owner, name), phase_of))
-    model.ModelState.copy = _marked(model.ModelState.copy)
-    optimizer.prune_empty_features = _counted_prune(phases, optimizer.prune_empty_features)
-    evaluation.evaluate_split = phases.wrap(evaluation.evaluate_split, fixed("scoring"), root=True)
-    for name in COUNTED:
-        setattr(optimizer._DeltaTable, name, phases.count(getattr(optimizer._DeltaTable, name), name))
-    optimizer._DeltaTable.__init__ = _build_terms_apart(phases, optimizer._DeltaTable.__init__)
-
-
-def _build_terms_apart(phases: Phases, build):
-    """The table build, moving its ``_partner_terms`` calls to a count of their own."""
-    def counted(*args, **kwargs):
-        before = phases.counts["_partner_terms"]
-        build(*args, **kwargs)
-        phases.counts["build terms"] += phases.counts["_partner_terms"] - before
-        phases.counts["_partner_terms"] = before
-        phases.counts["builds"] += 1
-    return counted
-
-
-def measure(phases: Phases, workload) -> tuple[dict, dict, dict]:
-    """Seconds and calls per phase, and the table's counts, over the workload's seed 100..102 fits."""
-    phases.seconds.clear()
-    phases.calls.clear()
-    phases.counts.clear()
-    for seed in SEEDS:
-        for inst_seed in workloads.instance_seeds(seed, workload.instances):
-            _, _, y = workload.generate(inst_seed)
-            train, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
-                                                   workload.tie_symmetric)
-            evaluation.evaluate_split(y, train, test, workload.config(inst_seed))
-    return dict(phases.seconds), dict(phases.calls), dict(phases.counts)
+def measure(workload, counts: Counter) -> tuple[dict, dict, dict]:
+    """Seconds and calls per row, and the counts, over the workload's seed 100..102 fits."""
+    seconds, calls = defaultdict(float), Counter()
+    counts.clear()
+    for _, _, inst_seed in _bench.instance_seeds(workload, SEEDS):
+        _, _, y, train, test = _bench.instance(workload, inst_seed)
+        start = time.perf_counter()
+        _, report = evaluation.evaluate_split(y, train, test, workload.config(inst_seed))
+        add_report(seconds, calls, report, time.perf_counter() - start)
+    return dict(seconds), dict(calls), dict(counts)
 
 
 def main() -> None:
-    phases = Phases()
-    _install(phases)
-    results = {name: measure(phases, workloads.WORKLOADS[name]) for name in FIT_WORKLOADS}
-    print(f"{'phase':<{LABEL}}" + "".join(f"{name + ' cpu_s':>20}{'calls':>8}" for name in results))
-    for phase in (*PHASES, "total"):
+    counts = Counter()
+    count_calls(counts)
+    results = {name: measure(workloads.WORKLOADS[name], counts) for name in _bench.FIT_WORKLOADS}
+    print(f"{'phase':<{LABEL}}" + "".join(f"{name + ' wall_s':>20}{'calls':>8}" for name in results))
+    for phase in (*PHASES, "outside iterations", "total"):
         row = f"{phase:<{LABEL}}"
         for seconds, calls, _ in results.values():
-            if phase == "total":
-                row += f"{sum(seconds.values()):>20.3f}{'':>8}"
-            else:
-                row += f"{seconds.get(phase, 0.0):>20.3f}{calls.get(phase, 0):>8}"
+            cell = calls.get(phase, 0) if phase in PHASES else ""
+            row += f"{seconds.get(phase, 0.0):>20.3f}{cell:>8}"
         print(row)
     print()
     print(f"{'delta table':<{LABEL}}" + "".join(f"{name + ' built/used':>28}" for name in results))
@@ -246,14 +131,14 @@ def main() -> None:
                                ("screen terms", "build terms", "builds"),
                                ("kernel terms", "_partner_terms", "scores")):
         row = f"{label:<{LABEL}}"
-        for *_, counts in results.values():
-            cell = str(counts.get(built, 0))
-            row += f"{cell + (f'/{counts.get(used, 0)}' if used else ''):>28}"
+        for *_, table_counts in results.values():
+            cell = str(table_counts.get(built, 0))
+            row += f"{cell + (f'/{table_counts.get(used, 0)}' if used else ''):>28}"
         print(row)
     print()
     print(f"{'prune removed/calls':<{LABEL}}" + "".join(
-        f"{counts.get('prune removed', 0)}/{counts.get('prune', 0)}".rjust(28)
-        for *_, counts in results.values()))
+        f"{table_counts.get('prune removed', 0)}/{table_counts.get('prune', 0)}".rjust(28)
+        for *_, table_counts in results.values()))
 
 
 if __name__ == "__main__":

@@ -13,25 +13,15 @@ bit-identical draws, and the other columns show the cost. BLAS runs on one
 thread, as in the benchmark.
 """
 
-import os
+import _bench  # first: one BLAS thread, and the import path
+import functools
+import hashlib
+import tracemalloc
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
 
-import functools  # noqa: E402
-import hashlib  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-import numpy as np  # noqa: E402
-
-from laftr import generator  # noqa: E402
-from perfbench import workloads  # noqa: E402
+from laftr import generator
+from perfbench import workloads
 
 SEED = 0
 RUNS = 5
@@ -39,19 +29,15 @@ RUNS = 5
 
 def draws() -> list[tuple[str, object]]:
     """(label, zero-argument draw returning z, w, y) for each measured generator."""
-    fits = [(name, functools.partial(w.generate, SEED))
-            for name, w in workloads.WORKLOADS.items() if w.fit_options is not None]
+    fits = [(name, functools.partial(workloads.WORKLOADS[name].generate, SEED))
+            for name in _bench.FIT_WORKLOADS]
     return fits + [("sample_lfrm", functools.partial(generator.sample_lfrm, n, 3.0, 1.0, SEED))
                    for n in (1000, 3000)]
 
 
 def cost_line(draw) -> tuple:
     """N, median CPU ms, traced peak MB and the z, w, y hash prefix of one draw."""
-    times = []
-    for _ in range(RUNS):
-        start = time.process_time()
-        draw()
-        times.append(time.process_time() - start)
+    seconds, _ = _bench.median_cpu(draw, RUNS)
     tracemalloc.start()
     z, w, y = draw()
     peak = tracemalloc.get_traced_memory()[1]
@@ -59,7 +45,7 @@ def cost_line(draw) -> tuple:
     digest = hashlib.sha256()
     for part in (z, w, y.entries):
         digest.update(np.ascontiguousarray(part).tobytes())
-    return (y.n, f"{1e3 * statistics.median(times):.2f}", f"{peak / 1e6:.1f}",
+    return (y.n, f"{1e3 * seconds:.2f}", f"{peak / 1e6:.1f}",
             digest.hexdigest()[:16])
 
 

@@ -6,11 +6,11 @@ The instances are the benchmark's ``score-large`` instances of seeds 5, 7 and
 110, and the first ``planted-eval`` and ``ibp-grow`` instances of seed 110,
 each generated and split exactly as the benchmark does. The generating model
 is written as a model file and the held-out pairs (an ``i j`` line each, in
-row-major order) as a pair file. ``laftr predict`` then runs 9 times in this
-process, with BLAS on one thread. The functions it calls are wrapped from
-outside, as ``scripts/fit_phases.py`` does, and no package code changes. Each
-cell is the median CPU time (``time.process_time``) of one step over the 9
-calls:
+row-major order) as a pair file (``_bench.predict_files``). ``laftr
+predict`` then runs 9 times in this process, with BLAS on one thread. The
+functions it calls are wrapped from outside, as ``perfbench/spans.py``
+does, and no package code changes. Each cell is the median CPU time
+(``time.process_time``) of one step over the 9 calls:
 
 - parser: from the start of ``cli.main`` to the start of ``load_model``, the
   argument parsing;
@@ -28,26 +28,17 @@ distinct probabilities. Run it on two versions and compare the tables;
 timings vary by a few percent between runs on a loaded machine.
 """
 
-import os
+import _bench  # first: one BLAS thread, and the import path
+import contextlib
+import io
+import statistics
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import contextlib  # noqa: E402
-import io  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from collections import defaultdict  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-import numpy as np  # noqa: E402
-
-from laftr import cli, graph, model  # noqa: E402
-from perfbench import workloads  # noqa: E402
+from laftr import cli, graph
+from perfbench import workloads
 
 # (workload, seed) of each column
 INSTANCES = (("score-large", 5), ("score-large", 7), ("score-large", 110),
@@ -96,18 +87,8 @@ def instance_files(workload_name: str, seed: int, workdir: Path) -> tuple[list[s
     generating model and held-out pairs, and its pair count."""
     workload = workloads.WORKLOADS[workload_name]
     inst_seed = workloads.instance_seeds(seed, workload.instances)[0]
-    z, w, y = workload.generate(inst_seed)
-    _, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
-                                       workload.tie_symmetric)
-    truth = model.ModelState.from_factors(np.asarray(z, dtype=float), np.asarray(w, dtype=float),
-                                          workloads.DEFAULT_LAMBDA)
-    model_path, pairs_path, csv_path = (workdir / f"{workload_name}-{seed}.{name}"
-                                        for name in ("model.json", "pairs.txt", "preds.csv"))
-    model_path.write_text(workloads.model_json(truth, [], inst_seed), encoding="utf-8")
-    pairs = np.argwhere(test.observed)
-    pairs_path.write_text("".join(f"{i} {j}\n" for i, j in pairs.tolist()), encoding="utf-8")
-    argv = ["predict", "--model", str(model_path), "--input", str(pairs_path),
-            "--out", str(csv_path)]
+    z, w, _, _, test = _bench.instance(workload, inst_seed)
+    argv, _, pairs = _bench.predict_files(z, w, test, inst_seed, workdir / f"{workload_name}-{seed}")
     return argv, len(pairs)
 
 

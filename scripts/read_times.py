@@ -21,24 +21,15 @@ of two versions' outputs also checks that they parse alike. Timings vary by
 a few percent between runs on a loaded machine.
 """
 
-import os
+import _bench  # first: one BLAS thread, and the import path
+import hashlib
+import tempfile
+from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
 
-import hashlib  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-import numpy as np  # noqa: E402
-
-from laftr import graph  # noqa: E402
-from perfbench import workloads  # noqa: E402
+from laftr import graph
+from perfbench import workloads
 
 SEEDS = (5, 7, 110)
 CALLS = 5
@@ -54,9 +45,7 @@ def instance_files(seed: int, workdir: Path) -> tuple[dict[str, Path], int]:
     """The four reader files of the seed's score-large instance, and its node count."""
     workload = workloads.WORKLOADS["score-large"]
     (inst_seed,) = workloads.instance_seeds(seed, workload.instances)
-    _, _, y = workload.generate(inst_seed)
-    train, test = graph.split_observations(y, workloads.TRAIN_FRACTION, inst_seed,
-                                           workload.tie_symmetric)
+    _, _, y, train, test = _bench.instance(workload, inst_seed)
     texts = {
         "dense": graph.write_dense(y),
         "edges": "".join(f"{i} {j}\n" for i, j in np.argwhere(y.entries).tolist()),
@@ -87,15 +76,13 @@ def digest(result) -> str:
 
 def measure(path: Path, read, n: int) -> tuple[float, str]:
     """Median CPU milliseconds of opening and parsing the file, and its result's digest."""
-    seconds, digests = [], set()
-    for _ in range(CALLS):
-        start = time.process_time()
+    def parse():
         with open(path, encoding="utf-8") as handle:
-            result = read(handle, n)
-        seconds.append(time.process_time() - start)
-        digests.add(digest(result))
-    (sha,) = digests
-    return 1000 * statistics.median(seconds), sha
+            return read(handle, n)
+
+    seconds, results = _bench.median_cpu(parse, CALLS)
+    (sha,) = {digest(result) for result in results}
+    return 1000 * seconds, sha
 
 
 def main() -> None:

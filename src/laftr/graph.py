@@ -570,17 +570,20 @@ def write_predictions(pairs: np.ndarray, values, index, n: int) -> str:
 
     ``pairs`` is (M, 2) of indices below ``n``; row m's probability is
     ``values[index[m]]``, as model.distinct_link_probabilities returns
-    them. Pairs or an index that are not of an integer dtype (bool, float,
-    str) are a TypeError that names the dtype. A pair index outside
-    0..n-1, or an ``index`` entry outside ``values``, negative ones
-    included, is an IndexError; an ``index`` of another length than the
-    pairs is a ValueError, and ``values`` not of a bool, integer or float
-    dtype (a string, say) a TypeError. The rows are laid out as arrays.
+    them. Pairs of another shape are a ValueError, and pairs or an index
+    that are not of an integer dtype (bool, float, str) a TypeError that
+    names the dtype. A pair index outside 0..n-1, or an ``index`` entry
+    outside ``values``, negative ones included, is an IndexError; an
+    ``index`` of another length than the pairs is a ValueError, and
+    ``values`` not of a bool, integer or float dtype (a string, say) a
+    TypeError. The rows are laid out as arrays.
     Each value is formatted once as %.17g, which round-trips a float, and
     gathered by ``index``; the bytes are those of formatting every row's
     probability with %.17g.
     """
     pairs, index, values = np.asarray(pairs), np.asarray(index), np.asarray(values)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must be shaped (M, 2), got {pairs.shape}")
     for name, a in (("pair indices", pairs), ("probability index", index)):
         if a.dtype.kind not in "iu":
             raise TypeError(f"{name} must be integers, got dtype {a.dtype}")

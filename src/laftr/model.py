@@ -334,5 +334,9 @@ def negative_log_likelihood(y: AdjacencyMatrix, mask: ObservationMask, state: Mo
 
 def objective(y: AdjacencyMatrix, mask: ObservationMask, state: ModelState,
               stats: _PairStats | None = None) -> float:
-    """negative_log_likelihood (with its ``stats``) plus the community-count penalty K * lambda^2."""
-    return negative_log_likelihood(y, mask, state, stats) + state.k_plus * state.lam**2
+    """negative_log_likelihood (with its ``stats``) plus the community-count penalty K * lambda^2.
+
+    A lambda whose square overflows gives an infinite objective, not an
+    OverflowError.
+    """
+    return negative_log_likelihood(y, mask, state, stats) + state.k_plus * (state.lam * state.lam)

@@ -110,7 +110,9 @@ class FitConfig:
 
     lam is the per-community penalty weight (the objective charges lam^2 per
     non-empty community); sigma_w scales the Gaussian initialization of W
-    entries.
+    entries. Both are positive and finite. k_init, max_outer_iters and
+    seed are integers (numpy's too, but not bool): the first two at least
+    1, the seed at least 0.
     """
 
     lam: float = 0.5
@@ -121,15 +123,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # `not x > 0` rejects NaN too
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not 0 < self.sigma_w < math.inf:
-            raise ValueError(f"sigma_w must be positive and finite, got {self.sigma_w}")
-        if self.k_init < 1:
-            raise ValueError(f"k_init must be >= 1, got {self.k_init}")
-        if self.max_outer_iters < 1:
-            raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        # the comparisons are False for NaN, so they reject it too
+        for name in ("lam", "sigma_w"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name, least in (("k_init", 1), ("max_outer_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
@@ -143,6 +146,17 @@ class FitReport:
     included. births_proposed counts each iteration's birth proposals (1,
     plus the retries drawn) and accepted_births says whether one of them
     was kept.
+
+    phase_seconds[i] splits elapsed[i] into wall seconds by phase, in the
+    order the phases first ran, and its values sum to elapsed[i] up to
+    rounding. The phases are ``sweep`` (the sweep of Z and the prune after
+    it), ``statistics`` (grouping Z into pattern pairs), ``W step`` and
+    ``objective``; per birth proposal ``birth other`` (drawing the new
+    column and pruning the swept candidate), ``candidate statistics``,
+    ``candidate W step``, ``candidate sweep`` and ``candidate objective``;
+    and ``convergence scan`` (the sweep of a copy, see fit). An entry holds
+    only the phases its iteration ran: one that follows an accepted birth
+    has neither ``sweep`` nor ``statistics``.
     """
 
     objective_trace: list[float] = field(default_factory=list)
@@ -150,6 +164,7 @@ class FitReport:
     births_proposed: list[int] = field(default_factory=list)
     accepted_births: list[bool] = field(default_factory=list)
     elapsed: list[float] = field(default_factory=list)
+    phase_seconds: list[dict[str, float]] = field(default_factory=list)
     converged: bool = False
     final_state: ModelState | None = None
 
@@ -163,6 +178,24 @@ def init_state(n: int, config: FitConfig, rng: np.random.Generator | None = None
     z = (rng.random((n, config.k_init)) < 0.5).astype(float)
     w = rng.normal(0.0, config.sigma_w, (config.k_init, config.k_init))
     return ModelState.from_factors(z, w, config.lam)
+
+
+class _Laps:
+    """One outer iteration's clock: the wall seconds of each phase, summed per phase name.
+
+    ``lap(phase)`` charges the time since the previous lap (or since the
+    clock started) to phase, so every second between the start and the
+    last lap goes to exactly one phase.
+    """
+
+    def __init__(self):
+        self.start = self.mark = time.perf_counter()
+        self.seconds: dict[str, float] = {}
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + (now - self.mark)
+        self.mark = now
 
 
 class _MaskIndex:
@@ -615,6 +648,7 @@ def propose_feature(
     state: ModelState,
     config: FitConfig,
     rng: np.random.Generator,
+    laps: _Laps,
 ) -> ModelState:
     """Candidate state with one extra community, optimized but not yet accepted.
 
@@ -623,7 +657,10 @@ def propose_feature(
     the new column); then takes the W step on the full W, sweeps the
     candidate's coordinates to a fixed point, using fit's index ``idx`` of
     (y, mask), and drops the columns that sweep emptied, the new one or an
-    old one. The input state is not mutated.
+    old one. The input state is not mutated. The time goes on fit's
+    iteration clock ``laps``: the draw and the prune as ``birth other``,
+    then ``candidate statistics``, ``candidate W step`` and ``candidate
+    sweep`` (see FitReport).
     """
     n_nodes = state.n
     k = state.k_plus
@@ -640,9 +677,16 @@ def propose_feature(
     w_new[:k, k] = border[k + 1 :]
 
     candidate = ModelState(z_new, w_new, state.lam)
-    optimize_w(y, mask, candidate, _PairStats(y, mask, z_new, idx.flags))
+    laps.lap("birth other")
+    stats = _PairStats(y, mask, z_new, idx.flags)
+    laps.lap("candidate statistics")
+    optimize_w(y, mask, candidate, stats)
+    laps.lap("candidate W step")
     _sweep(idx, candidate)
-    return prune_empty_features(candidate)
+    laps.lap("candidate sweep")
+    candidate = prune_empty_features(candidate)
+    laps.lap("birth other")
+    return candidate
 
 
 def prune_empty_features(state: ModelState) -> ModelState:
@@ -703,6 +747,10 @@ def fit(
     an accepted candidate's grouping, made for its objective, serves the
     next iteration, whose Z is the candidate's.
 
+    Each iteration runs on one clock (_Laps) that marks the end of every
+    phase: its marks give the report's phase_seconds entry, and elapsed is
+    the last mark minus the iteration's start.
+
     ``on_iteration(iteration, state, seconds)``, if given, is called after
     each outer iteration, its convergence scan included, with seconds the
     sum of the report's elapsed so far: a call runs outside every
@@ -721,23 +769,29 @@ def fit(
     settled, stats = False, None
 
     for iteration in range(config.max_outer_iters):
-        t_iter = time.perf_counter()
+        laps = _Laps()
         q_start = q
 
         if not settled:
             _sweep(idx, state)
             state = prune_empty_features(state)
+            laps.lap("sweep")
             stats = _PairStats(y, mask, state.z, idx.flags)
+            laps.lap("statistics")
         optimize_w(y, mask, state, stats)
+        laps.lap("W step")
         q = objective(y, mask, state, stats)
+        laps.lap("objective")
         stalled = (q_start - q) / max(abs(q_start), 1e-12) < config.rel_tol
         # one birth, and BIRTH_RETRIES more if the iteration would otherwise stop
         births = 1 + BIRTH_RETRIES if stalled else 1
         birth_accepted = False
         for proposed in range(1, births + 1):
-            candidate = propose_feature(idx, y, mask, state, config, rng)
+            candidate = propose_feature(idx, y, mask, state, config, rng, laps)
             candidate_stats = _PairStats(y, mask, candidate.z, idx.flags)
+            laps.lap("candidate statistics")
             q_candidate = objective(y, mask, candidate, candidate_stats)
+            laps.lap("candidate objective")
             if q_candidate < q - FLIP_TOLERANCE:
                 state, q, stats, birth_accepted = candidate, q_candidate, candidate_stats, True
                 break
@@ -747,12 +801,15 @@ def fit(
 
         if not math.isfinite(q):
             raise NumericalError(f"non-finite objective {q} after outer iteration {iteration}", state)
-        # converged only at a one-flip local minimum, as the W step may have moved
-        # a coordinate's best value; the copy keeps the state the trace describes
-        report.converged = stalled and not birth_accepted and not _sweep(idx, state.copy())
+        if stalled and not birth_accepted:
+            # converged only at a one-flip local minimum, as the W step may have moved
+            # a coordinate's best value; the copy keeps the state the trace describes
+            report.converged = not _sweep(idx, state.copy())
+            laps.lap("convergence scan")
         report.objective_trace.append(q)
         report.k_trace.append(state.k_plus)
-        report.elapsed.append(time.perf_counter() - t_iter)
+        report.elapsed.append(laps.mark - laps.start)
+        report.phase_seconds.append(laps.seconds)
         if on_iteration is not None:
             on_iteration(iteration, state, sum(report.elapsed))
         if report.converged:

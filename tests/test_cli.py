@@ -584,13 +584,19 @@ class TestExitCodes:
         assert not (tmp_path / "p.csv").exists()
 
     def test_non_finite_objective_is_numerical_error(self, tmp_path, planted_file, capsys):
-        # an infinite penalty makes every objective infinite: the fit must
-        # stop with exit 3, not run to the iteration cap on a NaN improvement
+        # a finite lambda whose square overflows makes every objective
+        # infinite: the fit must stop with exit 3, not raise OverflowError or
+        # run to the iteration cap on a NaN improvement
         code = run_cli("fit", "--input", str(planted_file),
-                       "--out", str(tmp_path / "m.json"), "--lambda", "inf")
+                       "--out", str(tmp_path / "m.json"), "--lambda", "1e200")
         assert code == 3
-        assert "numerical error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("laftr: numerical error") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
+        assert run_cli("cv", "--input", str(planted_file), "--out", str(tmp_path / "cv.csv"),
+                       "--lambda-grid", "1,1e200", "--folds", "2", "--max-iters", "2") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("laftr: numerical error") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, extra", [("eval", []), ("cv", ["--lambda-grid", "0.5"])])
     def test_include_diagonal_is_fit_only(self, tmp_path, planted_file, command, extra):
@@ -624,7 +630,7 @@ class TestExitCodes:
         assert "conflicting flag for pair (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_bad_config_value_is_data_error(self, tmp_path, planted_file):
+    def test_bad_config_value_is_data_error(self, tmp_path, planted_file, capsys):
         code = run_cli("fit", "--input", str(planted_file),
                        "--out", str(tmp_path / "m.json"), "--lambda", "-1")
         assert code == 2
@@ -636,6 +642,16 @@ class TestExitCodes:
         code = run_cli("fit", "--input", str(planted_file),
                        "--out", str(tmp_path / "m.json"), "--sigma-w", "inf")
         assert code == 2
+        # an infinite penalty would make every objective infinite
+        code = run_cli("fit", "--input", str(planted_file),
+                       "--out", str(tmp_path / "m.json"), "--lambda", "inf")
+        assert code == 2
+        capsys.readouterr()
+        # default_rng rejects a negative seed, so FitConfig does, by name
+        code = run_cli("fit", "--input", str(planted_file),
+                       "--out", str(tmp_path / "m.json"), "--seed", "-1")
+        assert code == 2
+        assert capsys.readouterr().err == "laftr: error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -698,6 +698,13 @@ class TestPredictionsCsv:
         with pytest.raises(TypeError, match=rf"^pair indices must be integers, got dtype {pairs.dtype}$"):
             write_predictions(pairs, [0.5], np.array([0, 0]), 3)
 
+    @pytest.mark.parametrize("pairs", [np.array([[0, 1, 2], [1, 0, 0]]), np.array([0, 1]),
+                                       np.zeros((2, 2, 2), dtype=np.int64)])
+    def test_pairs_not_shaped_m_by_2_are_a_value_error(self, pairs):
+        # a third column would be dropped silently, a 1-D array index numpy out of bounds
+        with pytest.raises(ValueError, match=r"^pairs must be shaped \(M, 2\), got \("):
+            write_predictions(pairs, [0.5], np.array([0, 0]), 3)
+
     @pytest.mark.parametrize("index", [np.array([0.0, 0.0]), np.array([False, True]),
                                        np.array(["0", "0"])])
     def test_index_that_is_not_integer_is_a_type_error(self, index):

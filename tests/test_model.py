@@ -171,6 +171,12 @@ class TestObjective:
         assert state.k_plus == 0
         assert objective(y, mask, state) == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_penalty_whose_square_overflows_is_infinite(self, rng):
+        # lam**2 would raise OverflowError above lam of about 1.34e154
+        y, mask, state = random_instance(rng, 5, 2)
+        huge = ModelState.from_factors(state.z, state.w, lam=1e200)
+        assert objective(y, mask, huge) == math.inf
+
     def test_lambda_zero_reduces_to_nll(self, rng):
         y, mask, state = random_instance(rng, 5, 2)
         bare = ModelState.from_factors(state.z, state.w, lam=0.0)

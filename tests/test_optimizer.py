@@ -70,11 +70,25 @@ class TestFitConfig:
             {"sigma_w": float("nan")},
             {"rel_tol": float("nan")},
             {"sigma_w": float("inf")},
+            {"lam": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("k_init", 1.5), ("max_outer_iters", 2.5), ("seed", 1.5), ("k_init", True),
+        ("seed", False), ("seed", -1), ("max_outer_iters", np.int64(0)), ("seed", "3"),
+    ])
+    def test_rejects_counts_and_seeds_fit_cannot_use(self, name, value):
+        # each would otherwise fail inside fit, with numpy's TypeError or ValueError
+        with pytest.raises(ValueError, match=name):
+            FitConfig(**{name: value})
+
+    def test_accepts_numpy_integers(self):
+        config = FitConfig(k_init=np.int32(2), max_outer_iters=np.int64(3), seed=np.uint8(4))
+        assert fit(*_planted_problem(0)[:2], config).k_trace
 
 
 class TestInitState:
@@ -688,7 +702,8 @@ class TestPairStats:
 
 
 def propose_feature(y, mask, state, config, rng):
-    return optimizer.propose_feature(optimizer._MaskIndex(y, mask), y, mask, state, config, rng)
+    return optimizer.propose_feature(optimizer._MaskIndex(y, mask), y, mask, state, config, rng,
+                                     optimizer._Laps())
 
 
 class TestProposeFeature:
@@ -866,6 +881,34 @@ class TestFit:
         assert report.converged
         assert report.elapsed[-1] >= 0.2
         assert seen[-1] == sum(report.elapsed)
+
+    def test_phase_seconds_split_each_iteration(self):
+        y, mask, config = _planted_problem(0)
+        report = fit(y, mask, config)
+        assert report.converged
+        assert len(report.phase_seconds) == len(report.elapsed) == len(report.objective_trace)
+        for phases, elapsed in zip(report.phase_seconds, report.elapsed):
+            assert min(phases.values()) >= 0
+            assert sum(phases.values()) == pytest.approx(elapsed, rel=0.02)
+        assert "sweep" in report.phase_seconds[0]
+        after_births = [phases for phases, accepted
+                        in zip(report.phase_seconds[1:], report.accepted_births) if accepted]
+        assert after_births
+        assert not any({"sweep", "statistics"} & set(phases) for phases in after_births)
+        candidate = {"birth other", "candidate statistics", "candidate W step",
+                     "candidate sweep", "candidate objective"}
+        assert candidate | {"W step", "objective", "convergence scan"} <= set(
+            report.phase_seconds[-1])
+
+    def test_phase_seconds_are_the_only_difference_between_two_fits(self):
+        y, mask, config = _ibp_problem(0)
+        r1, r2 = fit(y, mask, config), fit(y, mask, config)
+        for report in (r1, r2):
+            report.final_state = (report.final_state.z.tobytes(), report.final_state.w.tobytes(),
+                                  report.final_state.lam)
+            report.phase_seconds = [list(phases) for phases in report.phase_seconds]
+            report.elapsed = len(report.elapsed)
+        assert r1 == r2
 
     def test_one_objective_per_iteration_and_birth(self, monkeypatch):
         # the W step's objective is carried across births and becomes the
